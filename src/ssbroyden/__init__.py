@@ -48,15 +48,14 @@ from .updates import (
     ScalingDegeneracyError,
     SingularUpdateError,
     UpdateCoefficients,
+    UpdateResult,
     UpdateVariant,
-    apply_bfgs_update,
-    apply_dfp_update,
-    apply_general_update,
     apply_update,
     compute_base_coefficients,
     compute_tau,
     compute_theta,
     curvature_guard,
+    propose_update,
 )
 
 __version__ = "0.1.0"
@@ -83,11 +82,9 @@ __all__ = [
     "SolverConfig",
     "SolverState",
     "UpdateCoefficients",
+    "UpdateResult",
     "UpdateVariant",
     "VARIANT_ORDER",
-    "apply_bfgs_update",
-    "apply_dfp_update",
-    "apply_general_update",
     "apply_update",
     "compute_base_coefficients",
     "compute_tau",
@@ -100,6 +97,7 @@ __all__ = [
     "make_pinn1d",
     "make_quadratic",
     "make_rosenbrock",
+    "propose_update",
     "search",
     "solve",
     "step",

@@ -164,7 +164,8 @@ def run_benchmark(spec):
             rows.append({"solver": name, "status": f"error({type(exc).__name__})",
                          "qn_iters": 0, "ls_steps": 0, "f_evals": 0,
                          "final_f": float("nan"), "final_gnorm_inf": float("nan"),
-                         "wall_time_s": time.perf_counter() - t0, "l2_error": ""})
+                         "wall_time_s": time.perf_counter() - t0, "l2_error": "",
+                         "update_skips": 0, "tau_fallbacks": 0})
             exit_code = 1
             continue
         wall = time.perf_counter() - t0
@@ -195,7 +196,9 @@ def run_benchmark(spec):
                "final_gnorm_inf": summary["final_gnorm_inf"],
                "wall_time_s": wall,
                "l2_error": problem.l2_error(state.x)
-               if isinstance(problem, PinnPoisson1D) else ""}
+               if isinstance(problem, PinnPoisson1D) else "",
+               "update_skips": counters.update_skips,
+               "tau_fallbacks": counters.tau_fallbacks}
         rows.append(row)
         if trace.status != "converged":
             exit_code = 1
@@ -206,7 +209,8 @@ def run_benchmark(spec):
 
 
 SUMMARY_COLUMNS = ("solver", "status", "qn_iters", "ls_steps", "f_evals",
-                   "final_f", "final_gnorm_inf", "wall_time_s", "l2_error")
+                   "final_f", "final_gnorm_inf", "wall_time_s", "l2_error",
+                   "update_skips", "tau_fallbacks")
 
 
 def _write_summary(rows, path):
@@ -220,17 +224,20 @@ def _write_summary(rows, path):
                 _fmt(row["final_f"]), _fmt(row["final_gnorm_inf"]),
                 f"{row['wall_time_s']:.6f}",
                 _fmt(row["l2_error"]) if row["l2_error"] != "" else "",
+                row["update_skips"], row["tau_fallbacks"],
             ])
 
 
 def _print_summary(spec, rows):
     print(f"problem: {spec.problem}  tol: {spec.tol:g}  max_iters: {spec.max_iters}")
     header = (f"{'solver':<10} {'status':<20} {'iters':>6} {'ls':>6} "
-              f"{'fevals':>7} {'final_f':>13} {'gnorm_inf':>13} {'time_s':>9}")
+              f"{'fevals':>7} {'skips':>6} {'taufb':>6} {'final_f':>13} "
+              f"{'gnorm_inf':>13} {'time_s':>9}")
     print(header)
     for row in rows:
         print(f"{row['solver']:<10} {row['status']:<20} {row['qn_iters']:>6} "
               f"{row['ls_steps']:>6} {row['f_evals']:>7} "
+              f"{row['update_skips']:>6} {row['tau_fallbacks']:>6} "
               f"{row['final_f']:>13.4e} {row['final_gnorm_inf']:>13.4e} "
               f"{row['wall_time_s']:>9.3f}"
               + (f"  l2_err={row['l2_error']:.3e}" if row["l2_error"] != "" else ""))

@@ -1,10 +1,10 @@
 """Dense linear-algebra helpers and the objective-function contract.
 
 Vectors are 1-D float64 ndarrays, symmetric matrices are 2-D float64
-ndarrays that are exactly symmetric (``M[i, j] == M[j, i]`` bitwise).
-Every operation here preserves exact symmetry by construction: updates
-are assembled from outer products ``u u^T`` and symmetric pair sums,
-never from generic matrix-matrix products.
+ndarrays that are exactly symmetric (``M[i, j] == M[j, i]`` bitwise);
+the update kernel keeps them so by assembling every term from outer
+products ``u u^T`` and symmetric pair sums, never from generic
+matrix-matrix products.
 """
 
 import numpy as np
@@ -28,13 +28,6 @@ def as_vector(x, n=None):
     return v
 
 
-def dot(a, b):
-    """Inner product of two equal-length vectors."""
-    a = as_vector(a)
-    b = as_vector(b, a.size)
-    return float(np.dot(a, b))
-
-
 def matvec(m, x):
     """Product of a square (symmetric) matrix with a vector."""
     m = np.asarray(m, dtype=float)
@@ -46,21 +39,6 @@ def matvec(m, x):
             f"matrix is {m.shape[0]}x{m.shape[1]} but vector has length {x.size}"
         )
     return m @ x
-
-
-def sym_rank_one_accumulate(m, c, u):
-    """Return ``m + c * u u^T`` without disturbing exact symmetry.
-
-    ``u u^T`` is exactly symmetric elementwise (IEEE multiplication
-    commutes), so the sum is too.
-    """
-    m = np.asarray(m, dtype=float)
-    u = as_vector(u)
-    if m.shape != (u.size, u.size):
-        raise DimensionMismatchError(
-            f"matrix shape {m.shape} does not match vector length {u.size}"
-        )
-    return m + c * np.outer(u, u)
 
 
 def norm_inf(v):

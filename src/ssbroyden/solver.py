@@ -26,18 +26,7 @@ from .linesearch import (
     search,
     wolfe_check,
 )
-from .updates import (
-    CurvatureError,
-    LostPositiveDefinitenessError,
-    ScalingDegeneracyError,
-    SingularUpdateError,
-    UpdateVariant,
-    apply_update,
-    compute_base_coefficients,
-    compute_tau,
-    compute_theta,
-    curvature_guard,
-)
+from .updates import UpdateVariant, propose_update
 
 H0_SCALINGS = ("identity", "scaled_identity")
 
@@ -189,65 +178,31 @@ def step(state, problem, config, counters, observer=None):
     y = outcome.g_new - state.g
     x_new = state.x + alpha * d
 
-    theta = 0.0
-    tau = 1.0
-    skipped = False
-    tau_fallback = False
-    H_new = H
-
-    if curvature_guard(s, y):
-        H_work = H
-        if (config.h0_scaling == "scaled_identity"
-                and counters.qn_iters == counters.update_skips):
-            # No update has been applied yet in this run: rescale the
-            # inherited H to match the observed curvature before the
-            # first update.  If the update below ends up skipped the
-            # scaling is discarded with it.
-            ys = float(np.dot(y, s))
-            yy = float(np.dot(y, y))
-            if yy > 0.0:
-                H_work = H * (ys / yy)
-        try:
-            coeffs = compute_base_coefficients(H_work, s, y, state.g, alpha)
-        except (CurvatureError, LostPositiveDefinitenessError):
-            skipped = True
-        else:
-            (coeffs.theta, coeffs.theta_minus,
-             coeffs.theta_plus, coeffs.rho_minus) = compute_theta(config.variant, coeffs)
-            if config.force_theta is not None:
-                coeffs.theta = config.force_theta
-            try:
-                (coeffs.tau, coeffs.sigma,
-                 coeffs.sigma_pow, coeffs.rho_plus) = compute_tau(
-                    config.variant, coeffs.theta, coeffs, n)
-            except ScalingDegeneracyError:
-                coeffs.tau = 1.0
-                tau_fallback = True
-                counters.tau_fallbacks += 1
-            if config.force_tau is not None:
-                coeffs.tau = config.force_tau
-            theta = coeffs.theta
-            tau = coeffs.tau
-            try:
-                H_new = apply_update(config.variant, H_work, s, y, coeffs)
-            except SingularUpdateError:
-                skipped = True
-                H_new = H
-    else:
-        skipped = True
-
-    if skipped:
-        counters.update_skips += 1
-        H_new = H
+    scale = 1.0
+    if (config.h0_scaling == "scaled_identity"
+            and counters.qn_iters == counters.update_skips):
+        # No update has been applied yet in this run: rescale the
+        # inherited H to match the observed curvature before the first
+        # update.  If the update ends up skipped the scaling is
+        # discarded with it.
+        yy = float(np.dot(y, y))
+        if yy > 0.0:
+            scale = float(np.dot(y, s)) / yy
+    update = propose_update(config.variant, H, s, y, state.g, alpha, scale=scale,
+                            force_theta=config.force_theta,
+                            force_tau=config.force_tau)
+    counters.update_skips += update.skipped
+    counters.tau_fallbacks += update.tau_fallback
 
     counters.qn_iters += 1
     new_state = SolverState(x=x_new, f=outcome.f_new, g=outcome.g_new,
-                            H=H_new, k=state.k + 1)
+                            H=update.H, k=state.k + 1)
     record = IterationRecord(
         k=new_state.k, f=new_state.f,
         gnorm_inf=norm_inf(new_state.g), gnorm_2=norm_2(new_state.g),
-        alpha=alpha, theta=theta, tau=tau, ls_evals=outcome.n_evals,
-        skipped=skipped, tau_fallback=tau_fallback, reset=reset)
+        alpha=alpha, theta=update.theta, tau=update.tau,
+        ls_evals=outcome.n_evals, skipped=update.skipped,
+        tau_fallback=update.tau_fallback, reset=reset)
     if observer is not None:
         observer(state, d, outcome, new_state, record)
     return new_state, record

@@ -3,7 +3,7 @@
 The family is parameterised by two per-iteration scalars: the mixing
 parameter ``theta`` interpolating between BFGS (``theta = 0``) and DFP
 (``theta = 1``), and the scale factor ``tau`` applied to the inherited
-curvature term (``tau = 1`` means no scaling).  The general update is
+curvature term (``tau = 1`` means no scaling).  Every member is
 
     H' = (1/tau) * (H - (H y)(H y)^T / y^T H y + phi * (y^T H y) * v v^T)
          + s s^T / (y^T s)
@@ -12,15 +12,25 @@ with ``v = s / (y^T s) - H y / (y^T H y)`` and
 ``phi = (1 - theta) / (1 + (h b - 1) theta)``.  Since ``v^T y = 0``, the
 secant equation ``H' y = s`` holds for every member and every ``tau``.
 
-Six concrete variants are exposed: BFGS, DFP, and the dynamically mixed
-Broyden update, each with and without self-scaling.  BFGS- and DFP-like
-variants use specialised fast paths in which the ``v`` term simplifies
-away; only the dynamic-``theta`` variants go through the general form.
+:func:`propose_update` runs the whole per-iteration chain (curvature
+guard, base coefficients, ``theta``, ``tau``, ``phi``) and hands the
+result to :func:`apply_update`, the one kernel that forms ``H'``.  The
+kernel picks its terms from ``phi``, not from the variant: ``phi == 1``
+(BFGS) uses the expanded product form, in which the ``v`` term folds
+into ``s (Hy)^T`` cross terms; ``phi == 0`` (DFP) drops the ``v`` term;
+any other ``phi`` adds it.  These are the exact floating-point
+expressions the variants have always used, so iteration counts and
+trajectories are bitwise unchanged.  A single compact form
+``H/tau + [s, Hy] M [s, Hy]^T`` is algebraically equal but rounds
+differently: in its place, five of the six 8-D Rosenbrock golden
+iteration counts of the acceptance suite move by one to a few
+iterations.
 """
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -88,15 +98,9 @@ VARIANT_ORDER = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class UpdateCoefficients:
-    """Per-iteration scalars and vectors feeding the update formulas.
-
-    Populated in stages: :func:`compute_base_coefficients` fills the
-    curvature ratios, :func:`compute_theta` and :func:`compute_tau`
-    results are stored by the caller, and ``phi`` is fixed by the chosen
-    update path (1 for BFGS-like, 0 for DFP-like, computed otherwise).
-    """
+    """Curvature ratios and vectors of one accepted step."""
 
     rho: float          # 1 / (y^T s)
     h: float            # (y^T H y) / (y^T s)
@@ -106,23 +110,46 @@ class UpdateCoefficients:
     Hy: np.ndarray      # H y
     yHy: float          # y^T H y
     v: np.ndarray       # s/(y^T s) - Hy/yHy
+
+
+@dataclass(frozen=True)
+class UpdateResult:
+    """Outcome of :func:`propose_update` for one iteration.
+
+    ``H`` is the updated matrix, or the input matrix unchanged when
+    ``skipped``.  ``theta`` and ``tau`` are the values used (0 and 1 when
+    the chain stopped before computing them); ``coeffs`` is None when the
+    chain stopped before the base coefficients.
+    """
+
+    H: np.ndarray
     theta: float = 0.0
-    theta_minus: float = 0.0
-    theta_plus: float = 0.0
-    rho_minus: float = 1.0
     tau: float = 1.0
-    sigma: float = 1.0
-    sigma_pow: float = 1.0
-    rho_plus: float = 1.0
-    phi: float = 1.0
+    skipped: bool = False
+    tau_fallback: bool = False
+    coeffs: Optional[UpdateCoefficients] = None
 
 
-def compute_base_coefficients(H, s, y, g_prev, alpha):
+def curvature_guard(s, y, epsilon=CURVATURE_EPS):
+    """Accept the pair iff y^T s > epsilon * ||s|| * ||y||.
+
+    The strong Wolfe conditions guarantee y^T s > 0 in exact arithmetic;
+    this guards against floating-point failure of that guarantee.  A
+    rejected pair means the update is skipped and H carried over.
+    """
+    ys = float(np.dot(y, s))
+    return ys > epsilon * float(np.linalg.norm(s)) * float(np.linalg.norm(y))
+
+
+def compute_base_coefficients(H, s, y, g_prev, alpha, scale=1.0):
     """Curvature ratios for an accepted step.
 
     ``b`` is computed without forming the direct Hessian approximation:
-    because ``s = alpha * d`` with ``d = -H g_prev``, the identity
-    ``B s = -alpha * g_prev`` gives ``s^T B s = -alpha * s^T g_prev``.
+    because ``s = alpha * d`` with ``d = -H_d g_prev``, the identity
+    ``B_d s = -alpha * g_prev`` gives ``s^T B_d s = -alpha * s^T g_prev``.
+    ``H`` may be ``scale * H_d``, a rescaled copy of the matrix ``H_d``
+    that produced the direction; its inverse is ``B_d / scale``, so ``b``
+    is divided by ``scale``.
 
     Requires ``y^T s > 0`` (enforced upstream by the curvature guard)
     and positive-definite ``H``.
@@ -136,7 +163,7 @@ def compute_base_coefficients(H, s, y, g_prev, alpha):
         raise LostPositiveDefinitenessError(f"y^T H y = {yHy:g} <= 0")
     rho = 1.0 / ys
     h = yHy / ys
-    b = -alpha * float(np.dot(s, g_prev)) / ys
+    b = -alpha * float(np.dot(s, g_prev)) / ys / scale
     # Cauchy-Schwarz in the H inner product gives b*h >= 1 up to rounding.
     a = max(b * h - 1.0, 0.0)
     c = 0.0 if a < A_DEGENERATE else math.sqrt(a / (1.0 + a))
@@ -203,52 +230,58 @@ def compute_phi(theta, h, b):
     return (1.0 - theta) / denom
 
 
-def apply_general_update(H, s, y, coeffs):
-    """Full family update; every term is exactly symmetric by construction."""
-    phi = compute_phi(coeffs.theta, coeffs.h, coeffs.b)
-    core = (
-        H
-        - np.outer(coeffs.Hy, coeffs.Hy) / coeffs.yHy
-        + (phi * coeffs.yHy) * np.outer(coeffs.v, coeffs.v)
-    )
-    return core / coeffs.tau + coeffs.rho * np.outer(s, s)
+def apply_update(H, s, coeffs, phi, tau):
+    """Form H' for the family member with weight ``phi`` and scale ``tau``.
 
-
-def apply_bfgs_update(H, s, y, rho, tau):
-    """BFGS fast path, algebraically ``(I - rho s y^T) H (I - rho y s^T)``.
-
-    Expanded into symmetric terms so the result is exactly symmetric:
-    ``H - rho (s (Hy)^T + (Hy) s^T) + rho^2 (y^T H y) s s^T``.
+    Every term is an outer product ``u u^T`` or a symmetric pair sum, so
+    the result is exactly symmetric.  ``phi == 1`` uses the expanded
+    BFGS product ``H - rho (s (Hy)^T + (Hy) s^T) + rho^2 (y^T H y) s s^T``;
+    otherwise the ``v v^T`` term is added only when ``phi != 0``.
     """
-    Hy = matvec(H, y)
-    yHy = float(np.dot(y, Hy))
-    cross = np.outer(s, Hy)
-    cross = cross + cross.T
-    core = H - rho * cross + (rho * rho * yHy) * np.outer(s, s)
+    rho = coeffs.rho
+    if phi == 1.0:
+        cross = np.outer(s, coeffs.Hy)
+        cross = cross + cross.T
+        core = H - rho * cross + (rho * rho * coeffs.yHy) * np.outer(s, s)
+    else:
+        core = H - np.outer(coeffs.Hy, coeffs.Hy) / coeffs.yHy
+        if phi != 0.0:
+            core = core + (phi * coeffs.yHy) * np.outer(coeffs.v, coeffs.v)
     return core / tau + rho * np.outer(s, s)
 
 
-def apply_dfp_update(H, s, y, coeffs):
-    """DFP fast path: the v-term drops out entirely."""
-    core = H - np.outer(coeffs.Hy, coeffs.Hy) / coeffs.yHy
-    return core / coeffs.tau + coeffs.rho * np.outer(s, s)
+def propose_update(variant, H, s, y, g_prev, alpha, scale=1.0,
+                   force_theta=None, force_tau=None):
+    """Run curvature guard -> coefficients -> theta -> tau -> phi -> apply.
 
-
-def apply_update(variant, H, s, y, coeffs):
-    """Dispatch to the specialised form for the variant."""
-    if variant in (UpdateVariant.BFGS, UpdateVariant.SSBFGS):
-        return apply_bfgs_update(H, s, y, coeffs.rho, coeffs.tau)
-    if variant in (UpdateVariant.DFP, UpdateVariant.SSDFP):
-        return apply_dfp_update(H, s, y, coeffs)
-    return apply_general_update(H, s, y, coeffs)
-
-
-def curvature_guard(s, y, epsilon=CURVATURE_EPS):
-    """Accept the pair iff y^T s > epsilon * ||s|| * ||y||.
-
-    The strong Wolfe conditions guarantee y^T s > 0 in exact arithmetic;
-    this guards against floating-point failure of that guarantee.  A
-    rejected pair means the update is skipped and H carried over.
+    ``H`` is the matrix that produced the step ``s = alpha * (-H g_prev)``;
+    the update is applied to ``scale * H``.  ``force_theta`` and
+    ``force_tau`` override the computed scalars (test hooks).  A pair
+    that fails the guard, a lost positive definiteness or a singular
+    ``phi`` yields ``skipped=True`` with ``H`` returned unchanged; a
+    degenerate ``tau`` falls back to 1 with ``tau_fallback=True``.
     """
-    ys = float(np.dot(y, s))
-    return ys > epsilon * float(np.linalg.norm(s)) * float(np.linalg.norm(y))
+    if not curvature_guard(s, y):
+        return UpdateResult(H=H, skipped=True)
+    H_work = H if scale == 1.0 else H * scale
+    try:
+        coeffs = compute_base_coefficients(H_work, s, y, g_prev, alpha, scale)
+    except (CurvatureError, LostPositiveDefinitenessError):
+        return UpdateResult(H=H, skipped=True)
+    theta = compute_theta(variant, coeffs)[0]
+    if force_theta is not None:
+        theta = force_theta
+    tau_fallback = False
+    try:
+        tau = compute_tau(variant, theta, coeffs, s.shape[0])[0]
+    except ScalingDegeneracyError:
+        tau, tau_fallback = 1.0, True
+    if force_tau is not None:
+        tau = force_tau
+    try:
+        phi = compute_phi(theta, coeffs.h, coeffs.b)
+    except SingularUpdateError:
+        return UpdateResult(H=H, theta=theta, tau=tau, skipped=True,
+                            tau_fallback=tau_fallback, coeffs=coeffs)
+    return UpdateResult(H=apply_update(H_work, s, coeffs, phi, tau), theta=theta,
+                        tau=tau, tau_fallback=tau_fallback, coeffs=coeffs)

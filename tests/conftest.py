@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ssbroyden import ObjectiveFunction
+from ssbroyden import ObjectiveFunction, propose_update
 
 
 def random_spd(rng, n, shift=0.5):
@@ -38,6 +38,14 @@ def quasi_newton_instance(rng, n):
     s = alpha * d
     y = bounded_spectrum_spd(rng, n, 0.5, 2.5) @ s
     return {"H": H, "s": s, "y": y, "g_prev": g_prev, "alpha": alpha, "n": n}
+
+
+def propose(variant, inst, **kwargs):
+    """propose_update on one instance; the instances never hit a skip."""
+    result = propose_update(variant, inst["H"], inst["s"], inst["y"],
+                            inst["g_prev"], inst["alpha"], **kwargs)
+    assert not result.skipped
+    return result
 
 
 @pytest.fixture(scope="session")

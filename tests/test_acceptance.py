@@ -14,13 +14,9 @@ import numpy as np
 import pytest
 
 from ssbroyden import (
-    Counters,
-    PinnPoisson1D,
     SolverConfig,
     VARIANT_ORDER,
-    apply_general_update,
     compute_base_coefficients,
-    compute_tau,
     compute_theta,
     finite_difference_gradient,
     make_pinn1d,
@@ -29,9 +25,8 @@ from ssbroyden import (
     solve,
 )
 from ssbroyden.cli import main as cli_main
-from ssbroyden.updates import ScalingDegeneracyError
 
-from conftest import CountingObjective
+from conftest import CountingObjective, propose
 from oracles import jacobi_eigenvalues
 
 C1, C2 = 1e-4, 0.9
@@ -49,25 +44,6 @@ def report(capfd, num, name, ok, detail):
     with capfd.disabled():
         flag = "PASS" if ok else "FAIL"
         print(f"criterion {num:2d} [{flag}] {name}: {detail}")
-
-
-def pipeline(variant, inst, force_theta=None, force_tau=None):
-    coeffs = compute_base_coefficients(
-        inst["H"], inst["s"], inst["y"], inst["g_prev"], inst["alpha"])
-    (coeffs.theta, coeffs.theta_minus,
-     coeffs.theta_plus, coeffs.rho_minus) = compute_theta(variant, coeffs)
-    if force_theta is not None:
-        coeffs.theta = force_theta
-    try:
-        (coeffs.tau, coeffs.sigma,
-         coeffs.sigma_pow, coeffs.rho_plus) = compute_tau(
-            variant, coeffs.theta, coeffs, inst["n"])
-    except ScalingDegeneracyError:
-        coeffs.tau = 1.0
-    if force_tau is not None:
-        coeffs.tau = force_tau
-    from ssbroyden import apply_update
-    return apply_update(variant, inst["H"], inst["s"], inst["y"], coeffs), coeffs
 
 
 @pytest.fixture(scope="session")
@@ -116,7 +92,7 @@ def test_criterion_01_secant(instance_suite, capfd):
     for inst in instance_suite:
         limit = 1e-10 * max(1.0, float(np.max(np.abs(inst["s"]))))
         for variant in VARIANT_ORDER:
-            H_new, _ = pipeline(variant, inst)
+            H_new = propose(variant, inst).H
             resid = float(np.max(np.abs(H_new @ inst["y"] - inst["s"])))
             worst = max(worst, resid / limit)
     elapsed = time.perf_counter() - t0
@@ -135,12 +111,12 @@ def test_criterion_02_specialization(instance_suite, capfd):
         rho = 1.0 / float(y @ s)
         n = inst["n"]
 
-        H_gen, _ = pipeline(VARIANT_ORDER[5], inst, force_theta=0.0, force_tau=1.0)
+        H_gen = propose(VARIANT_ORDER[5], inst, force_theta=0.0, force_tau=1.0).H
         left = np.eye(n) - rho * np.outer(s, y)
         woodbury = left @ H @ left.T + rho * np.outer(s, s)
         worst = max(worst, float(np.max(np.abs(H_gen - woodbury))))
 
-        H_gen, _ = pipeline(VARIANT_ORDER[5], inst, force_theta=1.0, force_tau=1.0)
+        H_gen = propose(VARIANT_ORDER[5], inst, force_theta=1.0, force_tau=1.0).H
         Hy = H @ y
         dfp = H - np.outer(Hy, Hy) / float(y @ Hy) + rho * np.outer(s, s)
         worst = max(worst, float(np.max(np.abs(H_gen - dfp))))
@@ -154,13 +130,13 @@ def test_criterion_03_spd_preservation(instance_suite, capfd):
     worst = np.inf
     for inst in instance_suite:
         for variant in VARIANT_ORDER:
-            H_new, _ = pipeline(variant, inst)
+            H_new = propose(variant, inst).H
             worst = min(worst, float(np.min(np.linalg.eigvalsh(H_new))))
     # cross-validate the LAPACK eigenvalues with the rotation-based oracle
     cross = 0.0
     for inst in instance_suite[:10]:
         for variant in VARIANT_ORDER:
-            H_new, _ = pipeline(variant, inst)
+            H_new = propose(variant, inst).H
             gap = np.max(np.abs(jacobi_eigenvalues(H_new)
                                 - np.linalg.eigvalsh(H_new)))
             cross = max(cross, float(gap))

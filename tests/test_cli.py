@@ -163,6 +163,18 @@ def test_summary_includes_l2_error_for_pinn(tmp_path):
     assert float(row[8]) >= 0.0
 
 
+def test_summary_csv_skip_counts_match_json_summary(tmp_path):
+    # this small collocation run skips updates once its gradient stalls
+    main(["--solver", "ssdfp", "--problem", "pinn1d", "--m", "4",
+          "--npoints", "16", "--max-iters", "200", "--format", "json",
+          "--out", str(tmp_path)])
+    lines = (tmp_path / "summary.csv").read_text().strip().split("\n")
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    summary = json.loads((tmp_path / "pinn1d_ssdfp.json").read_text())["summary"]
+    assert int(row["update_skips"]) == summary["update_skips"] > 0
+    assert int(row["tau_fallbacks"]) == summary["tau_fallbacks"]
+
+
 # --------------------------------------------------------------- parser
 
 def test_parser_defaults():

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ssbroyden import DimensionMismatchError, EvaluationError, ObjectiveFunction
-from ssbroyden.core import as_vector, dot, matvec, norm_2, norm_inf, sym_rank_one_accumulate
+from ssbroyden.core import as_vector, matvec, norm_2, norm_inf
 
 from oracles import naive_matvec
 
@@ -24,12 +22,6 @@ def test_as_vector_rejects_bad_shapes():
         as_vector([1.0, 2.0], n=3)
 
 
-def test_dot_basic():
-    assert dot([1.0, 2.0], [3.0, 4.0]) == 11.0
-    with pytest.raises(DimensionMismatchError):
-        dot([1.0], [1.0, 2.0])
-
-
 def test_matvec_matches_double_loop_oracle():
     rng = np.random.default_rng(7)
     for n in (1, 2, 5, 9):
@@ -43,32 +35,6 @@ def test_matvec_rejects_mismatched_shapes():
         matvec(np.zeros((2, 3)), np.zeros(3))
     with pytest.raises(DimensionMismatchError):
         matvec(np.eye(2), np.zeros(3))
-
-
-def test_sym_rank_one_matches_loop_oracle():
-    rng = np.random.default_rng(11)
-    n = 6
-    base = rng.standard_normal((n, n))
-    base = 0.5 * (base + base.T)
-    u = rng.standard_normal(n)
-    c = -0.7
-    got = sym_rank_one_accumulate(base, c, u)
-    want = base.copy()
-    for i in range(n):
-        for j in range(n):
-            want[i, j] += c * u[i] * u[j]
-    assert np.allclose(got, want, rtol=0, atol=1e-14)
-
-
-@settings(deadline=None, max_examples=50)
-@given(st.integers(0, 10**6), st.integers(1, 8))
-def test_sym_rank_one_preserves_exact_symmetry(seed, n):
-    rng = np.random.default_rng(seed)
-    base = rng.standard_normal((n, n))
-    base = 0.5 * (base + base.T)
-    u = rng.standard_normal(n)
-    out = sym_rank_one_accumulate(base, 2.5, u)
-    assert np.array_equal(out, out.T)
 
 
 def test_norms():

@@ -14,12 +14,13 @@ from ssbroyden import (
     init_state,
     make_quadratic,
     make_rosenbrock,
+    propose_update,
     solve,
     step,
 )
 
 from conftest import CountingObjective
-from oracles import reference_bfgs
+from oracles import gaussian_solve, reference_bfgs
 
 # frozen reference trajectory: bfgs on the diag(1, 10) quadratic from [1, 1]
 GOLDEN_BFGS_F = (0.40459540459540461, 3.270678150244208e-05, 0.0)
@@ -184,26 +185,39 @@ def test_scaled_identity_noop_when_curvature_is_unit():
     assert t_plain.records == t_scaled.records
 
 
-def test_scaled_identity_first_step_matches_manual_rescale():
-    from ssbroyden import (apply_update, compute_base_coefficients,
-                           compute_tau, compute_theta)
-
+def first_scaled_step(variant):
+    """One scaled_identity step on make_quadratic(10): (state, new_state,
+    record, gamma, s, y)."""
     quad = make_quadratic(10)
-    cfg = SolverConfig(variant="bfgs", h0_scaling="scaled_identity")
+    cfg = SolverConfig(variant=variant, h0_scaling="scaled_identity")
     state = init_state(quad, quad.default_start(), cfg)
-    counters = Counters()
-    new_state, record = step(state, quad, cfg, counters)
-    assert not record.skipped
-
+    new_state, record = step(state, quad, cfg, Counters())
     s = new_state.x - state.x
     y = new_state.g - state.g
-    H_work = np.eye(10) * (float(y @ s) / float(y @ y))
-    coeffs = compute_base_coefficients(H_work, s, y, state.g, record.alpha)
-    (coeffs.theta, coeffs.theta_minus,
-     coeffs.theta_plus, coeffs.rho_minus) = compute_theta(cfg.variant, coeffs)
-    coeffs.tau, _, _, _ = compute_tau(cfg.variant, coeffs.theta, coeffs, 10)
-    expected = apply_update(cfg.variant, H_work, s, y, coeffs)
-    assert np.max(np.abs(new_state.H - expected)) <= 1e-12
+    return state, new_state, record, float(y @ s) / float(y @ y), s, y
+
+
+def test_scaled_identity_first_step_matches_manual_rescale():
+    for variant in VARIANT_ORDER:
+        state, new_state, record, gamma, s, y = first_scaled_step(variant)
+        assert not record.skipped
+        expected = propose_update(variant, np.eye(10), s, y, state.g,
+                                  record.alpha, scale=gamma)
+        assert np.max(np.abs(new_state.H - expected.H)) <= 1e-12
+        assert (record.theta, record.tau) == (expected.theta, expected.tau)
+
+
+def test_scaled_identity_first_update_uses_scaled_b():
+    # b = s^T H_work^-1 s / y^T s for the rescaled H_work = gamma * I,
+    # not for the I that produced the direction
+    for variant in VARIANT_ORDER:
+        state, _, record, gamma, s, y = first_scaled_step(variant)
+        assert abs(gamma - 1.0) > 0.5
+        H_work = gamma * np.eye(10)
+        result = propose_update(variant, np.eye(10), s, y, state.g,
+                                record.alpha, scale=gamma)
+        b_oracle = float(s @ gaussian_solve(H_work, s)) / float(y @ s)
+        assert abs(result.coeffs.b - b_oracle) <= 1e-10 * b_oracle
 
 
 def test_scaled_identity_still_converges():

@@ -13,10 +13,6 @@ from ssbroyden import (
     UpdateCoefficients,
     UpdateVariant,
     VARIANT_ORDER,
-    apply_bfgs_update,
-    apply_dfp_update,
-    apply_general_update,
-    apply_update,
     compute_base_coefficients,
     compute_tau,
     compute_theta,
@@ -24,30 +20,11 @@ from ssbroyden import (
 )
 from ssbroyden.updates import compute_phi
 
-from conftest import quasi_newton_instance
+from conftest import propose, quasi_newton_instance
 from oracles import gaussian_solve, jacobi_eigenvalues
 
 ALL_VARIANTS = list(VARIANT_ORDER)
 DYNAMIC = [UpdateVariant.BROYDEN, UpdateVariant.SSBROYDEN]
-
-
-def run_pipeline(variant, inst, force_theta=None, force_tau=None):
-    """Base coefficients -> mixing -> scaling -> updated matrix."""
-    coeffs = compute_base_coefficients(
-        inst["H"], inst["s"], inst["y"], inst["g_prev"], inst["alpha"])
-    (coeffs.theta, coeffs.theta_minus,
-     coeffs.theta_plus, coeffs.rho_minus) = compute_theta(variant, coeffs)
-    if force_theta is not None:
-        coeffs.theta = force_theta
-    try:
-        (coeffs.tau, coeffs.sigma,
-         coeffs.sigma_pow, coeffs.rho_plus) = compute_tau(
-            variant, coeffs.theta, coeffs, inst["n"])
-    except ScalingDegeneracyError:
-        coeffs.tau = 1.0
-    if force_tau is not None:
-        coeffs.tau = force_tau
-    return apply_update(variant, inst["H"], inst["s"], inst["y"], coeffs), coeffs
 
 
 def make_coeffs(**kw):
@@ -256,54 +233,46 @@ def test_fixed_point_identity_all_variants():
     inst = {"H": np.eye(3), "s": s, "y": s.copy(), "g_prev": -s,
             "alpha": 1.0, "n": 3}
     for variant in ALL_VARIANTS:
-        H_new, _ = run_pipeline(variant, inst)
+        H_new = propose(variant, inst).H
         assert np.allclose(H_new, np.eye(3), rtol=0, atol=1e-12)
 
 
 def test_general_matches_woodbury_bfgs(instance_suite):
     for inst in instance_suite[:60]:
-        H_gen, coeffs = run_pipeline(UpdateVariant.SSBROYDEN, inst,
-                                     force_theta=0.0, force_tau=1.0)
-        ref = woodbury_bfgs(inst["H"], inst["s"], inst["y"], coeffs.rho, 1.0)
-        assert np.max(np.abs(H_gen - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+        for tau in (1.0, 2.0):
+            result = propose(UpdateVariant.SSBROYDEN, inst,
+                             force_theta=0.0, force_tau=tau)
+            ref = woodbury_bfgs(inst["H"], inst["s"], inst["y"], result.coeffs.rho, tau)
+            assert np.max(np.abs(result.H - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_general_matches_classic_dfp(instance_suite):
     for inst in instance_suite[:60]:
-        H_gen, _ = run_pipeline(UpdateVariant.SSBROYDEN, inst,
-                                force_theta=1.0, force_tau=1.0)
-        ref = classic_dfp(inst["H"], inst["s"], inst["y"], 1.0)
-        assert np.max(np.abs(H_gen - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
-
-
-def test_bfgs_fast_path_matches_general(instance_suite):
-    for inst in instance_suite[:40]:
-        for tau in (1.0, 2.0):
-            coeffs = compute_base_coefficients(
-                inst["H"], inst["s"], inst["y"], inst["g_prev"], inst["alpha"])
-            coeffs.theta = 0.0
-            coeffs.tau = tau
-            fast = apply_bfgs_update(inst["H"], inst["s"], inst["y"], coeffs.rho, tau)
-            general = apply_general_update(inst["H"], inst["s"], inst["y"], coeffs)
-            assert np.max(np.abs(fast - general)) <= 1e-12 * max(1.0, np.max(np.abs(general)))
-
-
-def test_dfp_fast_path_matches_general(instance_suite):
-    for inst in instance_suite[:40]:
         for tau in (1.0, 0.7):
-            coeffs = compute_base_coefficients(
-                inst["H"], inst["s"], inst["y"], inst["g_prev"], inst["alpha"])
-            coeffs.theta = 1.0
-            coeffs.tau = tau
-            fast = apply_dfp_update(inst["H"], inst["s"], inst["y"], coeffs)
-            general = apply_general_update(inst["H"], inst["s"], inst["y"], coeffs)
-            assert np.max(np.abs(fast - general)) <= 1e-12 * max(1.0, np.max(np.abs(general)))
+            result = propose(UpdateVariant.SSBROYDEN, inst,
+                             force_theta=1.0, force_tau=tau)
+            ref = classic_dfp(inst["H"], inst["s"], inst["y"], tau)
+            assert np.max(np.abs(result.H - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_mixed_update_is_phi_blend_of_bfgs_and_dfp(instance_suite):
+    # H_phi = (1 - phi) H_dfp + phi H_bfgs, with h and b from the oracles
+    for inst in instance_suite[:60]:
+        H, s, y = inst["H"], inst["s"], inst["y"]
+        ys = float(y @ s)
+        hb = float(y @ H @ y) * float(s @ gaussian_solve(H, s)) / ys ** 2
+        for theta in (0.4, 1.7):
+            phi = (1.0 - theta) / (1.0 + (hb - 1.0) * theta)
+            ref = (phi * woodbury_bfgs(H, s, y, 1.0 / ys, 1.0)
+                   + (1.0 - phi) * classic_dfp(H, s, y, 1.0))
+            got = propose(UpdateVariant.BROYDEN, inst, force_theta=theta).H
+            assert np.max(np.abs(got - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.value)
 def test_secant_equation_full_suite(variant, instance_suite):
     for inst in instance_suite:
-        H_new, _ = run_pipeline(variant, inst)
+        H_new = propose(variant, inst).H
         resid = np.max(np.abs(H_new @ inst["y"] - inst["s"]))
         assert resid <= 1e-10 * max(1.0, np.max(np.abs(inst["s"])))
 
@@ -311,14 +280,14 @@ def test_secant_equation_full_suite(variant, instance_suite):
 @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.value)
 def test_update_is_exactly_symmetric(variant, instance_suite):
     for inst in instance_suite[:60]:
-        H_new, _ = run_pipeline(variant, inst)
+        H_new = propose(variant, inst).H
         assert np.array_equal(H_new, H_new.T)
 
 
 def test_jacobi_oracle_agrees_with_lapack(instance_suite):
     # validate the rotation-based eigen oracle before leaning on eigvalsh
     for inst in instance_suite[:15]:
-        H_new, _ = run_pipeline(UpdateVariant.SSBROYDEN, inst)
+        H_new = propose(UpdateVariant.SSBROYDEN, inst).H
         ours = jacobi_eigenvalues(H_new)
         lapack = np.linalg.eigvalsh(H_new)
         scale = max(1.0, np.max(np.abs(lapack)))
@@ -328,7 +297,7 @@ def test_jacobi_oracle_agrees_with_lapack(instance_suite):
 @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.value)
 def test_update_preserves_positive_definiteness(variant, instance_suite):
     for inst in instance_suite:
-        H_new, _ = run_pipeline(variant, inst)
+        H_new = propose(variant, inst).H
         assert np.min(np.linalg.eigvalsh(H_new)) > -1e-10
 
 
@@ -349,7 +318,7 @@ def test_curvature_guard_cases():
 def test_property_secant_and_symmetry(seed, n, variant):
     rng = np.random.default_rng(seed)
     inst = quasi_newton_instance(rng, n)
-    H_new, _ = run_pipeline(variant, inst)
+    H_new = propose(variant, inst).H
     assert np.array_equal(H_new, H_new.T)
     resid = np.max(np.abs(H_new @ inst["y"] - inst["s"]))
     assert resid <= 1e-10 * max(1.0, np.max(np.abs(inst["s"])))
@@ -362,6 +331,6 @@ def test_property_tau_scaling_keeps_secant(seed, n):
     rng = np.random.default_rng(seed)
     inst = quasi_newton_instance(rng, n)
     for tau in (0.25, 1.0, 3.5):
-        H_new, _ = run_pipeline(UpdateVariant.SSBROYDEN, inst, force_tau=tau)
+        H_new = propose(UpdateVariant.SSBROYDEN, inst, force_tau=tau).H
         resid = np.max(np.abs(H_new @ inst["y"] - inst["s"]))
         assert resid <= 1e-10 * max(1.0, np.max(np.abs(inst["s"])))
