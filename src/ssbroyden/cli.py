@@ -19,7 +19,7 @@ from .core import norm_inf
 from .linesearch import LineSearchParams
 from .problems import PinnPoisson1D, default_start, make_pinn1d, make_quadratic, make_rosenbrock
 from .solver import SolverConfig, solve
-from .updates import VARIANT_ORDER, UpdateVariant
+from .updates import VARIANT_ORDER
 
 PROBLEM_NAMES = ("quadratic", "rosenbrock", "pinn1d")
 SOLVER_NAMES = tuple(v.value for v in VARIANT_ORDER)
@@ -140,6 +140,10 @@ def run_benchmark(spec):
     """Execute the requested runs; returns the process exit code."""
     try:
         problem = build_problem(spec)
+        ls_params = LineSearchParams(c1=spec.c1, c2=spec.c2)
+        configs = [SolverConfig(variant=name, grad_tol=spec.tol,
+                                max_iters=spec.max_iters, line_search=ls_params)
+                   for name in spec.solvers]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -151,12 +155,9 @@ def run_benchmark(spec):
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return 1
 
-    ls_params = LineSearchParams(c1=spec.c1, c2=spec.c2)
     rows = []
     exit_code = 0
-    for name in spec.solvers:
-        config = SolverConfig(variant=UpdateVariant(name), grad_tol=spec.tol,
-                              max_iters=spec.max_iters, line_search=ls_params)
+    for name, config in zip(spec.solvers, configs):
         t0 = time.perf_counter()
         try:
             trace, state, counters = solve(problem, default_start(problem), config)

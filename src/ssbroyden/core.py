@@ -1,11 +1,18 @@
-"""Dense linear-algebra helpers and the objective-function contract.
+"""Dense linear-algebra helpers, the objective-function contract and
+the solver's one checked door to the objective.
 
 Vectors are 1-D float64 ndarrays, symmetric matrices are 2-D float64
 ndarrays that are exactly symmetric (``M[i, j] == M[j, i]`` bitwise);
 the update kernel keeps them so by assembling every term from outer
 products ``u u^T`` and symmetric pair sums, never from generic
 matrix-matrix products.
+
+Inputs are checked once, where they enter: ``as_vector`` at the start
+point and :func:`evaluate` on every objective evaluation.  The kernels
+the solver calls on the hot path (``matvec``) trust their operands.
 """
+
+import math
 
 import numpy as np
 
@@ -29,16 +36,33 @@ def as_vector(x, n=None):
 
 
 def matvec(m, x):
-    """Product of a square (symmetric) matrix with a vector."""
-    m = np.asarray(m, dtype=float)
-    x = as_vector(x)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[1] != x.size:
-        raise DimensionMismatchError(
-            f"matrix is {m.shape[0]}x{m.shape[1]} but vector has length {x.size}"
-        )
+    """Product of an n x n (symmetric) matrix with a length-n vector.
+
+    Unchecked: the solver builds both operands itself.
+    """
     return m @ x
+
+
+def evaluate(problem, x):
+    """Value and gradient of ``problem`` at ``x``, checked.
+
+    Returns ``(f, g)`` with ``f`` a float and ``g`` a float64 array of
+    the shape of ``x``.  Raises :class:`DimensionMismatchError` when the
+    gradient has another shape and :class:`EvaluationError` when the
+    value or the gradient is not finite.  This is the solver's only
+    call into the objective, so a duck-typed objective gets the same
+    checks as an :class:`ObjectiveFunction`.
+    """
+    f, g = problem.value_and_gradient(x)
+    f = float(f)
+    g = np.asarray(g, dtype=float)
+    if g.shape != x.shape:
+        raise DimensionMismatchError(
+            f"gradient has shape {g.shape}, expected {x.shape}")
+    if not math.isfinite(f) or not np.all(np.isfinite(g)):
+        raise EvaluationError(
+            f"{type(problem).__name__} produced a non-finite value or gradient")
+    return f, g
 
 
 def norm_inf(v):

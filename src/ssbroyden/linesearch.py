@@ -6,8 +6,12 @@ brackets a suitable interval, followed by a zoom loop that shrinks the
 bracket with safeguarded cubic interpolation until a point satisfying
 the strong Wolfe conditions is found.
 
-Every trial evaluates the objective value and gradient together, so the
-per-search evaluation count equals the number of trial steps.
+Every trial evaluates the objective value and gradient together, through
+the checked ``core.evaluate``, so the per-search evaluation count equals
+the number of trial steps and a non-finite or misshapen trial raises
+instead of corrupting the bracket.  The search owns its verdict: the
+outcome says whether the returned step satisfies sufficient decrease,
+and the caller does not re-test it.
 """
 
 import enum
@@ -17,7 +21,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import EvaluationError
+from .core import evaluate
 
 
 @dataclass
@@ -56,13 +60,19 @@ class LineSearchStatus(enum.Enum):
 
 @dataclass
 class LineSearchOutcome:
-    """Result of one search: the chosen step and its evaluation data."""
+    """Result of one search: the chosen step and its evaluation data.
+
+    ``sufficient_decrease`` is the Armijo verdict on the returned step:
+    always True with WOLFE_SATISFIED, and True on the other statuses
+    only when some trial passed the Armijo test.
+    """
 
     alpha: float
     f_new: float
     g_new: np.ndarray
     n_evals: int
     status: LineSearchStatus
+    sufficient_decrease: bool
 
 
 class ScalarRestriction:
@@ -84,13 +94,7 @@ class ScalarRestriction:
 
     def evaluate(self, alpha):
         """Return (phi(alpha), phi'(alpha), gradient at the trial point)."""
-        f, g = self.problem.value_and_gradient(self.x + alpha * self.d)
-        f = float(f)
-        # a silent NaN/Inf here would corrupt the bracketing invariants,
-        # so broken evaluations are surfaced instead of treated as steps
-        if not math.isfinite(f) or not np.all(np.isfinite(g)):
-            raise EvaluationError(
-                f"non-finite evaluation at step length {alpha:g}")
+        f, g = evaluate(self.problem, self.x + alpha * self.d)
         return f, float(np.dot(g, self.d)), g
 
 
@@ -149,8 +153,9 @@ def search(restriction, params=None):
     On success the outcome status is WOLFE_SATISFIED.  If the iteration
     budget runs out or the zoom bracket collapses, the best trial seen
     so far is returned (preferring trials that satisfy sufficient
-    decrease) with a status describing why the search stopped; the
-    caller decides whether such a step is usable.
+    decrease) with a status describing why the search stopped, and
+    ``sufficient_decrease`` tells the caller whether that step passed
+    the Armijo test.
     """
     if params is None:
         params = LineSearchParams()
@@ -174,15 +179,17 @@ def search(restriction, params=None):
             best_armijo = trial
         return trial, armijo, curvature
 
-    def outcome(trial, status):
+    def outcome(trial, status, sufficient_decrease=True):
         return LineSearchOutcome(alpha=trial.alpha, f_new=trial.phi,
-                                 g_new=trial.g, n_evals=n_evals, status=status)
+                                 g_new=trial.g, n_evals=n_evals, status=status,
+                                 sufficient_decrease=sufficient_decrease)
 
     def fallback(status):
         # Best effort: the lowest Armijo-satisfying trial, else the
         # smallest step tried (least damage when nothing qualified).
-        trial = best_armijo if best_armijo is not None else smallest
-        return outcome(trial, status)
+        if best_armijo is not None:
+            return outcome(best_armijo, status)
+        return outcome(smallest, status, sufficient_decrease=False)
 
     def zoom(lo, hi):
         # Invariants: lo satisfies sufficient decrease with the lowest

@@ -11,21 +11,22 @@ pair failing the curvature guard, a singular mixing weight, or a lost
 positive-definiteness diagnosis skips the update; a degenerate scale
 factor falls back to tau = 1 but still applies the update.  All of
 these events are flagged in the iteration records and counted.
+
+Checks happen where a fact enters, once: ``solve``/``init_state``
+coerce the start point with ``as_vector``, every objective evaluation
+goes through ``core.evaluate`` (finite value and gradient, gradient of
+the start point's shape), and the line search reports whether its step
+passed sufficient decrease.  A search without such a step ends the run
+as ``line_search_failure``; a bad evaluation raises out of ``solve``.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Union
 
 import numpy as np
 
-from .core import EvaluationError, as_vector, matvec, norm_2, norm_inf
-from .linesearch import (
-    LineSearchParams,
-    LineSearchStatus,
-    ScalarRestriction,
-    search,
-    wolfe_check,
-)
+from .core import as_vector, evaluate, matvec, norm_2, norm_inf
+from .linesearch import LineSearchParams, ScalarRestriction, search
 from .updates import UpdateVariant, propose_update
 
 H0_SCALINGS = ("identity", "scaled_identity")
@@ -37,20 +38,13 @@ class LineSearchStallError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """Run configuration.
-
-    force_theta / force_tau are test hooks that override the computed
-    scalars on every iteration (used to check that the general update
-    specializes correctly); they are never set in normal runs.
-    """
+    """Run configuration."""
 
     variant: Union[UpdateVariant, str]
     grad_tol: float = 1e-8
     max_iters: int = 1000
     line_search: LineSearchParams = field(default_factory=LineSearchParams)
     h0_scaling: str = "identity"
-    force_theta: Optional[float] = None
-    force_tau: Optional[float] = None
 
     def __post_init__(self):
         self.variant = UpdateVariant(self.variant)
@@ -127,16 +121,17 @@ def convergence_check(g, tol):
 def init_state(problem, x0, config):
     """Evaluate the start point and set H to the identity.
 
+    Raises DimensionMismatchError when x0 is not a vector of length
+    ``problem.dimension`` or the gradient has another shape, and
+    EvaluationError when the value or gradient is not finite.
+
     The scaled_identity strategy does not change H here; the scale
     factor needs a (s, y) pair, so it is applied inside the first
     iteration that performs an update.
     """
     x = as_vector(x0, problem.dimension)
-    f, g = problem.value_and_gradient(x)
-    if not np.isfinite(f) or not np.all(np.isfinite(g)):
-        raise EvaluationError("non-finite objective value or gradient at the start point")
-    return SolverState(x=x, f=float(f), g=np.asarray(g, dtype=float),
-                       H=np.eye(x.shape[0]), k=0)
+    f, g = evaluate(problem, x)
+    return SolverState(x=x, f=f, g=g, H=np.eye(x.shape[0]), k=0)
 
 
 def step(state, problem, config, counters, observer=None):
@@ -157,21 +152,16 @@ def step(state, problem, config, counters, observer=None):
         d = -state.g
         reset = True
 
-    restriction = ScalarRestriction(problem, state.x, d, state.f, state.g)
-    outcome = search(restriction, config.line_search)
+    outcome = search(ScalarRestriction(problem, state.x, d, state.f, state.g),
+                     config.line_search)
     counters.f_evals += outcome.n_evals
     counters.g_evals += outcome.n_evals
     counters.ls_steps += outcome.n_evals
 
-    if outcome.status is not LineSearchStatus.WOLFE_SATISFIED:
-        armijo, _ = wolfe_check(restriction.phi0, restriction.dphi0,
-                                outcome.alpha, outcome.f_new,
-                                float(np.dot(outcome.g_new, d)),
-                                config.line_search.c1, config.line_search.c2)
-        if not armijo:
-            raise LineSearchStallError(
-                f"line search stalled ({outcome.status.value}) with no "
-                f"sufficient-decrease point at iteration {state.k + 1}")
+    if not outcome.sufficient_decrease:
+        raise LineSearchStallError(
+            f"line search stalled ({outcome.status.value}) with no "
+            f"sufficient-decrease point at iteration {state.k + 1}")
 
     alpha = outcome.alpha
     s = alpha * d
@@ -188,9 +178,7 @@ def step(state, problem, config, counters, observer=None):
         yy = float(np.dot(y, y))
         if yy > 0.0:
             scale = float(np.dot(y, s)) / yy
-    update = propose_update(config.variant, H, s, y, state.g, alpha, scale=scale,
-                            force_theta=config.force_theta,
-                            force_tau=config.force_tau)
+    update = propose_update(config.variant, H, s, y, state.g, alpha, scale=scale)
     counters.update_skips += update.skipped
     counters.tau_fallbacks += update.tau_fallback
 
@@ -212,7 +200,10 @@ def solve(problem, x0, config, observer=None):
     """Run to convergence, the iteration cap, or a line-search stall.
 
     Returns (trace, final_state, counters); trace.status is one of
-    "converged", "max_iters", "line_search_failure".
+    "converged", "max_iters", "line_search_failure".  Raises
+    DimensionMismatchError for a start point or a gradient of the wrong
+    shape and EvaluationError for a non-finite value or gradient, at the
+    start point or at any line-search trial.
     """
     counters = Counters()
     state = init_state(problem, x0, config)

@@ -47,10 +47,6 @@ TAU_MIN = 1e-8
 CURVATURE_EPS = 1e-10
 
 
-class CurvatureError(RuntimeError):
-    """y^T s <= 0: the pair cannot produce a positive-definite update."""
-
-
 class LostPositiveDefinitenessError(RuntimeError):
     """y^T H y <= 0: the inverse-Hessian approximation is no longer SPD."""
 
@@ -151,12 +147,10 @@ def compute_base_coefficients(H, s, y, g_prev, alpha, scale=1.0):
     that produced the direction; its inverse is ``B_d / scale``, so ``b``
     is divided by ``scale``.
 
-    Requires ``y^T s > 0`` (enforced upstream by the curvature guard)
-    and positive-definite ``H``.
+    Requires ``y^T s > 0``, which :func:`curvature_guard` establishes
+    before this is called, and positive-definite ``H``.
     """
     ys = float(np.dot(y, s))
-    if ys <= 0.0:
-        raise CurvatureError(f"y^T s = {ys:g} <= 0")
     Hy = matvec(H, y)
     yHy = float(np.dot(y, Hy))
     if yHy <= 0.0:
@@ -250,34 +244,28 @@ def apply_update(H, s, coeffs, phi, tau):
     return core / tau + rho * np.outer(s, s)
 
 
-def propose_update(variant, H, s, y, g_prev, alpha, scale=1.0,
-                   force_theta=None, force_tau=None):
+def propose_update(variant, H, s, y, g_prev, alpha, scale=1.0):
     """Run curvature guard -> coefficients -> theta -> tau -> phi -> apply.
 
     ``H`` is the matrix that produced the step ``s = alpha * (-H g_prev)``;
-    the update is applied to ``scale * H``.  ``force_theta`` and
-    ``force_tau`` override the computed scalars (test hooks).  A pair
-    that fails the guard, a lost positive definiteness or a singular
-    ``phi`` yields ``skipped=True`` with ``H`` returned unchanged; a
-    degenerate ``tau`` falls back to 1 with ``tau_fallback=True``.
+    the update is applied to ``scale * H``.  A pair that fails the
+    guard, a lost positive definiteness or a singular ``phi`` yields
+    ``skipped=True`` with ``H`` returned unchanged; a degenerate ``tau``
+    falls back to 1 with ``tau_fallback=True``.
     """
     if not curvature_guard(s, y):
         return UpdateResult(H=H, skipped=True)
     H_work = H if scale == 1.0 else H * scale
     try:
         coeffs = compute_base_coefficients(H_work, s, y, g_prev, alpha, scale)
-    except (CurvatureError, LostPositiveDefinitenessError):
+    except LostPositiveDefinitenessError:
         return UpdateResult(H=H, skipped=True)
     theta = compute_theta(variant, coeffs)[0]
-    if force_theta is not None:
-        theta = force_theta
     tau_fallback = False
     try:
         tau = compute_tau(variant, theta, coeffs, s.shape[0])[0]
     except ScalingDegeneracyError:
         tau, tau_fallback = 1.0, True
-    if force_tau is not None:
-        tau = force_tau
     try:
         phi = compute_phi(theta, coeffs.h, coeffs.b)
     except SingularUpdateError:

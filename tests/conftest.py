@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from ssbroyden import ObjectiveFunction, propose_update
+from ssbroyden import ObjectiveFunction
+from ssbroyden.updates import (
+    apply_update,
+    compute_base_coefficients,
+    compute_phi,
+    propose_update,
+)
 
 
 def random_spd(rng, n, shift=0.5):
@@ -40,12 +46,24 @@ def quasi_newton_instance(rng, n):
     return {"H": H, "s": s, "y": y, "g_prev": g_prev, "alpha": alpha, "n": n}
 
 
-def propose(variant, inst, **kwargs):
+def propose(variant, inst):
     """propose_update on one instance; the instances never hit a skip."""
     result = propose_update(variant, inst["H"], inst["s"], inst["y"],
-                            inst["g_prev"], inst["alpha"], **kwargs)
+                            inst["g_prev"], inst["alpha"])
     assert not result.skipped
     return result
+
+
+def family_update(inst, theta, tau=1.0):
+    """The family member for a given theta and tau on one instance.
+
+    Runs the update kernel directly, bypassing the variant's own choice
+    of theta and tau; returns the updated matrix.
+    """
+    coeffs = compute_base_coefficients(inst["H"], inst["s"], inst["y"],
+                                       inst["g_prev"], inst["alpha"])
+    return apply_update(inst["H"], inst["s"], coeffs,
+                        compute_phi(theta, coeffs.h, coeffs.b), tau)
 
 
 @pytest.fixture(scope="session")
@@ -66,3 +84,17 @@ class CountingObjective(ObjectiveFunction):
     def value_and_gradient(self, x):
         self.calls += 1
         return self.inner.value_and_gradient(x)
+
+
+class SteepValley:
+    """f(x) = -x + K x^2 with K so large the sufficient-decrease band
+    lies below the line search's degenerate-interval floor."""
+
+    dimension = 1
+
+    def __init__(self, k=1e16):
+        self.k = k
+
+    def value_and_gradient(self, x):
+        t = float(x[0])
+        return -t + self.k * t * t, np.array([-1.0 + 2.0 * self.k * t])

@@ -107,6 +107,20 @@ def test_main_bad_problem_shape_exits_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--max-iters", "0"),
+    ("--tol", "0"),
+    ("--c1", "0.95"),
+])
+def test_main_invalid_numeric_flag_exits_two(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    code = main(["--solver", "all", "--problem", "quadratic",
+                 flag, value, "--out", str(out)])
+    assert code == 2
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --------------------------------------------------------- determinism
 
 def test_trace_files_byte_deterministic(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ssbroyden import DimensionMismatchError, EvaluationError, ObjectiveFunction
-from ssbroyden.core import as_vector, matvec, norm_2, norm_inf
+from ssbroyden.core import as_vector, evaluate, matvec, norm_2, norm_inf
 
 from oracles import naive_matvec
 
@@ -30,11 +30,34 @@ def test_matvec_matches_double_loop_oracle():
         assert np.allclose(matvec(m, x), naive_matvec(m, x), rtol=0, atol=1e-13)
 
 
-def test_matvec_rejects_mismatched_shapes():
-    with pytest.raises(DimensionMismatchError):
-        matvec(np.zeros((2, 3)), np.zeros(3))
-    with pytest.raises(DimensionMismatchError):
-        matvec(np.eye(2), np.zeros(3))
+class _Returns:
+    """Duck-typed objective that returns a fixed (f, g) pair."""
+
+    dimension = 2
+
+    def __init__(self, f, g):
+        self.f, self.g = f, g
+
+    def value_and_gradient(self, x):
+        return self.f, self.g
+
+
+def test_evaluate_returns_float_and_float64_gradient():
+    f, g = evaluate(_Returns(np.float32(1.5), [1, 2]), np.zeros(2))
+    assert type(f) is float and f == 1.5
+    assert type(g) is np.ndarray and g.dtype == np.float64
+    assert np.array_equal(g, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("f, g, error", [
+    (float("nan"), [0.0, 0.0], EvaluationError),
+    (1.0, [0.0, float("inf")], EvaluationError),
+    (1.0, [0.0], DimensionMismatchError),
+    (1.0, [[0.0, 0.0]], DimensionMismatchError),
+], ids=["nan-value", "inf-gradient", "short-gradient", "2d-gradient"])
+def test_evaluate_rejects_bad_results(f, g, error):
+    with pytest.raises(error):
+        evaluate(_Returns(f, g), np.zeros(2))
 
 
 def test_norms():

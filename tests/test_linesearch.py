@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from ssbroyden import (
-    LineSearchParams,
-    LineSearchStatus,
-    RosenbrockProblem,
-    make_quadratic,
-)
+from ssbroyden import LineSearchParams, RosenbrockProblem, make_quadratic
 from ssbroyden.linesearch import (
+    LineSearchStatus,
     ScalarRestriction,
     _Trial,
     interpolate_trial,
@@ -15,7 +11,7 @@ from ssbroyden.linesearch import (
     wolfe_check,
 )
 
-from conftest import CountingObjective
+from conftest import CountingObjective, SteepValley
 
 
 def restriction_for(problem, x, d):
@@ -139,6 +135,7 @@ def test_search_quadratic_accepts_unit_step():
     r = restriction_for(quad, x, d)
     out = search(r)
     assert out.status is LineSearchStatus.WOLFE_SATISFIED
+    assert out.sufficient_decrease
     assert out.alpha == 1.0
     assert out.n_evals == 1
     assert out.f_new == 0.0
@@ -151,6 +148,7 @@ def test_search_rosenbrock_steepest_descent_pin():
     r = ScalarRestriction(rosen, x, -g0, f0, g0)
     out = search(r)
     assert out.status is LineSearchStatus.WOLFE_SATISFIED
+    assert out.sufficient_decrease
     assert abs(out.alpha - 0.0007892073839786151) <= 1e-12
     assert out.f_new == pytest.approx(4.128138340789158, rel=1e-12)
     assert out.n_evals == 8
@@ -188,6 +186,21 @@ def test_search_budget_exhaustion_falls_back():
     assert 0.0 < out.alpha <= 1.0
     phi, _ = rosen.value_and_gradient(x - out.alpha * g0)
     assert out.f_new == phi
+    # neither trial passed Armijo: the smaller step comes back, flagged
+    assert not out.sufficient_decrease
+    assert phi > f0 + 1e-4 * out.alpha * float(g0 @ -g0)
+
+
+def test_search_without_sufficient_decrease_says_so():
+    # the Armijo band of the steep valley lies below the degenerate-
+    # interval floor, so no trial passes and the smallest one is returned
+    prob = SteepValley()
+    x = np.zeros(1)
+    f0, g0 = prob.value_and_gradient(x)
+    out = search(ScalarRestriction(prob, x, -g0, f0, g0))
+    assert out.status is not LineSearchStatus.WOLFE_SATISFIED
+    assert not out.sufficient_decrease
+    assert out.f_new > f0 + 1e-4 * out.alpha * float(g0 @ -g0)
 
 
 class _LinearDrop:
@@ -206,6 +219,7 @@ def test_search_expansion_pins_at_alpha_max():
     r = ScalarRestriction(prob, x, -g0, f0, g0)
     out = search(r, LineSearchParams(alpha_max=2.0 ** 19))
     assert out.status is LineSearchStatus.MAX_ITERS_REACHED
+    assert out.sufficient_decrease  # a fallback that kept an Armijo step
     assert out.alpha == 2.0 ** 19
     assert out.n_evals == 20  # doubling path 1, 2, ..., 2^19
     assert out.f_new == -4.0 * 2.0 ** 19

@@ -5,22 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssbroyden import (
-    CurvatureError,
+from ssbroyden import VARIANT_ORDER, UpdateVariant
+from ssbroyden.updates import (
     LostPositiveDefinitenessError,
     ScalingDegeneracyError,
     SingularUpdateError,
     UpdateCoefficients,
-    UpdateVariant,
-    VARIANT_ORDER,
     compute_base_coefficients,
+    compute_phi,
     compute_tau,
     compute_theta,
     curvature_guard,
+    propose_update,
 )
-from ssbroyden.updates import compute_phi
 
-from conftest import propose, quasi_newton_instance
+from conftest import family_update, propose, quasi_newton_instance
 from oracles import gaussian_solve, jacobi_eigenvalues
 
 ALL_VARIANTS = list(VARIANT_ORDER)
@@ -73,12 +72,6 @@ def test_base_coefficients_hand_case():
     assert c.b == 2.0
     assert c.a == 0.0
     assert c.c == 0.0
-
-
-def test_base_coefficients_curvature_error():
-    s = np.array([1.0, 0.0])
-    with pytest.raises(CurvatureError):
-        compute_base_coefficients(np.eye(2), s, -s, -s, 1.0)
 
 
 def test_base_coefficients_lost_pd_error():
@@ -239,20 +232,19 @@ def test_fixed_point_identity_all_variants():
 
 def test_general_matches_woodbury_bfgs(instance_suite):
     for inst in instance_suite[:60]:
+        rho = 1.0 / float(inst["y"] @ inst["s"])
         for tau in (1.0, 2.0):
-            result = propose(UpdateVariant.SSBROYDEN, inst,
-                             force_theta=0.0, force_tau=tau)
-            ref = woodbury_bfgs(inst["H"], inst["s"], inst["y"], result.coeffs.rho, tau)
-            assert np.max(np.abs(result.H - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+            got = family_update(inst, theta=0.0, tau=tau)
+            ref = woodbury_bfgs(inst["H"], inst["s"], inst["y"], rho, tau)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_general_matches_classic_dfp(instance_suite):
     for inst in instance_suite[:60]:
         for tau in (1.0, 0.7):
-            result = propose(UpdateVariant.SSBROYDEN, inst,
-                             force_theta=1.0, force_tau=tau)
+            got = family_update(inst, theta=1.0, tau=tau)
             ref = classic_dfp(inst["H"], inst["s"], inst["y"], tau)
-            assert np.max(np.abs(result.H - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+            assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_mixed_update_is_phi_blend_of_bfgs_and_dfp(instance_suite):
@@ -265,7 +257,7 @@ def test_mixed_update_is_phi_blend_of_bfgs_and_dfp(instance_suite):
             phi = (1.0 - theta) / (1.0 + (hb - 1.0) * theta)
             ref = (phi * woodbury_bfgs(H, s, y, 1.0 / ys, 1.0)
                    + (1.0 - phi) * classic_dfp(H, s, y, 1.0))
-            got = propose(UpdateVariant.BROYDEN, inst, force_theta=theta).H
+            got = family_update(inst, theta=theta)
             assert np.max(np.abs(got - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
 
 
@@ -310,6 +302,17 @@ def test_curvature_guard_cases():
     assert not curvature_guard(s, np.array([0.0, 1.0]), 1e-10)  # exactly zero
 
 
+def test_propose_update_skips_pair_failing_guard():
+    # y^T s < 0 is caught by the guard alone; H comes back unchanged
+    s = np.array([1.0, 0.0])
+    H = np.eye(2)
+    for variant in ALL_VARIANTS:
+        result = propose_update(variant, H, s, -s, -s, 1.0)
+        assert result.skipped
+        assert result.H is H
+        assert result.coeffs is None
+
+
 # ------------------------------------------------------------ properties
 
 @settings(deadline=None, max_examples=40)
@@ -330,7 +333,10 @@ def test_property_tau_scaling_keeps_secant(seed, n):
     # scaling the inherited term must not disturb the secant equation
     rng = np.random.default_rng(seed)
     inst = quasi_newton_instance(rng, n)
+    coeffs = compute_base_coefficients(inst["H"], inst["s"], inst["y"],
+                                       inst["g_prev"], inst["alpha"])
+    theta = compute_theta(UpdateVariant.SSBROYDEN, coeffs)[0]
     for tau in (0.25, 1.0, 3.5):
-        H_new = propose(UpdateVariant.SSBROYDEN, inst, force_tau=tau).H
+        H_new = family_update(inst, theta, tau)
         resid = np.max(np.abs(H_new @ inst["y"] - inst["s"]))
         assert resid <= 1e-10 * max(1.0, np.max(np.abs(inst["s"])))
