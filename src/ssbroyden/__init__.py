@@ -16,7 +16,6 @@ from .core import (
     EvaluationError,
     ObjectiveFunction,
 )
-from .linesearch import LineSearchParams
 from .problems import (
     PinnPoisson1D,
     QuadraticProblem,
@@ -46,7 +45,6 @@ __all__ = [
     "DimensionMismatchError",
     "EvaluationError",
     "IterationRecord",
-    "LineSearchParams",
     "ObjectiveFunction",
     "PinnPoisson1D",
     "QuadraticProblem",

@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from .core import norm_inf
-from .linesearch import LineSearchParams
 from .problems import PinnPoisson1D, default_start, make_pinn1d, make_quadratic, make_rosenbrock
 from .solver import SolverConfig, solve
 from .updates import VARIANT_ORDER
@@ -140,9 +139,8 @@ def run_benchmark(spec):
     """Execute the requested runs; returns the process exit code."""
     try:
         problem = build_problem(spec)
-        ls_params = LineSearchParams(c1=spec.c1, c2=spec.c2)
         configs = [SolverConfig(variant=name, grad_tol=spec.tol,
-                                max_iters=spec.max_iters, line_search=ls_params)
+                                max_iters=spec.max_iters, c1=spec.c1, c2=spec.c2)
                    for name in spec.solvers]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

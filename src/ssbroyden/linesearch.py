@@ -6,6 +6,13 @@ brackets a suitable interval, followed by a zoom loop that shrinks the
 bracket with safeguarded cubic interpolation until a point satisfying
 the strong Wolfe conditions is found.
 
+The search works on the ray phi(alpha) = f(x + alpha*d) and requires
+phi'(0) = g0^T d < 0.  It does not test this: the caller guarantees it
+(``solver.step`` resets any non-descent direction to -g).  The only
+settings are the Wolfe constants c1 and c2, which the caller passes
+from its ``SolverConfig``; the first trial, the expansion cap and the
+two trial budgets are the module constants below.
+
 Every trial evaluates the objective value and gradient together, through
 the checked ``core.evaluate``, so the per-search evaluation count equals
 the number of trial steps and a non-finite or misshapen trial raises
@@ -24,32 +31,13 @@ import numpy as np
 from .core import evaluate
 
 
-@dataclass
-class LineSearchParams:
-    """Tunables for the search.
-
-    c1 and c2 are the sufficient-decrease and curvature constants with
-    0 < c1 < c2 < 1.  alpha_init is the first trial step (1 for
-    quasi-Newton directions, so the unit step is tried first).
-    """
-
-    c1: float = 1e-4
-    c2: float = 0.9
-    alpha_init: float = 1.0
-    alpha_max: float = 1e10
-    max_bracket_iters: int = 20
-    max_zoom_iters: int = 30
-
-    def __post_init__(self):
-        if not (0.0 < self.c1 < self.c2 < 1.0):
-            raise ValueError(
-                f"need 0 < c1 < c2 < 1, got c1={self.c1:g}, c2={self.c2:g}")
-        if not (0.0 < self.alpha_init <= self.alpha_max):
-            raise ValueError(
-                f"need 0 < alpha_init <= alpha_max, "
-                f"got {self.alpha_init:g}, {self.alpha_max:g}")
-        if self.max_bracket_iters < 1 or self.max_zoom_iters < 1:
-            raise ValueError("iteration limits must be at least 1")
+# First trial step: the unit quasi-Newton step is tried first.
+ALPHA_INIT = 1.0
+# Cap on the doubling expansion of the bracketing phase.
+ALPHA_MAX = 1e10
+# Trial budgets of the bracketing and zoom phases.
+MAX_BRACKET_ITERS = 20
+MAX_ZOOM_ITERS = 30
 
 
 class LineSearchStatus(enum.Enum):
@@ -73,29 +61,6 @@ class LineSearchOutcome:
     n_evals: int
     status: LineSearchStatus
     sufficient_decrease: bool
-
-
-class ScalarRestriction:
-    """The objective restricted to a ray: phi(alpha) = f(x + alpha*d).
-
-    Caches the origin data (phi(0), phi'(0)) from an evaluation the
-    caller already paid for.  Rejects non-descent directions up front
-    since the search invariants assume phi'(0) < 0.
-    """
-
-    def __init__(self, problem, x, d, f0, g0):
-        self.problem = problem
-        self.x = np.asarray(x, dtype=float)
-        self.d = np.asarray(d, dtype=float)
-        self.phi0 = float(f0)
-        self.dphi0 = float(np.dot(g0, self.d))
-        if self.dphi0 >= 0.0:
-            raise ValueError(f"not a descent direction: phi'(0) = {self.dphi0:g} >= 0")
-
-    def evaluate(self, alpha):
-        """Return (phi(alpha), phi'(alpha), gradient at the trial point)."""
-        f, g = evaluate(self.problem, self.x + alpha * self.d)
-        return f, float(np.dot(g, self.d)), g
 
 
 class _Trial(NamedTuple):
@@ -147,34 +112,33 @@ def interpolate_trial(lo, hi):
     return min(max(alpha, lower), upper)
 
 
-def search(restriction, params=None):
-    """Find a step satisfying the strong Wolfe conditions along the ray.
+def search(problem, x, d, f0, g0, c1, c2):
+    """Find a step satisfying the strong Wolfe conditions along x + alpha*d.
 
-    On success the outcome status is WOLFE_SATISFIED.  If the iteration
-    budget runs out or the zoom bracket collapses, the best trial seen
-    so far is returned (preferring trials that satisfy sufficient
-    decrease) with a status describing why the search stopped, and
+    ``f0`` and ``g0`` are the value and gradient at ``x``, which the
+    caller already paid for; ``g0^T d`` must be negative.  On success
+    the outcome status is WOLFE_SATISFIED.  If the iteration budget runs
+    out or the zoom bracket collapses, the best trial seen so far is
+    returned (preferring trials that satisfy sufficient decrease) with a
+    status describing why the search stopped, and
     ``sufficient_decrease`` tells the caller whether that step passed
     the Armijo test.
     """
-    if params is None:
-        params = LineSearchParams()
-    phi0 = restriction.phi0
-    dphi0 = restriction.dphi0
+    dphi0 = float(np.dot(g0, d))
 
     n_evals = 0
     best_armijo = None
     smallest = None
 
-    def evaluate(alpha):
+    def try_step(alpha):
         nonlocal n_evals, best_armijo, smallest
-        phi, dphi, g = restriction.evaluate(alpha)
+        phi, g = evaluate(problem, x + alpha * d)
+        dphi = float(np.dot(g, d))
         n_evals += 1
         trial = _Trial(alpha, phi, dphi, g)
         if smallest is None or trial.alpha < smallest.alpha:
             smallest = trial
-        armijo, curvature = wolfe_check(phi0, dphi0, alpha, phi, dphi,
-                                        params.c1, params.c2)
+        armijo, curvature = wolfe_check(f0, dphi0, alpha, phi, dphi, c1, c2)
         if armijo and (best_armijo is None or trial.phi < best_armijo.phi):
             best_armijo = trial
         return trial, armijo, curvature
@@ -194,11 +158,11 @@ def search(restriction, params=None):
     def zoom(lo, hi):
         # Invariants: lo satisfies sufficient decrease with the lowest
         # phi so far, and lo.dphi * (hi.alpha - lo.alpha) < 0.
-        for _ in range(params.max_zoom_iters):
+        for _ in range(MAX_ZOOM_ITERS):
             width = abs(hi.alpha - lo.alpha)
             if width <= 1e-14 * max(1.0, abs(lo.alpha), abs(hi.alpha)):
                 return fallback(LineSearchStatus.DEGENERATE_INTERVAL)
-            trial, armijo, curvature = evaluate(interpolate_trial(lo, hi))
+            trial, armijo, curvature = try_step(interpolate_trial(lo, hi))
             if (not armijo) or trial.phi >= lo.phi:
                 hi = trial
             else:
@@ -209,10 +173,10 @@ def search(restriction, params=None):
                 lo = trial
         return fallback(LineSearchStatus.MAX_ITERS_REACHED)
 
-    prev = _Trial(0.0, phi0, dphi0, None)
-    alpha = params.alpha_init
-    for i in range(params.max_bracket_iters):
-        trial, armijo, curvature = evaluate(alpha)
+    prev = _Trial(0.0, f0, dphi0, None)
+    alpha = ALPHA_INIT
+    for i in range(MAX_BRACKET_ITERS):
+        trial, armijo, curvature = try_step(alpha)
         if (not armijo) or (i > 0 and trial.phi >= prev.phi):
             return zoom(prev, trial)
         if curvature:
@@ -220,8 +184,8 @@ def search(restriction, params=None):
         if trial.dphi >= 0.0:
             return zoom(trial, prev)
         prev = trial
-        next_alpha = min(2.0 * alpha, params.alpha_max)
+        next_alpha = min(2.0 * alpha, ALPHA_MAX)
         if next_alpha <= alpha:
-            break  # pinned at alpha_max, cannot expand further
+            break  # pinned at ALPHA_MAX, cannot expand further
         alpha = next_alpha
     return fallback(LineSearchStatus.MAX_ITERS_REACHED)

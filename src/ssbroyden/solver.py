@@ -12,11 +12,12 @@ positive-definiteness diagnosis skips the update; a degenerate scale
 factor falls back to tau = 1 but still applies the update.  All of
 these events are flagged in the iteration records and counted.
 
-Checks happen where a fact enters, once: ``solve``/``init_state``
-coerce the start point with ``as_vector``, every objective evaluation
-goes through ``core.evaluate`` (finite value and gradient, gradient of
-the start point's shape), and the line search reports whether its step
-passed sufficient decrease.  A search without such a step ends the run
+Checks happen where a fact enters, once: ``SolverConfig`` validates
+the run settings, ``solve``/``init_state`` coerce the start point with
+``as_vector``, every objective evaluation goes through
+``core.evaluate`` (finite value and gradient, gradient of the start
+point's shape), and the line search reports whether its step passed
+sufficient decrease.  A search without such a step ends the run
 as ``line_search_failure``; a bad evaluation raises out of ``solve``.
 """
 
@@ -26,7 +27,7 @@ from typing import Callable, List, Union
 import numpy as np
 
 from .core import as_vector, evaluate, matvec, norm_2, norm_inf
-from .linesearch import LineSearchParams, ScalarRestriction, search
+from .linesearch import search
 from .updates import UpdateVariant, propose_update
 
 H0_SCALINGS = ("identity", "scaled_identity")
@@ -38,20 +39,31 @@ class LineSearchStallError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """Run configuration."""
+    """Run configuration, validated once when constructed.
+
+    c1 and c2 are the line search's sufficient-decrease and curvature
+    constants, with 0 < c1 < c2 < 1.
+    """
 
     variant: Union[UpdateVariant, str]
     grad_tol: float = 1e-8
     max_iters: int = 1000
-    line_search: LineSearchParams = field(default_factory=LineSearchParams)
+    c1: float = 1e-4
+    c2: float = 0.9
     h0_scaling: str = "identity"
 
     def __post_init__(self):
         self.variant = UpdateVariant(self.variant)
-        if not self.grad_tol > 0.0:
-            raise ValueError(f"grad_tol must be positive, got {self.grad_tol:g}")
+        if not 0.0 < self.grad_tol < np.inf:
+            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol:g}")
+        if (isinstance(self.max_iters, bool)
+                or not isinstance(self.max_iters, (int, np.integer))):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        if not 0.0 < self.c1 < self.c2 < 1.0:
+            raise ValueError(
+                f"need 0 < c1 < c2 < 1, got c1={self.c1:g}, c2={self.c2:g}")
         if self.h0_scaling not in H0_SCALINGS:
             raise ValueError(f"h0_scaling must be one of {H0_SCALINGS}")
 
@@ -147,13 +159,13 @@ def step(state, problem, config, counters, observer=None):
     reset = False
     if float(np.dot(d, state.g)) >= 0.0:
         # H no longer maps the gradient to a descent direction: restart
-        # the curvature model from scratch.
+        # the curvature model from scratch.  The search relies on this
+        # and does not re-test descent.
         H = np.eye(n)
         d = -state.g
         reset = True
 
-    outcome = search(ScalarRestriction(problem, state.x, d, state.f, state.g),
-                     config.line_search)
+    outcome = search(problem, state.x, d, state.f, state.g, config.c1, config.c2)
     counters.f_evals += outcome.n_evals
     counters.g_evals += outcome.n_evals
     counters.ls_steps += outcome.n_evals
@@ -166,7 +178,7 @@ def step(state, problem, config, counters, observer=None):
     alpha = outcome.alpha
     s = alpha * d
     y = outcome.g_new - state.g
-    x_new = state.x + alpha * d
+    x_new = state.x + s
 
     scale = 1.0
     if (config.h0_scaling == "scaled_identity"

@@ -43,7 +43,7 @@ A_DEGENERATE = 1e-12
 PHI_DENOM_EPS = 1e-12
 # Smallest usable scale factor; anything at or below it triggers a fallback.
 TAU_MIN = 1e-8
-# Default relative threshold for the curvature guard.
+# Relative threshold of the curvature guard.
 CURVATURE_EPS = 1e-10
 
 
@@ -84,14 +84,7 @@ class UpdateVariant(enum.Enum):
 
 
 #: Canonical ordering used by the CLI and the benchmark summaries.
-VARIANT_ORDER = (
-    UpdateVariant.BFGS,
-    UpdateVariant.SSBFGS,
-    UpdateVariant.DFP,
-    UpdateVariant.SSDFP,
-    UpdateVariant.BROYDEN,
-    UpdateVariant.SSBROYDEN,
-)
+VARIANT_ORDER = tuple(UpdateVariant)
 
 
 @dataclass(frozen=True)
@@ -126,15 +119,15 @@ class UpdateResult:
     coeffs: Optional[UpdateCoefficients] = None
 
 
-def curvature_guard(s, y, epsilon=CURVATURE_EPS):
-    """Accept the pair iff y^T s > epsilon * ||s|| * ||y||.
+def curvature_guard(s, y):
+    """Accept the pair iff y^T s > CURVATURE_EPS * ||s|| * ||y||.
 
     The strong Wolfe conditions guarantee y^T s > 0 in exact arithmetic;
     this guards against floating-point failure of that guarantee.  A
     rejected pair means the update is skipped and H carried over.
     """
     ys = float(np.dot(y, s))
-    return ys > epsilon * float(np.linalg.norm(s)) * float(np.linalg.norm(y))
+    return ys > CURVATURE_EPS * float(np.linalg.norm(s)) * float(np.linalg.norm(y))
 
 
 def compute_base_coefficients(H, s, y, g_prev, alpha, scale=1.0):

@@ -111,6 +111,8 @@ def test_main_bad_problem_shape_exits_two(tmp_path, capsys):
     ("--max-iters", "0"),
     ("--tol", "0"),
     ("--c1", "0.95"),
+    ("--tol", "inf"),
+    ("--tol", "nan"),
 ])
 def test_main_invalid_numeric_flag_exits_two(tmp_path, capsys, flag, value):
     out = tmp_path / "out"

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from ssbroyden import LineSearchParams, RosenbrockProblem, make_quadratic
+from ssbroyden import RosenbrockProblem, SolverConfig, linesearch, make_quadratic
 from ssbroyden.linesearch import (
     LineSearchStatus,
-    ScalarRestriction,
     _Trial,
     interpolate_trial,
     search,
@@ -13,59 +12,17 @@ from ssbroyden.linesearch import (
 
 from conftest import CountingObjective, SteepValley
 
-
-def restriction_for(problem, x, d):
-    f0, g0 = problem.value_and_gradient(np.asarray(x, dtype=float))
-    return ScalarRestriction(problem, np.asarray(x, dtype=float),
-                             np.asarray(d, dtype=float), f0, g0)
+C1, C2 = 1e-4, 0.9
 
 
 # ---------------------------------------------------------------- params
 
 def test_params_defaults():
-    p = LineSearchParams()
-    assert (p.c1, p.c2) == (1e-4, 0.9)
-    assert p.alpha_init == 1.0
-    assert p.alpha_max == 1e10
-    assert (p.max_bracket_iters, p.max_zoom_iters) == (20, 30)
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"c1": 0.5, "c2": 0.3},          # ordering violated
-    {"c1": 0.0},
-    {"c2": 1.0},
-    {"alpha_init": 0.0},
-    {"alpha_init": 2.0, "alpha_max": 1.0},
-    {"max_bracket_iters": 0},
-    {"max_zoom_iters": 0},
-])
-def test_params_validation(kwargs):
-    with pytest.raises(ValueError):
-        LineSearchParams(**kwargs)
-
-
-# ----------------------------------------------------------- restriction
-
-def test_restriction_rejects_ascent():
-    quad = make_quadratic(2)
-    x = np.array([1.0, 1.0])
-    _, g0 = quad.value_and_gradient(x)
-    with pytest.raises(ValueError):
-        ScalarRestriction(quad, x, g0, *quad.value_and_gradient(x))
-    # orthogonal direction has zero slope, also rejected
-    with pytest.raises(ValueError):
-        restriction_for(quad, [1.0, 0.0], [0.0, 1.0])
-
-
-def test_restriction_evaluates_along_ray():
-    quad = make_quadratic(2)  # f = (x1^2 + 2 x2^2)/2
-    r = restriction_for(quad, [1.0, 1.0], [-1.0, -2.0])
-    assert r.phi0 == 1.5
-    assert r.dphi0 == -5.0
-    phi, dphi, g = r.evaluate(0.5)
-    assert phi == pytest.approx(0.125, abs=1e-15)
-    assert dphi == pytest.approx(-0.5, abs=1e-15)
-    assert np.allclose(g, [0.5, 0.0])
+    cfg = SolverConfig(variant="bfgs")
+    assert (cfg.c1, cfg.c2) == (C1, C2)
+    assert linesearch.ALPHA_INIT == 1.0
+    assert linesearch.ALPHA_MAX == 1e10
+    assert (linesearch.MAX_BRACKET_ITERS, linesearch.MAX_ZOOM_ITERS) == (20, 30)
 
 
 # ----------------------------------------------------------- wolfe check
@@ -130,10 +87,9 @@ def test_interpolate_respects_interval_orientation():
 def test_search_quadratic_accepts_unit_step():
     quad = make_quadratic(2)
     x = np.array([3.0, 4.0])
-    _, g0 = quad.value_and_gradient(x)
+    f0, g0 = quad.value_and_gradient(x)
     d = -np.linalg.solve(np.diag(quad.diag), g0)  # Newton step
-    r = restriction_for(quad, x, d)
-    out = search(r)
+    out = search(quad, x, d, f0, g0, C1, C2)
     assert out.status is LineSearchStatus.WOLFE_SATISFIED
     assert out.sufficient_decrease
     assert out.alpha == 1.0
@@ -145,8 +101,7 @@ def test_search_rosenbrock_steepest_descent_pin():
     rosen = RosenbrockProblem(2)
     x = rosen.default_start()
     f0, g0 = rosen.value_and_gradient(x)
-    r = ScalarRestriction(rosen, x, -g0, f0, g0)
-    out = search(r)
+    out = search(rosen, x, -g0, f0, g0, C1, C2)
     assert out.status is LineSearchStatus.WOLFE_SATISFIED
     assert out.sufficient_decrease
     assert abs(out.alpha - 0.0007892073839786151) <= 1e-12
@@ -166,21 +121,22 @@ def test_search_eval_accounting_and_determinism():
     x = counted.inner.default_start()
     f0, g0 = counted.value_and_gradient(x)
     counted.calls = 0
-    out1 = search(ScalarRestriction(counted, x, -g0, f0, g0))
+    out1 = search(counted, x, -g0, f0, g0, C1, C2)
     assert counted.calls == out1.n_evals
-    out2 = search(ScalarRestriction(counted, x, -g0, f0, g0))
+    out2 = search(counted, x, -g0, f0, g0, C1, C2)
     assert out1.alpha == out2.alpha
     assert out1.f_new == out2.f_new
     assert out1.n_evals == out2.n_evals
     assert out1.status is out2.status
 
 
-def test_search_budget_exhaustion_falls_back():
+def test_search_budget_exhaustion_falls_back(monkeypatch):
+    monkeypatch.setattr(linesearch, "MAX_BRACKET_ITERS", 1)
+    monkeypatch.setattr(linesearch, "MAX_ZOOM_ITERS", 1)
     rosen = RosenbrockProblem(2)
     x = rosen.default_start()
     f0, g0 = rosen.value_and_gradient(x)
-    r = ScalarRestriction(rosen, x, -g0, f0, g0)
-    out = search(r, LineSearchParams(max_bracket_iters=1, max_zoom_iters=1))
+    out = search(rosen, x, -g0, f0, g0, C1, C2)
     assert out.status is LineSearchStatus.MAX_ITERS_REACHED
     assert out.n_evals == 2
     assert 0.0 < out.alpha <= 1.0
@@ -197,7 +153,7 @@ def test_search_without_sufficient_decrease_says_so():
     prob = SteepValley()
     x = np.zeros(1)
     f0, g0 = prob.value_and_gradient(x)
-    out = search(ScalarRestriction(prob, x, -g0, f0, g0))
+    out = search(prob, x, -g0, f0, g0, C1, C2)
     assert out.status is not LineSearchStatus.WOLFE_SATISFIED
     assert not out.sufficient_decrease
     assert out.f_new > f0 + 1e-4 * out.alpha * float(g0 @ -g0)
@@ -212,12 +168,12 @@ class _LinearDrop:
         return float(-np.sum(x)), -np.ones_like(x)
 
 
-def test_search_expansion_pins_at_alpha_max():
+def test_search_expansion_pins_at_alpha_max(monkeypatch):
+    monkeypatch.setattr(linesearch, "ALPHA_MAX", 2.0 ** 19)
     prob = _LinearDrop()
     x = np.zeros(4)
     f0, g0 = prob.value_and_gradient(x)
-    r = ScalarRestriction(prob, x, -g0, f0, g0)
-    out = search(r, LineSearchParams(alpha_max=2.0 ** 19))
+    out = search(prob, x, -g0, f0, g0, C1, C2)
     assert out.status is LineSearchStatus.MAX_ITERS_REACHED
     assert out.sufficient_decrease  # a fallback that kept an Armijo step
     assert out.alpha == 2.0 ** 19

@@ -5,7 +5,6 @@ from ssbroyden import (
     Counters,
     DimensionMismatchError,
     EvaluationError,
-    LineSearchParams,
     QuadraticProblem,
     SolverConfig,
     UpdateVariant,
@@ -43,6 +42,13 @@ def test_config_coerces_variant_strings():
     {"variant": "bfgs", "grad_tol": 0.0},
     {"variant": "bfgs", "max_iters": 0},
     {"variant": "bfgs", "h0_scaling": "hessian"},
+    {"variant": "bfgs", "c1": 0.5, "c2": 0.3},  # ordering violated
+    {"variant": "bfgs", "c1": 0.0},
+    {"variant": "bfgs", "c2": 1.0},
+    {"variant": "bfgs", "max_iters": 2.5},
+    {"variant": "bfgs", "max_iters": True},
+    {"variant": "bfgs", "grad_tol": float("inf")},
+    {"variant": "bfgs", "grad_tol": float("nan")},
 ])
 def test_config_rejects_invalid_values(kwargs):
     with pytest.raises(ValueError):
@@ -291,7 +297,6 @@ def test_list_gradient_is_coerced_on_every_evaluation():
 # ------------------------------------------------------------- tuning
 
 def test_custom_line_search_params_flow_through():
-    cfg = SolverConfig(variant="bfgs",
-                       line_search=LineSearchParams(c2=0.4))
+    cfg = SolverConfig(variant="bfgs", c2=0.4)
     trace, _, _ = solve(make_rosenbrock(2), [-1.2, 1.0], cfg)
     assert trace.status == "converged"

@@ -297,9 +297,9 @@ def test_update_preserves_positive_definiteness(variant, instance_suite):
 
 def test_curvature_guard_cases():
     s = np.array([1.0, 0.0])
-    assert curvature_guard(s, s, 1e-10)
-    assert not curvature_guard(s, -s, 1e-10)
-    assert not curvature_guard(s, np.array([0.0, 1.0]), 1e-10)  # exactly zero
+    assert curvature_guard(s, s)
+    assert not curvature_guard(s, -s)
+    assert not curvature_guard(s, np.array([0.0, 1.0]))  # exactly zero
 
 
 def test_propose_update_skips_pair_failing_guard():
