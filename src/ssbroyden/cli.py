@@ -82,10 +82,10 @@ class RunSpecification:
     n: Optional[int] = None
     m: int = 8
     npoints: int = 32
-    tol: float = 1e-8
-    max_iters: int = 1000
-    c1: float = 1e-4
-    c2: float = 0.9
+    tol: float = SolverConfig.grad_tol
+    max_iters: int = SolverConfig.max_iters
+    c1: float = SolverConfig.c1
+    c2: float = SolverConfig.c2
     fmt: str = "csv"
     out_dir: Path = field(default_factory=lambda: Path("."))
 
@@ -160,6 +160,7 @@ def run_benchmark(spec):
         try:
             trace, state, counters = solve(problem, default_start(problem), config)
         except Exception as exc:  # surfaced per row, run the rest
+            print(f"error: {name}: {type(exc).__name__}: {exc}", file=sys.stderr)
             rows.append({"solver": name, "status": f"error({type(exc).__name__})",
                          "qn_iters": 0, "ls_steps": 0, "f_evals": 0,
                          "final_f": float("nan"), "final_gnorm_inf": float("nan"),
@@ -257,12 +258,12 @@ def build_parser():
                         help="hidden width of the pinn1d network")
     parser.add_argument("--npoints", type=int, default=32,
                         help="number of interior collocation points (pinn1d)")
-    parser.add_argument("--tol", type=float, default=1e-8,
+    parser.add_argument("--tol", type=float, default=SolverConfig.grad_tol,
                         help="gradient infinity-norm stopping tolerance")
-    parser.add_argument("--max-iters", type=int, default=1000)
-    parser.add_argument("--c1", type=float, default=1e-4,
+    parser.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
+    parser.add_argument("--c1", type=float, default=SolverConfig.c1,
                         help="sufficient-decrease constant")
-    parser.add_argument("--c2", type=float, default=0.9,
+    parser.add_argument("--c2", type=float, default=SolverConfig.c2,
                         help="curvature constant")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", required=True, help="output directory")

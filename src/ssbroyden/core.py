@@ -3,9 +3,11 @@ the solver's one checked door to the objective.
 
 Vectors are 1-D float64 ndarrays, symmetric matrices are 2-D float64
 ndarrays that are exactly symmetric (``M[i, j] == M[j, i]`` bitwise);
-the update kernel keeps them so by assembling every term from outer
-products ``u u^T`` and symmetric pair sums, never from generic
-matrix-matrix products.
+the update kernel (``updates.apply_update``) keeps them so by
+assembling every term from outer products ``u u^T`` and symmetric pair
+sums, never from generic matrix-matrix products.  It builds those terms
+in place in one result and one scratch buffer and never writes into its
+input matrix, so a caller's ``H`` is unchanged by an update.
 
 Inputs are checked once, where they enter: ``as_vector`` at the start
 point and :func:`evaluate` on every objective evaluation.  The kernels

@@ -37,12 +37,16 @@ class LineSearchStallError(RuntimeError):
     """The line search found no point of sufficient decrease."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Run configuration, validated once when constructed.
 
     c1 and c2 are the line search's sufficient-decrease and curvature
-    constants, with 0 < c1 < c2 < 1.
+    constants, with 0 < c1 < c2 < 1.  The config is frozen, so its
+    fields cannot change after validation; derive a changed copy with
+    ``dataclasses.replace``, which validates it again.  The class-level
+    field defaults are the library's run defaults, which the ``bench``
+    CLI also uses.
     """
 
     variant: Union[UpdateVariant, str]
@@ -53,7 +57,7 @@ class SolverConfig:
     h0_scaling: str = "identity"
 
     def __post_init__(self):
-        self.variant = UpdateVariant(self.variant)
+        object.__setattr__(self, "variant", UpdateVariant(self.variant))
         if not 0.0 < self.grad_tol < np.inf:
             raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol:g}")
         if (isinstance(self.max_iters, bool)

@@ -18,11 +18,17 @@ result to :func:`apply_update`, the one kernel that forms ``H'``.  The
 kernel picks its terms from ``phi``, not from the variant: ``phi == 1``
 (BFGS) uses the expanded product form, in which the ``v`` term folds
 into ``s (Hy)^T`` cross terms; ``phi == 0`` (DFP) drops the ``v`` term;
-any other ``phi`` adds it.  These are the exact floating-point
-expressions the variants have always used, so iteration counts and
-trajectories are bitwise unchanged.  A single compact form
+any other ``phi`` adds it.
+
+The kernel works in two n x n buffers, the result and one scratch
+matrix, and builds each term in place; it allocates nothing else of
+size n x n and keeps nothing between calls.  It applies the terms in a
+fixed order, the order of the floating-point expressions the variants
+have always used, so every element rounds exactly as before and
+iteration counts and trajectories are bitwise unchanged.  The order is
+part of the contract: a single compact form
 ``H/tau + [s, Hy] M [s, Hy]^T`` is algebraically equal but rounds
-differently: in its place, five of the six 8-D Rosenbrock golden
+differently, and in its place five of the six 8-D Rosenbrock golden
 iteration counts of the acceptance suite move by one to a few
 iterations.
 """
@@ -220,21 +226,50 @@ def compute_phi(theta, h, b):
 def apply_update(H, s, coeffs, phi, tau):
     """Form H' for the family member with weight ``phi`` and scale ``tau``.
 
-    Every term is an outer product ``u u^T`` or a symmetric pair sum, so
-    the result is exactly symmetric.  ``phi == 1`` uses the expanded
-    BFGS product ``H - rho (s (Hy)^T + (Hy) s^T) + rho^2 (y^T H y) s s^T``;
-    otherwise the ``v v^T`` term is added only when ``phi != 0``.
+    Returns a new array; ``H``, ``s`` and the vectors of ``coeffs`` are
+    only read.  The kernel allocates two n x n arrays, the result and
+    one scratch buffer, and applies every term in place, in this order:
+
+    * ``phi == 1`` (the expanded BFGS product):
+      ``out = s (Hy)^T + (Hy) s^T``, ``out *= rho``, ``out = H - out``,
+      ``out += (rho^2 y^T H y) s s^T``;
+    * otherwise: ``tmp = (Hy)(Hy)^T``, ``tmp /= y^T H y``,
+      ``out = H - tmp``, and ``out += (phi y^T H y) v v^T`` when
+      ``phi != 0``;
+    * then ``out /= tau`` (skipped for ``tau == 1``, where the division
+      is exact) and ``out += rho s s^T``.
+
+    Each ``u u^T`` term is scaled as a whole matrix and then added, so
+    every element sees the same roundings in the same order as the
+    expression ``(H - ... + ...) / tau + rho * outer(s, s)``.  That
+    order is part of the contract: an algebraically equal reordering
+    rounds differently and moves the 8-D Rosenbrock golden iteration
+    counts.  Every term is an outer product ``u u^T`` or a symmetric
+    pair sum, so the result is exactly symmetric.
     """
     rho = coeffs.rho
     if phi == 1.0:
-        cross = np.outer(s, coeffs.Hy)
-        cross = cross + cross.T
-        core = H - rho * cross + (rho * rho * coeffs.yHy) * np.outer(s, s)
+        tmp = np.multiply.outer(s, coeffs.Hy)
+        out = tmp + tmp.T
+        out *= rho
+        np.subtract(H, out, out=out)
+        np.multiply.outer(s, s, out=tmp)
+        tmp *= rho * rho * coeffs.yHy
+        out += tmp
     else:
-        core = H - np.outer(coeffs.Hy, coeffs.Hy) / coeffs.yHy
+        tmp = np.multiply.outer(coeffs.Hy, coeffs.Hy)
+        tmp /= coeffs.yHy
+        out = H - tmp
         if phi != 0.0:
-            core = core + (phi * coeffs.yHy) * np.outer(coeffs.v, coeffs.v)
-    return core / tau + rho * np.outer(s, s)
+            np.multiply.outer(coeffs.v, coeffs.v, out=tmp)
+            tmp *= phi * coeffs.yHy
+            out += tmp
+    if tau != 1.0:
+        out /= tau
+    np.multiply.outer(s, s, out=tmp)
+    tmp *= rho
+    out += tmp
+    return out
 
 
 def propose_update(variant, H, s, y, g_prev, alpha, scale=1.0):

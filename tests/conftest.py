@@ -66,6 +66,24 @@ def family_update(inst, theta, tau=1.0):
                         compute_phi(theta, coeffs.h, coeffs.b), tau)
 
 
+def expression_update(H, s, coeffs, phi, tau):
+    """The update kernel written as whole-array expressions.
+
+    Bitwise reference for ``apply_update``: each term is a fresh array
+    and the operations run in the order the kernel's contract fixes.
+    """
+    rho = coeffs.rho
+    if phi == 1.0:
+        cross = np.outer(s, coeffs.Hy)
+        cross = cross + cross.T
+        core = H - rho * cross + (rho * rho * coeffs.yHy) * np.outer(s, s)
+    else:
+        core = H - np.outer(coeffs.Hy, coeffs.Hy) / coeffs.yHy
+        if phi != 0.0:
+            core = core + (phi * coeffs.yHy) * np.outer(coeffs.v, coeffs.v)
+    return core / tau + rho * np.outer(s, s)
+
+
 @pytest.fixture(scope="session")
 def instance_suite():
     """200 deterministic update instances with N cycling through 2..12."""

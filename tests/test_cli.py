@@ -4,12 +4,14 @@ import jsonschema
 import numpy as np
 import pytest
 
-from ssbroyden import SolverConfig, make_quadratic, solve
+from ssbroyden import EvaluationError, SolverConfig, UpdateVariant, make_quadratic, solve
+from ssbroyden import cli
 from ssbroyden.cli import (
     SOLVER_NAMES,
     SUMMARY_COLUMNS,
     TRACE_COLUMNS,
     TRACE_SCHEMA,
+    RunSpecification,
     build_parser,
     emit_trace,
     main,
@@ -123,6 +125,26 @@ def test_main_invalid_numeric_flag_exits_two(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+def test_main_solver_error_keeps_message(tmp_path, capsys, monkeypatch):
+    real_solve = cli.solve
+
+    def failing_dfp(problem, x0, config):
+        if config.variant is UpdateVariant.DFP:
+            raise EvaluationError("objective exploded at x[3]")
+        return real_solve(problem, x0, config)
+
+    monkeypatch.setattr(cli, "solve", failing_dfp)
+    code = main(["--solver", "all", "--problem", "quadratic", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: dfp: EvaluationError: objective exploded at x[3]"]
+    lines = (tmp_path / "summary.csv").read_text().strip().split("\n")
+    status = {row.split(",")[0]: row.split(",")[1] for row in lines[1:]}
+    assert status.pop("dfp") == "error(EvaluationError)"
+    assert set(status.values()) == {"converged"}
+    assert len(status) == len(SOLVER_NAMES) - 1
+
+
 # --------------------------------------------------------- determinism
 
 def test_trace_files_byte_deterministic(tmp_path):
@@ -202,4 +224,10 @@ def test_parser_defaults():
     assert args.tol == 1e-8
     assert args.max_iters == 1000
     assert (args.c1, args.c2) == (1e-4, 0.9)
+    # one source: the CLI and RunSpecification take the library's defaults
+    lib = SolverConfig(variant="bfgs")
+    spec = RunSpecification(solvers=["bfgs"], problem="quadratic")
+    for run in (args, spec):
+        assert (run.tol, run.max_iters, run.c1, run.c2) == (
+            lib.grad_tol, lib.max_iters, lib.c1, lib.c2)
     assert args.format == "csv"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,27 @@ def test_config_coerces_variant_strings():
 def test_config_rejects_invalid_values(kwargs):
     with pytest.raises(ValueError):
         SolverConfig(**kwargs)
+
+
+def test_config_is_frozen():
+    # a field set after construction would bypass the validation
+    cfg = SolverConfig(variant="bfgs")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.c1 = 0.95
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.max_iters = 0
+    assert cfg == SolverConfig(variant="bfgs")
+
+
+def test_config_replace_validates_again():
+    cfg = SolverConfig(variant="ssbroyden", max_iters=7)
+    with pytest.raises(ValueError):
+        dataclasses.replace(cfg, max_iters=0)
+    with pytest.raises(ValueError):
+        dataclasses.replace(cfg, c1=0.95)
+    short = dataclasses.replace(cfg, max_iters=3)
+    assert short.variant is UpdateVariant.SSBROYDEN
+    assert (short.max_iters, cfg.max_iters) == (3, 7)
 
 
 # ------------------------------------------------------------ init state

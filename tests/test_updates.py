@@ -11,6 +11,7 @@ from ssbroyden.updates import (
     ScalingDegeneracyError,
     SingularUpdateError,
     UpdateCoefficients,
+    apply_update,
     compute_base_coefficients,
     compute_phi,
     compute_tau,
@@ -19,7 +20,7 @@ from ssbroyden.updates import (
     propose_update,
 )
 
-from conftest import family_update, propose, quasi_newton_instance
+from conftest import expression_update, family_update, propose, quasi_newton_instance
 from oracles import gaussian_solve, jacobi_eigenvalues
 
 ALL_VARIANTS = list(VARIANT_ORDER)
@@ -274,6 +275,25 @@ def test_update_is_exactly_symmetric(variant, instance_suite):
     for inst in instance_suite[:60]:
         H_new = propose(variant, inst).H
         assert np.array_equal(H_new, H_new.T)
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.7])
+@pytest.mark.parametrize("phi", [1.0, 0.0, 0.4, -0.3])
+def test_kernel_matches_expression_form_bitwise(phi, tau, instance_suite):
+    # The in-place kernel must round exactly like the expression form (the
+    # golden iteration counts depend on it) and must only read its inputs.
+    for i, inst in enumerate(instance_suite):
+        H, s = inst["H"], inst["s"]
+        coeffs = compute_base_coefficients(H, s, inst["y"], inst["g_prev"], inst["alpha"])
+        inputs = (H, s, coeffs.Hy, coeffs.v)
+        before = [a.tobytes() for a in inputs]
+        ref = expression_update(H, s, coeffs, phi, tau)
+        got = apply_update(H, s, coeffs, phi, tau)
+        assert got.tobytes() == ref.tobytes(), f"instance {i}: rounds differently"
+        for name, a, b in zip(("H", "s", "Hy", "v"), inputs, before):
+            assert a.tobytes() == b, f"instance {i}: kernel wrote into {name}"
+        assert not np.shares_memory(got, H), f"instance {i}: result aliases H"
+        assert np.array_equal(got, got.T), f"instance {i}: result not symmetric"
 
 
 def test_jacobi_oracle_agrees_with_lapack(instance_suite):
