@@ -11,13 +11,13 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import List, Optional
 
 from .core import norm_inf
-from .problems import PinnPoisson1D, default_start, make_pinn1d, make_quadratic, make_rosenbrock
-from .solver import SolverConfig, solve
+from .problems import PinnPoisson1D, make_pinn1d, make_quadratic, make_rosenbrock
+from .solver import Counters, SolverConfig, solve
 from .updates import VARIANT_ORDER
 
 PROBLEM_NAMES = ("quadratic", "rosenbrock", "pinn1d")
@@ -158,49 +158,30 @@ def run_benchmark(spec):
     for name, config in zip(spec.solvers, configs):
         t0 = time.perf_counter()
         try:
-            trace, state, counters = solve(problem, default_start(problem), config)
+            trace, state, counters = solve(problem, problem.default_start(), config)
         except Exception as exc:  # surfaced per row, run the rest
             print(f"error: {name}: {type(exc).__name__}: {exc}", file=sys.stderr)
-            rows.append({"solver": name, "status": f"error({type(exc).__name__})",
-                         "qn_iters": 0, "ls_steps": 0, "f_evals": 0,
-                         "final_f": float("nan"), "final_gnorm_inf": float("nan"),
-                         "wall_time_s": time.perf_counter() - t0, "l2_error": "",
-                         "update_skips": 0, "tau_fallbacks": 0})
-            exit_code = 1
-            continue
+            trace, counters = None, Counters()
+            status = f"error({type(exc).__name__})"
+            final_f = final_gnorm_inf = float("nan")
+        else:
+            status, final_f, final_gnorm_inf = trace.status, state.f, norm_inf(state.g)
         wall = time.perf_counter() - t0
 
-        summary = {
-            "solver": name,
-            "problem": spec.problem,
-            "status": trace.status,
-            "qn_iters": counters.qn_iters,
-            "f_evals": counters.f_evals,
-            "g_evals": counters.g_evals,
-            "ls_steps": counters.ls_steps,
-            "update_skips": counters.update_skips,
-            "tau_fallbacks": counters.tau_fallbacks,
-            "final_f": state.f,
-            "final_gnorm_inf": norm_inf(state.g),
-        }
-        trace_path = out_dir / f"{spec.problem}_{name}.{spec.fmt}"
-        try:
-            emit_trace(trace, spec.fmt, trace_path, summary=summary)
-        except OSError as exc:
-            print(f"error: cannot write {trace_path}: {exc}", file=sys.stderr)
-            return 1
-
-        row = {"solver": name, "status": trace.status,
-               "qn_iters": counters.qn_iters, "ls_steps": counters.ls_steps,
-               "f_evals": counters.f_evals, "final_f": state.f,
-               "final_gnorm_inf": summary["final_gnorm_inf"],
-               "wall_time_s": wall,
-               "l2_error": problem.l2_error(state.x)
-               if isinstance(problem, PinnPoisson1D) else "",
-               "update_skips": counters.update_skips,
-               "tau_fallbacks": counters.tau_fallbacks}
-        rows.append(row)
-        if trace.status != "converged":
+        summary = {"solver": name, "problem": spec.problem, "status": status,
+                   **asdict(counters),
+                   "final_f": final_f, "final_gnorm_inf": final_gnorm_inf}
+        if trace is not None:
+            trace_path = out_dir / f"{spec.problem}_{name}.{spec.fmt}"
+            try:
+                emit_trace(trace, spec.fmt, trace_path, summary=summary)
+            except OSError as exc:
+                print(f"error: cannot write {trace_path}: {exc}", file=sys.stderr)
+                return 1
+        pinn = trace is not None and isinstance(problem, PinnPoisson1D)
+        rows.append(dict(summary, wall_time_s=wall,
+                         l2_error=problem.l2_error(state.x) if pinn else ""))
+        if status != "converged":
             exit_code = 1
 
     _write_summary(rows, out_dir / "summary.csv")

@@ -72,7 +72,9 @@ def norm_inf(v):
 
 
 def norm_2(v):
-    return float(np.linalg.norm(v))
+    """Euclidean norm of a 1-D float vector: the ``sqrt(dot(v, v))``
+    that ``np.linalg.norm`` computes for one, without its wrapper."""
+    return math.sqrt(float(np.dot(v, v)))
 
 
 class ObjectiveFunction:
@@ -80,8 +82,10 @@ class ObjectiveFunction:
 
     Subclasses set ``dimension`` and implement ``value_and_gradient``;
     ``value`` and ``gradient`` fall back to the combined evaluation.
-    Evaluations must be deterministic and raise :class:`EvaluationError`
-    on non-finite output rather than returning NaN/Inf.
+    Evaluations must be deterministic.  A direct call checks only that
+    ``x`` is a vector of length ``dimension`` (``_validated``) and
+    returns what it computes, NaN or Inf included; :func:`evaluate`,
+    the solver's door to the objective, is the checked call.
     """
 
     dimension: int
@@ -97,10 +101,3 @@ class ObjectiveFunction:
 
     def _validated(self, x):
         return as_vector(x, self.dimension)
-
-    def _checked(self, f, g):
-        """Validate an evaluation result, surfacing NaN/Inf explicitly."""
-        f = float(f)
-        if not np.isfinite(f) or not np.all(np.isfinite(g)):
-            raise EvaluationError(f"{type(self).__name__} produced a non-finite evaluation")
-        return f, g

@@ -6,12 +6,13 @@ brackets a suitable interval, followed by a zoom loop that shrinks the
 bracket with safeguarded cubic interpolation until a point satisfying
 the strong Wolfe conditions is found.
 
-The search works on the ray phi(alpha) = f(x + alpha*d) and requires
-phi'(0) = g0^T d < 0.  It does not test this: the caller guarantees it
-(``solver.step`` resets any non-descent direction to -g).  The only
-settings are the Wolfe constants c1 and c2, which the caller passes
-from its ``SolverConfig``; the first trial, the expansion cap and the
-two trial budgets are the module constants below.
+The search works on the ray phi(alpha) = f(x + alpha*d).  The caller
+passes phi(0) and phi'(0) = g0^T d, which it has already computed for
+its own descent test, and guarantees phi'(0) < 0 (``solver.step``
+resets any non-descent direction to -g); the search does not re-test
+it.  The only settings are the Wolfe constants c1 and c2, which the
+caller passes from its ``SolverConfig``; the first trial, the expansion
+cap and the two trial budgets are the module constants below.
 
 Every trial evaluates the objective value and gradient together, through
 the checked ``core.evaluate``, so the per-search evaluation count equals
@@ -112,20 +113,18 @@ def interpolate_trial(lo, hi):
     return min(max(alpha, lower), upper)
 
 
-def search(problem, x, d, f0, g0, c1, c2):
+def search(problem, x, d, f0, dphi0, c1, c2):
     """Find a step satisfying the strong Wolfe conditions along x + alpha*d.
 
-    ``f0`` and ``g0`` are the value and gradient at ``x``, which the
-    caller already paid for; ``g0^T d`` must be negative.  On success
-    the outcome status is WOLFE_SATISFIED.  If the iteration budget runs
-    out or the zoom bracket collapses, the best trial seen so far is
-    returned (preferring trials that satisfy sufficient decrease) with a
-    status describing why the search stopped, and
-    ``sufficient_decrease`` tells the caller whether that step passed
-    the Armijo test.
+    ``f0`` is the value at ``x`` and ``dphi0 = g0^T d`` the slope of the
+    ray there, both of which the caller already paid for; ``dphi0``
+    must be negative.  On success the outcome status is WOLFE_SATISFIED.
+    If the iteration budget runs out or the zoom bracket collapses, the
+    best trial seen so far is returned (preferring trials that satisfy
+    sufficient decrease) with a status describing why the search
+    stopped, and ``sufficient_decrease`` tells the caller whether that
+    step passed the Armijo test.
     """
-    dphi0 = float(np.dot(g0, d))
-
     n_evals = 0
     best_armijo = None
     smallest = None

@@ -42,7 +42,7 @@ class QuadraticProblem(ObjectiveFunction):
         x = self._validated(x)
         f = 0.5 * float(np.dot(self.diag * x, x))
         g = self.diag * x
-        return self._checked(f, g)
+        return f, g
 
     def default_start(self):
         return np.ones(self.dimension)
@@ -69,7 +69,7 @@ class RosenbrockProblem(ObjectiveFunction):
         g = np.empty_like(x)
         g[0::2] = -400.0 * a * gap - 2.0 * (1.0 - a)
         g[1::2] = 200.0 * gap
-        return self._checked(f, g)
+        return f, g
 
     def default_start(self):
         return np.tile([-1.2, 1.0], self.dimension // 2)
@@ -143,7 +143,7 @@ class PinnPoisson1D(ObjectiveFunction):
         g_b2 = g_b2 + float(np.sum(e)) / n_bnd
 
         g = np.concatenate([g_w1, g_b1, g_w2, [g_b2]])
-        return self._checked(loss, g)
+        return loss, g
 
     def network_values(self, x, points):
         """Evaluate the trial function at the given points."""

@@ -19,6 +19,11 @@ the run settings, ``solve``/``init_state`` coerce the start point with
 point's shape), and the line search reports whether its step passed
 sufficient decrease.  A search without such a step ends the run
 as ``line_search_failure``; a bad evaluation raises out of ``solve``.
+
+Each derived number of an iteration is computed once: ``step`` forms
+the slope g^T d for its descent test and hands it to the search as
+phi'(0), and the gradient's infinity norm in the iteration record is
+the one ``solve`` tests for convergence.
 """
 
 from dataclasses import dataclass, field
@@ -74,13 +79,20 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Iterate data: point, value, gradient, inverse-Hessian approximation."""
+    """Iterate data: point, value, gradient, inverse-Hessian approximation.
+
+    ``h_fresh`` is True while ``H`` is an identity the solver (re)started
+    from and no update has been applied to it since: at the start point
+    and after a reset.  Under ``scaled_identity`` such an ``H`` is
+    rescaled before it is updated.
+    """
 
     x: np.ndarray
     f: float
     g: np.ndarray
     H: np.ndarray
     k: int = 0
+    h_fresh: bool = True
 
 
 @dataclass
@@ -129,11 +141,6 @@ class ConvergenceTrace:
 Observer = Callable[[SolverState, np.ndarray, object, SolverState, IterationRecord], None]
 
 
-def convergence_check(g, tol):
-    """True iff the gradient infinity norm is at or below tol."""
-    return norm_inf(g) <= tol
-
-
 def init_state(problem, x0, config):
     """Evaluate the start point and set H to the identity.
 
@@ -142,8 +149,8 @@ def init_state(problem, x0, config):
     EvaluationError when the value or gradient is not finite.
 
     The scaled_identity strategy does not change H here; the scale
-    factor needs a (s, y) pair, so it is applied inside the first
-    iteration that performs an update.
+    factor needs a (s, y) pair, so ``step`` applies it to the fresh H
+    when it first updates it.
     """
     x = as_vector(x0, problem.dimension)
     f, g = evaluate(problem, x)
@@ -159,17 +166,21 @@ def step(state, problem, config, counters, observer=None):
     """
     n = state.x.shape[0]
     H = state.H
+    h_fresh = state.h_fresh
     d = -matvec(H, state.g)
+    dphi0 = float(np.dot(state.g, d))
     reset = False
-    if float(np.dot(d, state.g)) >= 0.0:
+    if dphi0 >= 0.0:
         # H no longer maps the gradient to a descent direction: restart
         # the curvature model from scratch.  The search relies on this
         # and does not re-test descent.
         H = np.eye(n)
+        h_fresh = True
         d = -state.g
+        dphi0 = float(np.dot(state.g, d))
         reset = True
 
-    outcome = search(problem, state.x, d, state.f, state.g, config.c1, config.c2)
+    outcome = search(problem, state.x, d, state.f, dphi0, config.c1, config.c2)
     counters.f_evals += outcome.n_evals
     counters.g_evals += outcome.n_evals
     counters.ls_steps += outcome.n_evals
@@ -185,12 +196,11 @@ def step(state, problem, config, counters, observer=None):
     x_new = state.x + s
 
     scale = 1.0
-    if (config.h0_scaling == "scaled_identity"
-            and counters.qn_iters == counters.update_skips):
-        # No update has been applied yet in this run: rescale the
-        # inherited H to match the observed curvature before the first
-        # update.  If the update ends up skipped the scaling is
-        # discarded with it.
+    if config.h0_scaling == "scaled_identity" and h_fresh:
+        # H is the identity the run (re)started from: rescale it to
+        # match the observed curvature before updating it (Nocedal &
+        # Wright, eq. 6.20).  If the update ends up skipped the scaling
+        # is discarded with it.
         yy = float(np.dot(y, y))
         if yy > 0.0:
             scale = float(np.dot(y, s)) / yy
@@ -200,7 +210,8 @@ def step(state, problem, config, counters, observer=None):
 
     counters.qn_iters += 1
     new_state = SolverState(x=x_new, f=outcome.f_new, g=outcome.g_new,
-                            H=update.H, k=state.k + 1)
+                            H=update.H, k=state.k + 1,
+                            h_fresh=h_fresh and update.skipped)
     record = IterationRecord(
         k=new_state.k, f=new_state.f,
         gnorm_inf=norm_inf(new_state.g), gnorm_2=norm_2(new_state.g),
@@ -226,8 +237,9 @@ def solve(problem, x0, config, observer=None):
     counters.f_evals += 1
     counters.g_evals += 1
     trace = ConvergenceTrace()
+    gnorm = norm_inf(state.g)
     while True:
-        if convergence_check(state.g, config.grad_tol):
+        if gnorm <= config.grad_tol:
             trace.status = "converged"
             break
         if state.k >= config.max_iters:
@@ -239,4 +251,5 @@ def solve(problem, x0, config, observer=None):
             trace.status = "line_search_failure"
             break
         trace.records.append(record)
+        gnorm = record.gnorm_inf
     return trace, state, counters

@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import matvec
+from .core import matvec, norm_2
 
 # Below this, a = b*h - 1 is treated as zero (s is H-parallel to y) and the
 # dynamic-theta bounds switch to their limit values.
@@ -133,7 +133,7 @@ def curvature_guard(s, y):
     rejected pair means the update is skipped and H carried over.
     """
     ys = float(np.dot(y, s))
-    return ys > CURVATURE_EPS * float(np.linalg.norm(s)) * float(np.linalg.norm(y))
+    return ys > CURVATURE_EPS * norm_2(s) * norm_2(y)
 
 
 def compute_base_coefficients(H, s, y, g_prev, alpha, scale=1.0):

@@ -66,12 +66,12 @@ def test_norms():
     assert norm_2(v) == 5.0
 
 
-class _NanObjective(ObjectiveFunction):
-    dimension = 2
-
-    def value_and_gradient(self, x):
-        x = self._validated(x)
-        return self._checked(float("nan"), x)
+@pytest.mark.parametrize("n", [1, 2, 25, 500])
+def test_norm_2_matches_numpy_bitwise(n):
+    rng = np.random.default_rng(n)
+    for magnitude in 10.0 ** np.arange(-150, 151, 25):
+        v = magnitude * rng.standard_normal(n)
+        assert norm_2(v).hex() == float(np.linalg.norm(v)).hex()
 
 
 class _SquareObjective(ObjectiveFunction):
@@ -79,12 +79,7 @@ class _SquareObjective(ObjectiveFunction):
 
     def value_and_gradient(self, x):
         x = self._validated(x)
-        return self._checked(float(x @ x), 2.0 * x)
-
-
-def test_checked_raises_on_non_finite():
-    with pytest.raises(EvaluationError):
-        _NanObjective().value_and_gradient([1.0, 2.0])
+        return float(x @ x), 2.0 * x
 
 
 def test_value_and_gradient_delegation():

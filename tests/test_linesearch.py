@@ -89,7 +89,7 @@ def test_search_quadratic_accepts_unit_step():
     x = np.array([3.0, 4.0])
     f0, g0 = quad.value_and_gradient(x)
     d = -np.linalg.solve(np.diag(quad.diag), g0)  # Newton step
-    out = search(quad, x, d, f0, g0, C1, C2)
+    out = search(quad, x, d, f0, float(g0 @ d), C1, C2)
     assert out.status is LineSearchStatus.WOLFE_SATISFIED
     assert out.sufficient_decrease
     assert out.alpha == 1.0
@@ -101,7 +101,7 @@ def test_search_rosenbrock_steepest_descent_pin():
     rosen = RosenbrockProblem(2)
     x = rosen.default_start()
     f0, g0 = rosen.value_and_gradient(x)
-    out = search(rosen, x, -g0, f0, g0, C1, C2)
+    out = search(rosen, x, -g0, f0, float(g0 @ -g0), C1, C2)
     assert out.status is LineSearchStatus.WOLFE_SATISFIED
     assert out.sufficient_decrease
     assert abs(out.alpha - 0.0007892073839786151) <= 1e-12
@@ -121,9 +121,9 @@ def test_search_eval_accounting_and_determinism():
     x = counted.inner.default_start()
     f0, g0 = counted.value_and_gradient(x)
     counted.calls = 0
-    out1 = search(counted, x, -g0, f0, g0, C1, C2)
+    out1 = search(counted, x, -g0, f0, float(g0 @ -g0), C1, C2)
     assert counted.calls == out1.n_evals
-    out2 = search(counted, x, -g0, f0, g0, C1, C2)
+    out2 = search(counted, x, -g0, f0, float(g0 @ -g0), C1, C2)
     assert out1.alpha == out2.alpha
     assert out1.f_new == out2.f_new
     assert out1.n_evals == out2.n_evals
@@ -136,7 +136,7 @@ def test_search_budget_exhaustion_falls_back(monkeypatch):
     rosen = RosenbrockProblem(2)
     x = rosen.default_start()
     f0, g0 = rosen.value_and_gradient(x)
-    out = search(rosen, x, -g0, f0, g0, C1, C2)
+    out = search(rosen, x, -g0, f0, float(g0 @ -g0), C1, C2)
     assert out.status is LineSearchStatus.MAX_ITERS_REACHED
     assert out.n_evals == 2
     assert 0.0 < out.alpha <= 1.0
@@ -153,7 +153,7 @@ def test_search_without_sufficient_decrease_says_so():
     prob = SteepValley()
     x = np.zeros(1)
     f0, g0 = prob.value_and_gradient(x)
-    out = search(prob, x, -g0, f0, g0, C1, C2)
+    out = search(prob, x, -g0, f0, float(g0 @ -g0), C1, C2)
     assert out.status is not LineSearchStatus.WOLFE_SATISFIED
     assert not out.sufficient_decrease
     assert out.f_new > f0 + 1e-4 * out.alpha * float(g0 @ -g0)
@@ -173,7 +173,7 @@ def test_search_expansion_pins_at_alpha_max(monkeypatch):
     prob = _LinearDrop()
     x = np.zeros(4)
     f0, g0 = prob.value_and_gradient(x)
-    out = search(prob, x, -g0, f0, g0, C1, C2)
+    out = search(prob, x, -g0, f0, float(g0 @ -g0), C1, C2)
     assert out.status is LineSearchStatus.MAX_ITERS_REACHED
     assert out.sufficient_decrease  # a fallback that kept an Armijo step
     assert out.alpha == 2.0 ** 19

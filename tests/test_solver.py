@@ -16,7 +16,7 @@ from ssbroyden import (
     make_rosenbrock,
     solve,
 )
-from ssbroyden.solver import convergence_check, step
+from ssbroyden.solver import step
 from ssbroyden.updates import propose_update
 
 from conftest import CountingObjective, SteepValley
@@ -103,11 +103,25 @@ def test_init_state_rejects_nonfinite():
 
 # ----------------------------------------------------------- convergence
 
-def test_convergence_check_boundary():
+class _Bowl:
+    """Duck-typed f(x) = x^T x / 2, whose gradient is x itself."""
+
+    dimension = 2
+
+    def value_and_gradient(self, x):
+        return 0.5 * float(x @ x), x.copy()
+
+
+def test_solve_converges_at_gradient_tolerance_boundary():
     tol = 1e-8
-    assert convergence_check(np.zeros(3), tol)
-    assert convergence_check(np.array([tol, 0.0]), tol)
-    assert not convergence_check(np.array([2 * tol, 0.0]), tol)
+    cfg = SolverConfig(variant="bfgs", grad_tol=tol)
+    trace, _, counters = solve(_Bowl(), [tol, -0.5 * tol], cfg)
+    assert trace.status == "converged"
+    assert trace.records == [] and counters.qn_iters == 0
+    trace, _, counters = solve(_Bowl(), [2 * tol, -0.5 * tol], cfg)
+    assert trace.status == "converged"
+    assert counters.qn_iters == len(trace.records) == 1
+    assert trace.records[0].gnorm_inf <= tol
 
 
 # ------------------------------------------------------------- one step
@@ -183,6 +197,26 @@ def test_indefinite_model_triggers_reset():
     assert record.reset
     assert np.allclose(new_state.x, 0.0, atol=1e-15)
     assert np.allclose(new_state.H, np.eye(2), atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", VARIANT_ORDER, ids=lambda v: v.value)
+def test_scaled_identity_rescales_identity_after_reset(variant):
+    # mid-run, after an applied update, an indefinite H forces a reset;
+    # the identity it restarts from is rescaled like the first H0
+    quad = make_quadratic(10)
+    cfg = SolverConfig(variant=variant, h0_scaling="scaled_identity")
+    counters = Counters()
+    state, _ = step(init_state(quad, quad.default_start(), cfg), quad, cfg, counters)
+    assert counters.update_skips == 0 and not state.h_fresh
+    state.H = -np.eye(10)
+    new_state, record = step(state, quad, cfg, counters)
+    assert record.reset and not record.skipped
+    s = record.alpha * -state.g
+    y = new_state.g - state.g
+    expected = propose_update(variant, np.eye(10), s, y, state.g, record.alpha,
+                              scale=float(y @ s) / float(y @ y))
+    assert np.array_equal(new_state.H, expected.H)
+    assert not new_state.h_fresh
 
 
 # -------------------------------------------------------- first-step H0

@@ -1,8 +1,8 @@
 """Smoke tests for the programs outside the package that drive it.
 
-The benchmark probe and the collocation script import the public API;
-running them here makes an API change that breaks either one fail the
-test suite instead of the benchmark run.
+The benchmark probe and the trajectory digest script import the public
+API; running them here makes an API change that breaks either one fail
+the test suite instead of the benchmark run or the bitwise check.
 """
 
 import os
@@ -30,9 +30,17 @@ def test_perfbench_probe_runs(workload, tmp_path):
     float(proc.stdout)  # the probe prints its clock reading
 
 
-def test_pinn_convergence_script_runs(tmp_path):
-    out = tmp_path / "out"
-    proc = run([str(ROOT / "scripts" / "pinn_convergence.py"),
-                "--iters", "2", "--out", str(out)], tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert (out / "loss_curves.csv").is_file()
+def test_digest_script_runs_and_compares(tmp_path):
+    digest = str(ROOT / "scripts" / "digest.py")
+    cells = ["quad10/bfgs/identity", "rosen2/ssbroyden/scaled_identity"]
+    runs = [run([digest, "--cells", *cells], tmp_path) for _ in range(2)]
+    for i, proc in enumerate(runs):
+        assert proc.returncode == 0, proc.stderr
+        assert [line.split()[0] for line in proc.stdout.splitlines()] == cells
+        (tmp_path / f"{i}.txt").write_text(proc.stdout)
+    same = run([digest, "--compare", "0.txt", "1.txt"], tmp_path)
+    assert (same.returncode, same.stdout) == (0, "2 cells identical\n")
+    (tmp_path / "1.txt").write_text(runs[1].stdout.replace(" ", " 0", 1))
+    differ = run([digest, "--compare", "0.txt", "1.txt"], tmp_path)
+    assert differ.returncode == 1
+    assert differ.stdout.startswith(f"first difference: {cells[0]} ")
