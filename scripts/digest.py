@@ -6,7 +6,9 @@ the counters, the terminal status and the bytes of the final x, g and H,
 so two builds that print the same digest for a cell followed the same
 trajectory to the last bit.  The cells are quad10, rosen2, rosen8 and
 pinn1d (m=8, N=32) x the six variants x {identity, scaled_identity},
-Rosenbrock n=500 with bfgs and ssbroyden, and two runs with c2=0.4.
+Rosenbrock n=500 with bfgs and ssbroyden, two runs with c2=0.4, and
+pinn1d (m=4, N=16) with ssdfp for 200 iterations, the one cell whose
+run skips updates (at the curvature guard).
 
 The bits depend on the numpy/BLAS build, so compare digests of two
 source trees made on one machine; do not keep them as golden values.
@@ -49,7 +51,10 @@ def cell_specs():
     specs += [("rosen2/bfgs/c2=0.4", problems["rosen2"],
                {"variant": "bfgs", "c2": 0.4}),
               ("rosen8/ssbroyden/c2=0.4", problems["rosen8"],
-               {"variant": "ssbroyden", "c2": 0.4})]
+               {"variant": "ssbroyden", "c2": 0.4}),
+              ("pinn1d-m4n16/ssdfp/identity",
+               lambda: ssbroyden.make_pinn1d(m=4, n_interior=16),
+               {"variant": "ssdfp", "max_iters": 200})]
     return specs
 
 

@@ -11,9 +11,8 @@ import csv
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from pathlib import Path
-from typing import List, Optional
 
 from .core import norm_inf
 from .problems import PinnPoisson1D, make_pinn1d, make_quadratic, make_rosenbrock
@@ -73,31 +72,15 @@ TRACE_SCHEMA = {
 }
 
 
-@dataclass
-class RunSpecification:
-    """Everything needed to reproduce a benchmark invocation."""
-
-    solvers: List[str]
-    problem: str
-    n: Optional[int] = None
-    m: int = 8
-    npoints: int = 32
-    tol: float = SolverConfig.grad_tol
-    max_iters: int = SolverConfig.max_iters
-    c1: float = SolverConfig.c1
-    c2: float = SolverConfig.c2
-    fmt: str = "csv"
-    out_dir: Path = field(default_factory=lambda: Path("."))
-
-
-def build_problem(spec):
-    if spec.problem == "quadratic":
-        return make_quadratic(spec.n if spec.n is not None else 10)
-    if spec.problem == "rosenbrock":
-        return make_rosenbrock(spec.n if spec.n is not None else 2)
-    if spec.problem == "pinn1d":
-        return make_pinn1d(m=spec.m, n_interior=spec.npoints)
-    raise ValueError(f"unknown problem {spec.problem!r}")
+def build_problem(args):
+    """The problem named by the parsed ``bench`` arguments."""
+    if args.problem == "quadratic":
+        return make_quadratic(args.n if args.n is not None else 10)
+    if args.problem == "rosenbrock":
+        return make_rosenbrock(args.n if args.n is not None else 2)
+    if args.problem == "pinn1d":
+        return make_pinn1d(m=args.m, n_interior=args.npoints)
+    raise ValueError(f"unknown problem {args.problem!r}")
 
 
 def _fmt(value):
@@ -135,18 +118,19 @@ def emit_trace(trace, fmt, path, summary=None):
         raise ValueError(f"unknown trace format {fmt!r}")
 
 
-def run_benchmark(spec):
-    """Execute the requested runs; returns the process exit code."""
+def run_benchmark(args, solvers):
+    """Run each named solver on the problem of the parsed ``bench``
+    arguments; returns the process exit code."""
     try:
-        problem = build_problem(spec)
-        configs = [SolverConfig(variant=name, grad_tol=spec.tol,
-                                max_iters=spec.max_iters, c1=spec.c1, c2=spec.c2)
-                   for name in spec.solvers]
+        problem = build_problem(args)
+        configs = [SolverConfig(variant=name, grad_tol=args.tol,
+                                max_iters=args.max_iters, c1=args.c1, c2=args.c2)
+                   for name in solvers]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    out_dir = Path(spec.out_dir)
+    out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -155,7 +139,7 @@ def run_benchmark(spec):
 
     rows = []
     exit_code = 0
-    for name, config in zip(spec.solvers, configs):
+    for name, config in zip(solvers, configs):
         t0 = time.perf_counter()
         try:
             trace, state, counters = solve(problem, problem.default_start(), config)
@@ -168,13 +152,13 @@ def run_benchmark(spec):
             status, final_f, final_gnorm_inf = trace.status, state.f, norm_inf(state.g)
         wall = time.perf_counter() - t0
 
-        summary = {"solver": name, "problem": spec.problem, "status": status,
+        summary = {"solver": name, "problem": args.problem, "status": status,
                    **asdict(counters),
                    "final_f": final_f, "final_gnorm_inf": final_gnorm_inf}
         if trace is not None:
-            trace_path = out_dir / f"{spec.problem}_{name}.{spec.fmt}"
+            trace_path = out_dir / f"{args.problem}_{name}.{args.format}"
             try:
-                emit_trace(trace, spec.fmt, trace_path, summary=summary)
+                emit_trace(trace, args.format, trace_path, summary=summary)
             except OSError as exc:
                 print(f"error: cannot write {trace_path}: {exc}", file=sys.stderr)
                 return 1
@@ -185,7 +169,7 @@ def run_benchmark(spec):
             exit_code = 1
 
     _write_summary(rows, out_dir / "summary.csv")
-    _print_summary(spec, rows)
+    _print_summary(args, rows)
     return exit_code
 
 
@@ -209,8 +193,8 @@ def _write_summary(rows, path):
             ])
 
 
-def _print_summary(spec, rows):
-    print(f"problem: {spec.problem}  tol: {spec.tol:g}  max_iters: {spec.max_iters}")
+def _print_summary(args, rows):
+    print(f"problem: {args.problem}  tol: {args.tol:g}  max_iters: {args.max_iters}")
     header = (f"{'solver':<10} {'status':<20} {'iters':>6} {'ls':>6} "
               f"{'fevals':>7} {'skips':>6} {'taufb':>6} {'final_f':>13} "
               f"{'gnorm_inf':>13} {'time_s':>9}")
@@ -254,11 +238,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     solvers = list(SOLVER_NAMES) if args.solver == "all" else [args.solver]
-    spec = RunSpecification(
-        solvers=solvers, problem=args.problem, n=args.n, m=args.m,
-        npoints=args.npoints, tol=args.tol, max_iters=args.max_iters,
-        c1=args.c1, c2=args.c2, fmt=args.format, out_dir=Path(args.out))
-    return run_benchmark(spec)
+    return run_benchmark(args, solvers)
 
 
 if __name__ == "__main__":

@@ -17,8 +17,14 @@ the run settings, ``solve``/``init_state`` coerce the start point with
 ``as_vector``, every objective evaluation goes through
 ``core.evaluate`` (finite value and gradient, gradient of the start
 point's shape), and the line search reports whether its step passed
-sufficient decrease.  A search without such a step ends the run
-as ``line_search_failure``; a bad evaluation raises out of ``solve``.
+sufficient decrease.
+
+Events inside an iteration are values, not exceptions: ``step``
+returns None for a search without a sufficient-decrease step, which
+ends the run as ``line_search_failure``, and the update chain reports a
+skip reason.  Exceptions are kept for what leaves ``solve``:
+``DimensionMismatchError`` and ``EvaluationError`` from an evaluation
+and ``ValueError`` from ``SolverConfig``.
 
 Each derived number of an iteration is computed once: ``step`` forms
 the slope g^T d for its descent test and hands it to the search as
@@ -36,10 +42,6 @@ from .linesearch import search
 from .updates import UpdateVariant, propose_update
 
 H0_SCALINGS = ("identity", "scaled_identity")
-
-
-class LineSearchStallError(RuntimeError):
-    """The line search found no point of sufficient decrease."""
 
 
 @dataclass(frozen=True)
@@ -160,9 +162,9 @@ def init_state(problem, x0, config):
 def step(state, problem, config, counters, observer=None):
     """One outer iteration; returns (new_state, record).
 
-    Mutates counters in place.  Raises LineSearchStallError when the
-    search cannot produce even a sufficient-decrease point; counters
-    are still charged for the failed search so accounting stays exact.
+    Mutates counters in place.  Returns None when the search cannot
+    produce even a sufficient-decrease point; counters are still charged
+    for the failed search so accounting stays exact.
     """
     n = state.x.shape[0]
     H = state.H
@@ -186,9 +188,7 @@ def step(state, problem, config, counters, observer=None):
     counters.ls_steps += outcome.n_evals
 
     if not outcome.sufficient_decrease:
-        raise LineSearchStallError(
-            f"line search stalled ({outcome.status.value}) with no "
-            f"sufficient-decrease point at iteration {state.k + 1}")
+        return None
 
     alpha = outcome.alpha
     s = alpha * d
@@ -205,18 +205,19 @@ def step(state, problem, config, counters, observer=None):
         if yy > 0.0:
             scale = float(np.dot(y, s)) / yy
     update = propose_update(config.variant, H, s, y, state.g, alpha, scale=scale)
-    counters.update_skips += update.skipped
+    skipped = update.skip_reason is not None
+    counters.update_skips += skipped
     counters.tau_fallbacks += update.tau_fallback
 
     counters.qn_iters += 1
     new_state = SolverState(x=x_new, f=outcome.f_new, g=outcome.g_new,
                             H=update.H, k=state.k + 1,
-                            h_fresh=h_fresh and update.skipped)
+                            h_fresh=h_fresh and skipped)
     record = IterationRecord(
         k=new_state.k, f=new_state.f,
         gnorm_inf=norm_inf(new_state.g), gnorm_2=norm_2(new_state.g),
         alpha=alpha, theta=update.theta, tau=update.tau,
-        ls_evals=outcome.n_evals, skipped=update.skipped,
+        ls_evals=outcome.n_evals, skipped=skipped,
         tau_fallback=update.tau_fallback, reset=reset)
     if observer is not None:
         observer(state, d, outcome, new_state, record)
@@ -245,11 +246,11 @@ def solve(problem, x0, config, observer=None):
         if state.k >= config.max_iters:
             trace.status = "max_iters"
             break
-        try:
-            state, record = step(state, problem, config, counters, observer=observer)
-        except LineSearchStallError:
+        result = step(state, problem, config, counters, observer=observer)
+        if result is None:
             trace.status = "line_search_failure"
             break
+        state, record = result
         trace.records.append(record)
         gnorm = record.gnorm_inf
     return trace, state, counters

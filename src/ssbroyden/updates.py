@@ -20,6 +20,13 @@ kernel picks its terms from ``phi``, not from the variant: ``phi == 1``
 into ``s (Hy)^T`` cross terms; ``phi == 0`` (DFP) drops the ``v`` term;
 any other ``phi`` adds it.
 
+Every event of the chain is a value, not an exception: a step that
+fails a guard returns None, and :func:`propose_update` turns that None
+into a skip reason or the ``tau = 1`` fallback.  Exceptions are kept
+for what leaves ``solve``: ``DimensionMismatchError`` and
+``EvaluationError`` from an evaluation and ``ValueError`` from
+``SolverConfig``.
+
 The kernel works in two n x n buffers, the result and one scratch
 matrix, and builds each term in place; it allocates nothing else of
 size n x n and keeps nothing between calls.  It applies the terms in a
@@ -51,18 +58,6 @@ PHI_DENOM_EPS = 1e-12
 TAU_MIN = 1e-8
 # Relative threshold of the curvature guard.
 CURVATURE_EPS = 1e-10
-
-
-class LostPositiveDefinitenessError(RuntimeError):
-    """y^T H y <= 0: the inverse-Hessian approximation is no longer SPD."""
-
-
-class SingularUpdateError(RuntimeError):
-    """The phi denominator vanished; the update would be singular."""
-
-
-class ScalingDegeneracyError(RuntimeError):
-    """The computed tau is non-positive, tiny, or non-finite."""
 
 
 class UpdateVariant(enum.Enum):
@@ -97,6 +92,7 @@ VARIANT_ORDER = tuple(UpdateVariant)
 class UpdateCoefficients:
     """Curvature ratios and vectors of one accepted step."""
 
+    ys: float           # y^T s
     rho: float          # 1 / (y^T s)
     h: float            # (y^T H y) / (y^T s)
     b: float            # (s^T B s) / (y^T s), via the direction identity
@@ -104,15 +100,16 @@ class UpdateCoefficients:
     c: float            # sqrt(a / (1 + a)), 0 in the degenerate case
     Hy: np.ndarray      # H y
     yHy: float          # y^T H y
-    v: np.ndarray       # s/(y^T s) - Hy/yHy
 
 
 @dataclass(frozen=True)
 class UpdateResult:
     """Outcome of :func:`propose_update` for one iteration.
 
+    ``skip_reason`` is None for an applied update, else why it was
+    skipped: ``"curvature_guard"``, ``"not_spd"`` or ``"singular_phi"``.
     ``H`` is the updated matrix, or the input matrix unchanged when
-    ``skipped``.  ``theta`` and ``tau`` are the values used (0 and 1 when
+    skipped.  ``theta`` and ``tau`` are the values used (0 and 1 when
     the chain stopped before computing them); ``coeffs`` is None when the
     chain stopped before the base coefficients.
     """
@@ -120,7 +117,7 @@ class UpdateResult:
     H: np.ndarray
     theta: float = 0.0
     tau: float = 1.0
-    skipped: bool = False
+    skip_reason: Optional[str] = None
     tau_fallback: bool = False
     coeffs: Optional[UpdateCoefficients] = None
 
@@ -147,55 +144,56 @@ def compute_base_coefficients(H, s, y, g_prev, alpha, scale=1.0):
     is divided by ``scale``.
 
     Requires ``y^T s > 0``, which :func:`curvature_guard` establishes
-    before this is called, and positive-definite ``H``.
+    before this is called.  Returns None when ``y^T H y <= 0``, that is
+    when ``H`` is no longer positive definite.
     """
     ys = float(np.dot(y, s))
     Hy = matvec(H, y)
     yHy = float(np.dot(y, Hy))
     if yHy <= 0.0:
-        raise LostPositiveDefinitenessError(f"y^T H y = {yHy:g} <= 0")
+        return None
     rho = 1.0 / ys
     h = yHy / ys
     b = -alpha * float(np.dot(s, g_prev)) / ys / scale
     # Cauchy-Schwarz in the H inner product gives b*h >= 1 up to rounding.
     a = max(b * h - 1.0, 0.0)
     c = 0.0 if a < A_DEGENERATE else math.sqrt(a / (1.0 + a))
-    v = s / ys - Hy / yHy
-    return UpdateCoefficients(rho=rho, h=h, b=b, a=a, c=c, Hy=Hy, yHy=yHy, v=v)
+    return UpdateCoefficients(ys=ys, rho=rho, h=h, b=b, a=a, c=c, Hy=Hy, yHy=yHy)
 
 
 def compute_theta(variant, coeffs):
-    """Mixing parameter and its clamp interval.
+    """Mixing parameter theta of the variant.
 
-    Returns ``(theta, theta_minus, theta_plus, rho_minus)``.  Fixed-theta
-    variants report placeholder bounds (0, 0) and ``rho_minus = 1``.  The
-    dynamic variants clamp ``(1 - b)/b`` into ``[theta_minus, theta_plus]``;
-    when ``a`` is degenerate the lower bound collapses to 0 and the clamp
-    keeps the update inside the convex class.
+    Fixed-theta variants return their 0 or 1.  The dynamic variants clamp
+    ``(1 - b)/b`` into ``[theta_minus, theta_plus]`` with
+    ``rho_minus = min(1, h (1 - c))``, ``theta_minus = (rho_minus - 1)/a``
+    and ``theta_plus = 1/rho_minus``; when ``a`` is degenerate the lower
+    bound collapses to 0 and the clamp keeps the update inside the
+    convex class.
     """
     fixed = variant.fixed_theta
     if fixed is not None:
-        return fixed, 0.0, 0.0, 1.0
+        return fixed
     rho_minus = min(1.0, coeffs.h * (1.0 - coeffs.c))
     theta_minus = 0.0 if coeffs.a < A_DEGENERATE else (rho_minus - 1.0) / coeffs.a
-    theta_plus = 1.0 / rho_minus
-    theta = max(theta_minus, min(theta_plus, (1.0 - coeffs.b) / coeffs.b))
-    return theta, theta_minus, theta_plus, rho_minus
+    return max(theta_minus, min(1.0 / rho_minus, (1.0 - coeffs.b) / coeffs.b))
 
 
 def compute_tau(variant, theta, coeffs, n):
     """Scale factor for the inherited curvature term.
 
-    Returns ``(tau, sigma, sigma_pow, rho_plus)``; ``tau = 1`` for the
-    unscaled variants.  ``sigma_pow = |sigma|^(1/(1-n))`` attenuates with
-    dimension; for ``n = 1`` the exponent is undefined and ``sigma_pow``
-    is taken as 1, and ``sigma = 0`` gives ``sigma_pow = 0`` so the
-    min() selects a finite alternative.
+    Returns 1 for the unscaled variants.  The self-scaled ones combine
+    ``rho_plus = min(1, 1/b)``, ``sigma = 1 + theta a`` and
+    ``sigma_pow = |sigma|^(1/(1-n))``, which attenuates with dimension;
+    for ``n = 1`` the exponent is undefined and ``sigma_pow`` is taken as
+    1, and ``sigma = 0`` gives ``sigma_pow = 0`` so the min() selects a
+    finite alternative.
 
-    Raises :class:`ScalingDegeneracyError` when the computed ``tau`` is
-    non-finite or not safely positive; the caller is expected to fall
-    back to ``tau = 1`` for the iteration.
+    Returns None when the computed ``tau`` is non-finite or not safely
+    positive; the caller falls back to ``tau = 1`` for the iteration.
     """
+    if not variant.self_scaled:
+        return 1.0
     rho_plus = min(1.0, 1.0 / coeffs.b)
     sigma = 1.0 + theta * coeffs.a
     if n == 1:
@@ -204,22 +202,20 @@ def compute_tau(variant, theta, coeffs, n):
         sigma_pow = 0.0
     else:
         sigma_pow = abs(sigma) ** (1.0 / (1.0 - n))
-    if not variant.self_scaled:
-        return 1.0, sigma, sigma_pow, rho_plus
     if theta <= 0.0:
         tau = min(rho_plus * sigma_pow, sigma)
     else:
         tau = rho_plus * min(sigma_pow, 1.0 / theta)
     if not math.isfinite(tau) or tau <= TAU_MIN:
-        raise ScalingDegeneracyError(f"tau = {tau:g} is unusable")
-    return tau, sigma, sigma_pow, rho_plus
+        return None
+    return tau
 
 
 def compute_phi(theta, h, b):
-    """Weight of the v v^T term; guards against a vanishing denominator."""
+    """Weight of the v v^T term, or None when its denominator vanishes."""
     denom = 1.0 + (h * b - 1.0) * theta
     if abs(denom) <= PHI_DENOM_EPS:
-        raise SingularUpdateError(f"phi denominator {denom:g} is within tolerance of zero")
+        return None
     return (1.0 - theta) / denom
 
 
@@ -235,7 +231,8 @@ def apply_update(H, s, coeffs, phi, tau):
       ``out += (rho^2 y^T H y) s s^T``;
     * otherwise: ``tmp = (Hy)(Hy)^T``, ``tmp /= y^T H y``,
       ``out = H - tmp``, and ``out += (phi y^T H y) v v^T`` when
-      ``phi != 0``;
+      ``phi != 0``, with ``v = s / (y^T s) - Hy / (y^T H y)`` formed
+      only in that branch;
     * then ``out /= tau`` (skipped for ``tau == 1``, where the division
       is exact) and ``out += rho s s^T``.
 
@@ -261,7 +258,8 @@ def apply_update(H, s, coeffs, phi, tau):
         tmp /= coeffs.yHy
         out = H - tmp
         if phi != 0.0:
-            np.multiply.outer(coeffs.v, coeffs.v, out=tmp)
+            v = s / coeffs.ys - coeffs.Hy / coeffs.yHy
+            np.multiply.outer(v, v, out=tmp)
             tmp *= phi * coeffs.yHy
             out += tmp
     if tau != 1.0:
@@ -278,26 +276,24 @@ def propose_update(variant, H, s, y, g_prev, alpha, scale=1.0):
     ``H`` is the matrix that produced the step ``s = alpha * (-H g_prev)``;
     the update is applied to ``scale * H``.  A pair that fails the
     guard, a lost positive definiteness or a singular ``phi`` yields
-    ``skipped=True`` with ``H`` returned unchanged; a degenerate ``tau``
+    ``skip_reason`` ``"curvature_guard"``, ``"not_spd"`` or
+    ``"singular_phi"`` with ``H`` returned unchanged; an unusable ``tau``
     falls back to 1 with ``tau_fallback=True``.
     """
     if not curvature_guard(s, y):
-        return UpdateResult(H=H, skipped=True)
+        return UpdateResult(H=H, skip_reason="curvature_guard")
     H_work = H if scale == 1.0 else H * scale
-    try:
-        coeffs = compute_base_coefficients(H_work, s, y, g_prev, alpha, scale)
-    except LostPositiveDefinitenessError:
-        return UpdateResult(H=H, skipped=True)
-    theta = compute_theta(variant, coeffs)[0]
-    tau_fallback = False
-    try:
-        tau = compute_tau(variant, theta, coeffs, s.shape[0])[0]
-    except ScalingDegeneracyError:
-        tau, tau_fallback = 1.0, True
-    try:
-        phi = compute_phi(theta, coeffs.h, coeffs.b)
-    except SingularUpdateError:
-        return UpdateResult(H=H, theta=theta, tau=tau, skipped=True,
+    coeffs = compute_base_coefficients(H_work, s, y, g_prev, alpha, scale)
+    if coeffs is None:
+        return UpdateResult(H=H, skip_reason="not_spd")
+    theta = compute_theta(variant, coeffs)
+    tau = compute_tau(variant, theta, coeffs, s.shape[0])
+    tau_fallback = tau is None
+    if tau_fallback:
+        tau = 1.0
+    phi = compute_phi(theta, coeffs.h, coeffs.b)
+    if phi is None:
+        return UpdateResult(H=H, theta=theta, tau=tau, skip_reason="singular_phi",
                             tau_fallback=tau_fallback, coeffs=coeffs)
     return UpdateResult(H=apply_update(H_work, s, coeffs, phi, tau), theta=theta,
                         tau=tau, tau_fallback=tau_fallback, coeffs=coeffs)

@@ -50,7 +50,7 @@ def propose(variant, inst):
     """propose_update on one instance; the instances never hit a skip."""
     result = propose_update(variant, inst["H"], inst["s"], inst["y"],
                             inst["g_prev"], inst["alpha"])
-    assert not result.skipped
+    assert result.skip_reason is None
     return result
 
 
@@ -80,7 +80,8 @@ def expression_update(H, s, coeffs, phi, tau):
     else:
         core = H - np.outer(coeffs.Hy, coeffs.Hy) / coeffs.yHy
         if phi != 0.0:
-            core = core + (phi * coeffs.yHy) * np.outer(coeffs.v, coeffs.v)
+            v = s / coeffs.ys - coeffs.Hy / coeffs.yHy
+            core = core + (phi * coeffs.yHy) * np.outer(v, v)
     return core / tau + rho * np.outer(s, s)
 
 

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written with different algorithms or
 different algebra than the library code it checks: a double-loop
-matrix-vector product, a Gaussian-elimination linear solver, a cyclic
+matrix-vector product, a Gaussian-elimination linear solver, the
+dynamic-theta clamp interval from an explicitly solved ``b``, a cyclic
 Jacobi eigenvalue routine, and a self-contained textbook BFGS
 minimizer (Woodbury-form update, its own bracketing/zoom search with
 the cubic solved through a normalized quadratic-formula root).  None of
@@ -46,6 +47,26 @@ def gaussian_solve(a, b):
     for col in range(n - 1, -1, -1):
         x[col] = (x[col] - np.dot(a[col, col + 1:], x[col + 1:])) / a[col, col]
     return x
+
+
+def theta_bounds(H, s, y):
+    """Clamp interval [theta-, theta+] of the dynamic mixing parameter.
+
+    ``b = s^T H^-1 s / y^T s`` comes from :func:`gaussian_solve` instead
+    of the direction identity, and ``h = y^T H y / y^T s`` from plain
+    numpy products.  With ``a = b h - 1``, ``c = sqrt(a / (1 + a))`` and
+    ``rho- = min(1, h (1 - c))`` the bounds are ``(rho- - 1) / a`` and
+    ``1 / rho-``.  Returns ``(theta_minus, theta_plus, a)``; the bounds
+    are None when ``a <= 0``, where the closed forms break down.
+    """
+    ys = float(y @ s)
+    h = float(y @ (H @ y)) / ys
+    b = float(s @ gaussian_solve(H, s)) / ys
+    a = b * h - 1.0
+    if a <= 0.0:
+        return None, None, a
+    rho_minus = min(1.0, h * (1.0 - math.sqrt(a / (1.0 + a))))
+    return (rho_minus - 1.0) / a, 1.0 / rho_minus, a
 
 
 def jacobi_eigenvalues(a, tol=1e-12, max_sweeps=100):

@@ -11,7 +11,6 @@ from ssbroyden.cli import (
     SUMMARY_COLUMNS,
     TRACE_COLUMNS,
     TRACE_SCHEMA,
-    RunSpecification,
     build_parser,
     emit_trace,
     main,
@@ -224,10 +223,8 @@ def test_parser_defaults():
     assert args.tol == 1e-8
     assert args.max_iters == 1000
     assert (args.c1, args.c2) == (1e-4, 0.9)
-    # one source: the CLI and RunSpecification take the library's defaults
+    # one source: the CLI takes the library's defaults
     lib = SolverConfig(variant="bfgs")
-    spec = RunSpecification(solvers=["bfgs"], problem="quadratic")
-    for run in (args, spec):
-        assert (run.tol, run.max_iters, run.c1, run.c2) == (
-            lib.grad_tol, lib.max_iters, lib.c1, lib.c2)
+    assert (args.tol, args.max_iters, args.c1, args.c2) == (
+        lib.grad_tol, lib.max_iters, lib.c1, lib.c2)
     assert args.format == "csv"

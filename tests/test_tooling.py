@@ -32,14 +32,15 @@ def test_perfbench_probe_runs(workload, tmp_path):
 
 def test_digest_script_runs_and_compares(tmp_path):
     digest = str(ROOT / "scripts" / "digest.py")
-    cells = ["quad10/bfgs/identity", "rosen2/ssbroyden/scaled_identity"]
+    cells = ["quad10/bfgs/identity", "rosen2/ssbroyden/scaled_identity",
+             "pinn1d-m4n16/ssdfp/identity"]
     runs = [run([digest, "--cells", *cells], tmp_path) for _ in range(2)]
     for i, proc in enumerate(runs):
         assert proc.returncode == 0, proc.stderr
         assert [line.split()[0] for line in proc.stdout.splitlines()] == cells
         (tmp_path / f"{i}.txt").write_text(proc.stdout)
     same = run([digest, "--compare", "0.txt", "1.txt"], tmp_path)
-    assert (same.returncode, same.stdout) == (0, "2 cells identical\n")
+    assert (same.returncode, same.stdout) == (0, "3 cells identical\n")
     (tmp_path / "1.txt").write_text(runs[1].stdout.replace(" ", " 0", 1))
     differ = run([digest, "--compare", "0.txt", "1.txt"], tmp_path)
     assert differ.returncode == 1
