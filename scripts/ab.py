@@ -1,0 +1,178 @@
+"""Alternating A/B benchmark pairs of two commits: medians, IQRs, wins.
+
+Extracts ``git archive <rev>`` of a parent and a change commit into two
+temporary directories, then runs ``perfbench/run.py --trace 0`` in each,
+``--pairs`` times per workload.  The two sides of a pair run back to
+back, and the side that runs first alternates from pair to pair, so a
+drift of the host's speed falls on both sides alike.
+
+    python3 scripts/ab.py HEAD~1 HEAD --slug my_change --pairs 10 --seconds 20
+
+For every gated end-to-end metric of the change's ``BENCHMARK.json`` it
+prints, per workload, the median of each side, the ratio of the
+medians, the interquartile ranges (``statistics.quantiles(values, n=4)``)
+and the number of pairs the change won.  ``gain`` is True when the
+change won at least nine pairs in ten and its median beats the parent's
+by more than the parent's IQR.  Everything, every value of every run
+included, goes to ``BENCH_<slug>.json`` at the root of the repository,
+with both commits, the git tree of each side's ``src`` and the
+environment.  ``--repo`` names another repository than the one holding
+this script.  Exits 1 when a run fails or reports failed solves.
+"""
+
+import argparse
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+RUN_TIMEOUT_S = 900
+
+
+def git(repo, *args):
+    return subprocess.run(["git", "-C", str(repo), *args], check=True,
+                          capture_output=True).stdout
+
+
+def describe(repo, rev):
+    """Commit and ``src`` tree of ``rev``."""
+    commit = git(repo, "rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+    tree = subprocess.run(["git", "-C", str(repo), "rev-parse", f"{commit}:src"],
+                          capture_output=True, text=True).stdout.strip()
+    return {"rev": rev, "commit": commit, "src_tree": tree or None}
+
+
+def extract(repo, commit, dest):
+    with tarfile.open(fileobj=io.BytesIO(git(repo, "archive", commit))) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def run_perfbench(tree, workload, seed, seconds):
+    """The result object perfbench prints last: correct, failed, metrics."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
+         str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True,
+        timeout=RUN_TIMEOUT_S + seconds)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode not in (0, 1) or not lines:
+        raise RuntimeError(f"perfbench {workload} in {tree} exited "
+                           f"{done.returncode}:\n{done.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def quartile_range(values):
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def summarize(entry, parent, change):
+    """Medians, IQRs, wins and verdict of one metric over paired runs."""
+    sign = 1.0 if entry["better"] == "lower" else -1.0
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    p_iqr = quartile_range(parent)
+    wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    return {
+        "unit": entry["unit"], "better": entry["better"],
+        "parent": parent, "change": change,
+        "parent_median": p_med, "change_median": c_med,
+        "ratio": c_med / p_med if p_med else None,
+        "parent_iqr": p_iqr, "change_iqr": quartile_range(change),
+        "wins": wins, "pairs": len(parent),
+        "gain": wins >= 0.9 * len(parent) and sign * (p_med - c_med) > p_iqr,
+    }
+
+
+def environment():
+    cpu = "unknown"
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    import numpy
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "platform": platform.platform(), "cpu": cpu,
+            "nproc": len(os.sched_getaffinity(0))}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", help="revision of the parent side")
+    parser.add_argument("change", help="revision of the change side")
+    parser.add_argument("--slug", required=True, help="names BENCH_<slug>.json")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--workloads", nargs="+", metavar="NAME",
+                        help="default: every workload of BENCHMARK.json")
+    parser.add_argument("--repo", type=Path, default=ROOT)
+    args = parser.parse_args(argv)
+    if args.pairs < 1 or not args.seconds > 0:
+        parser.error("--pairs must be at least 1 and --seconds positive")
+
+    commits = {"parent": describe(args.repo, args.parent),
+               "change": describe(args.repo, args.change)}
+    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
+        trees = {side: Path(tmp) / side for side in SIDES}
+        for side in SIDES:
+            extract(args.repo, commits[side]["commit"], trees[side])
+        spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+        names = args.workloads or [w["name"] for w in spec["workloads"]]
+        runs = {name: {side: [] for side in SIDES} for name in names}
+        for name in names:
+            for pair in range(args.pairs):
+                order = SIDES if pair % 2 == 0 else SIDES[::-1]
+                for side in order:
+                    result = run_perfbench(trees[side], name, args.seed, args.seconds)
+                    runs[name][side].append(result)
+                    print(f"{name} pair {pair + 1}/{args.pairs} {side}: "
+                          + json.dumps(result["metrics"]), flush=True)
+
+    status = 0
+    report = {}
+    for name in names:
+        by_side = runs[name]
+        failed = {side: [r["failed"] for r in by_side[side]] for side in SIDES}
+        if any(failed[side]) or not all(r["correct"] for s in SIDES for r in by_side[s]):
+            status = 1
+        metrics = {}
+        for entry in spec["end_to_end"]:
+            values = {side: [r["metrics"][entry["name"]]["value"] for r in by_side[side]]
+                      for side in SIDES}
+            metrics[entry["name"]] = summarize(entry, values["parent"], values["change"])
+        report[name] = {"failed": failed, "metrics": metrics}
+
+    print(f"\n{'workload':<16}{'metric':<15}{'parent':>12}{'change':>12}"
+          f"{'ratio':>8}{'IQR p':>11}{'IQR c':>11}{'wins':>7}  gain")
+    for name, entry in report.items():
+        for metric, m in entry["metrics"].items():
+            ratio = f"{m['ratio']:.3f}" if m["ratio"] is not None else "-"
+            print(f"{name:<16}{metric:<15}{m['parent_median']:>12.6g}"
+                  f"{m['change_median']:>12.6g}{ratio:>8}{m['parent_iqr']:>11.4g}"
+                  f"{m['change_iqr']:>11.4g}{m['wins']:>4}/{m['pairs']:<2}  {m['gain']}")
+
+    out = args.repo / f"BENCH_{args.slug}.json"
+    out.write_text(json.dumps({
+        "slug": args.slug, "commits": commits, "environment": environment(),
+        "protocol": {"pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
+                     "command": "perfbench/run.py --trace 0",
+                     "order": "alternating; the parent runs first in odd pairs"},
+        "workloads": report}, indent=1) + "\n")
+    print(f"wrote {out}")
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,9 +6,16 @@ the counters, the terminal status and the bytes of the final x, g and H,
 so two builds that print the same digest for a cell followed the same
 trajectory to the last bit.  The cells are quad10, rosen2, rosen8 and
 pinn1d (m=8, N=32) x the six variants x {identity, scaled_identity},
-Rosenbrock n=500 with bfgs and ssbroyden, two runs with c2=0.4, and
+Rosenbrock n=500 with bfgs, ssbfgs and ssbroyden, two runs with c2=0.4,
 pinn1d (m=4, N=16) with ssdfp for 200 iterations, the one cell whose
-run skips updates (at the curvature guard).
+run skips updates (at the curvature guard), and pinn1d (m=64, N=512)
+with bfgs and ssbroyden for 60 iterations: 56 cells.
+
+The large cells split the update kernel into several row panels with a
+short last one (n=500 into 32-row panels, n=193 into 84/84/25 rows);
+rosen500/ssbfgs is the one run that takes the phi == 1 branch with
+tau != 1 there, and the m=64 cells run the network workspace at its
+benchmark size with phi in {0, 1, general}.
 
 The bits depend on the numpy/BLAS build, so compare digests of two
 source trees made on one machine; do not keep them as golden values.
@@ -47,7 +54,7 @@ def cell_specs():
              for variant in VARIANTS for scaling in SCALINGS]
     specs += [(f"rosen500/{variant}/identity",
                lambda: ssbroyden.make_rosenbrock(500), {"variant": variant})
-              for variant in ("bfgs", "ssbroyden")]
+              for variant in ("bfgs", "ssbfgs", "ssbroyden")]
     specs += [("rosen2/bfgs/c2=0.4", problems["rosen2"],
                {"variant": "bfgs", "c2": 0.4}),
               ("rosen8/ssbroyden/c2=0.4", problems["rosen8"],
@@ -55,6 +62,10 @@ def cell_specs():
               ("pinn1d-m4n16/ssdfp/identity",
                lambda: ssbroyden.make_pinn1d(m=4, n_interior=16),
                {"variant": "ssdfp", "max_iters": 200})]
+    specs += [(f"pinn1d-m64n512/{variant}/identity",
+               lambda: ssbroyden.make_pinn1d(m=64, n_interior=512),
+               {"variant": variant, "max_iters": 60})
+              for variant in ("bfgs", "ssbroyden")]
     return specs
 
 

@@ -6,8 +6,9 @@ ndarrays that are exactly symmetric (``M[i, j] == M[j, i]`` bitwise);
 the update kernel (``updates.apply_update``) keeps them so by
 assembling every term from outer products ``u u^T`` and symmetric pair
 sums, never from generic matrix-matrix products.  It builds those terms
-in place in one result and one scratch buffer and never writes into its
-input matrix, so a caller's ``H`` is unchanged by an update.
+in place, row panel by row panel, in one result and one scratch buffer
+of a panel's rows, and never writes into its input matrix, so a
+caller's ``H`` is unchanged by an update.
 
 Inputs are checked once, where they enter: ``as_vector`` at the start
 point and :func:`evaluate` on every objective evaluation.  The kernels

@@ -84,6 +84,13 @@ class PinnPoisson1D(ObjectiveFunction):
     f(x) = pi^2 sin(pi*x) makes u*(x) = sin(pi*x) the exact solution.
     Interior residuals are enforced on the uniform grid
     x_i = i / (n_interior + 1).
+
+    ``value_and_gradient`` forms tanh and its three derivatives on the
+    grid in a ``(5, n_interior, m)`` workspace allocated once, here, so
+    an evaluation allocates no ``(n_interior, m)`` array; what it returns
+    is freshly allocated and never aliases the workspace.  Because of
+    the shared workspace, one instance must not be evaluated from two
+    threads at once.
     """
 
     def __init__(self, m=8, n_interior=32):
@@ -98,6 +105,8 @@ class PinnPoisson1D(ObjectiveFunction):
         # sin(pi*0) and sin(pi*1) are exactly zero; using the analytic
         # values keeps the boundary term exactly zero for the zero network.
         self.u_boundary = np.array([0.0, 0.0])
+        # t, t1, t2, t3 and one scratch array of value_and_gradient.
+        self._work = np.empty((5, self.n_interior, self.m))
 
     def split(self, x):
         """Parameter vector -> (w1, b1, w2, b2) views."""
@@ -109,12 +118,21 @@ class PinnPoisson1D(ObjectiveFunction):
         w1, b1, w2, b2 = self.split(x)
         n_int = self.n_interior
 
-        # Interior: second-derivative residuals on the grid.
-        z = np.outer(self.xs, w1) + b1          # (n_int, m)
-        t = np.tanh(z)
-        t1 = 1.0 - t * t
-        t2 = -2.0 * t * t1
-        t3 = -2.0 * t1 * (1.0 - 3.0 * t * t)
+        # Interior: second-derivative residuals on the grid.  tanh and its
+        # derivatives are built in place in the workspace.
+        t, t1, t2, t3, tmp = self._work
+        np.multiply.outer(self.xs, w1, out=t)   # z = x w1 + b1
+        t += b1
+        np.tanh(t, out=t)                       # t = tanh(z)
+        np.multiply(t, t, out=t1)
+        np.subtract(1.0, t1, out=t1)            # t1 = 1 - t t
+        np.multiply(-2.0, t, out=t2)
+        t2 *= t1                                # t2 = (-2 t) t1
+        np.multiply(3.0, t, out=tmp)
+        tmp *= t
+        np.subtract(1.0, tmp, out=tmp)
+        np.multiply(-2.0, t1, out=t3)
+        t3 *= tmp                               # t3 = (-2 t1)(1 - (3 t) t)
         w1sq = w1 * w1
         upp = t2 @ (w2 * w1sq)                  # u''(x_i)
         r = upp + self.forcing

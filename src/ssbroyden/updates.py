@@ -27,17 +27,19 @@ for what leaves ``solve``: ``DimensionMismatchError`` and
 ``EvaluationError`` from an evaluation and ``ValueError`` from
 ``SolverConfig``.
 
-The kernel works in two n x n buffers, the result and one scratch
-matrix, and builds each term in place; it allocates nothing else of
-size n x n and keeps nothing between calls.  It applies the terms in a
-fixed order, the order of the floating-point expressions the variants
-have always used, so every element rounds exactly as before and
-iteration counts and trajectories are bitwise unchanged.  The order is
-part of the contract: a single compact form
-``H/tau + [s, Hy] M [s, Hy]^T`` is algebraically equal but rounds
-differently, and in its place five of the six 8-D Rosenbrock golden
-iteration counts of the acceptance suite move by one to a few
-iterations.
+The kernel works in the result and one panel of scratch: it forms H'
+in row panels of ``PANEL_BYTES`` (128 KiB) each, so that a panel's
+passes stay in cache and the scratch is small enough for the allocator
+to reuse without returning it to the OS.  It builds each term of a
+panel in place and keeps nothing between calls; for n <= 128 the one
+panel is the whole matrix.  It applies the terms in a fixed order, the
+order of the floating-point expressions the variants have always used,
+so every element rounds exactly as before and iteration counts and
+trajectories are bitwise unchanged.  The order is part of the
+contract: a single compact form ``H/tau + [s, Hy] M [s, Hy]^T`` is
+algebraically equal but rounds differently, and in its place five of
+the six 8-D Rosenbrock golden iteration counts of the acceptance suite
+move by one to a few iterations.
 """
 
 import enum
@@ -58,6 +60,11 @@ PHI_DENOM_EPS = 1e-12
 TAU_MIN = 1e-8
 # Relative threshold of the curvature guard.
 CURVATURE_EPS = 1e-10
+# Bytes of one row panel of the update kernel's scratch: small enough that
+# a panel's passes stay in L2 and that the scratch stays below glibc's
+# default mmap threshold (128 KiB), so freeing it never returns pages to
+# the OS that the next call would fault back in.
+PANEL_BYTES = 128 * 1024
 
 
 class UpdateVariant(enum.Enum):
@@ -223,50 +230,72 @@ def apply_update(H, s, coeffs, phi, tau):
     """Form H' for the family member with weight ``phi`` and scale ``tau``.
 
     Returns a new array; ``H``, ``s`` and the vectors of ``coeffs`` are
-    only read.  The kernel allocates two n x n arrays, the result and
-    one scratch buffer, and applies every term in place, in this order:
+    only read.  The kernel allocates the result plus one panel of
+    scratch, ``rows = max(1, PANEL_BYTES // (8 n))`` rows of n (all n
+    rows when that is more), and forms the result panel by panel.  On
+    rows ``[i, j)`` it applies every term in place, in this order:
 
     * ``phi == 1`` (the expanded BFGS product):
-      ``out = s (Hy)^T + (Hy) s^T``, ``out *= rho``, ``out = H - out``,
-      ``out += (rho^2 y^T H y) s s^T``;
-    * otherwise: ``tmp = (Hy)(Hy)^T``, ``tmp /= y^T H y``,
-      ``out = H - tmp``, and ``out += (phi y^T H y) v v^T`` when
+      ``out = s_i (Hy)^T + (Hy)_i s^T``, ``out *= rho``,
+      ``out = H_i - out``, ``out += (rho^2 y^T H y) s_i s^T``;
+    * otherwise: ``tmp = (Hy)_i (Hy)^T``, ``tmp /= y^T H y``,
+      ``out = H_i - tmp``, and ``out += (phi y^T H y) v_i v^T`` when
       ``phi != 0``, with ``v = s / (y^T s) - Hy / (y^T H y)`` formed
       only in that branch;
     * then ``out /= tau`` (skipped for ``tau == 1``, where the division
-      is exact) and ``out += rho s s^T``.
+      is exact) and ``out += rho s_i s^T``.
 
-    Each ``u u^T`` term is scaled as a whole matrix and then added, so
+    Each ``u u^T`` term is scaled as a whole panel and then added, so
     every element sees the same roundings in the same order as the
-    expression ``(H - ... + ...) / tau + rho * outer(s, s)``.  That
-    order is part of the contract: an algebraically equal reordering
-    rounds differently and moves the 8-D Rosenbrock golden iteration
-    counts.  Every term is an outer product ``u u^T`` or a symmetric
-    pair sum, so the result is exactly symmetric.
+    expression ``(H - ... + ...) / tau + rho * outer(s, s)``; the cross
+    term of row i, column k is ``s_i Hy_k + Hy_i s_k``, the element of
+    ``C + C^T`` with ``C = s (Hy)^T``.  That order is part of the
+    contract: an algebraically equal reordering rounds differently and
+    moves the 8-D Rosenbrock golden iteration counts.  Every term is an
+    outer product ``u u^T`` or a symmetric pair sum, so the result is
+    exactly symmetric.
     """
+    n = s.shape[0]
     rho = coeffs.rho
+    Hy = coeffs.Hy
+    rows = min(n, max(1, PANEL_BYTES // (8 * n)))
+    # The scratch is allocated before the result, so that freeing it leaves
+    # a hole below the result instead of growing the free top of the heap,
+    # which glibc trims back to the OS once it is large enough.
+    work = np.empty((rows, n))
+    out = np.empty_like(H)
     if phi == 1.0:
-        tmp = np.multiply.outer(s, coeffs.Hy)
-        out = tmp + tmp.T
-        out *= rho
-        np.subtract(H, out, out=out)
-        np.multiply.outer(s, s, out=tmp)
-        tmp *= rho * rho * coeffs.yHy
-        out += tmp
-    else:
-        tmp = np.multiply.outer(coeffs.Hy, coeffs.Hy)
-        tmp /= coeffs.yHy
-        out = H - tmp
-        if phi != 0.0:
-            v = s / coeffs.ys - coeffs.Hy / coeffs.yHy
-            np.multiply.outer(v, v, out=tmp)
-            tmp *= phi * coeffs.yHy
-            out += tmp
-    if tau != 1.0:
-        out /= tau
-    np.multiply.outer(s, s, out=tmp)
-    tmp *= rho
-    out += tmp
+        ss_weight = rho * rho * coeffs.yHy
+    elif phi != 0.0:
+        v = s / coeffs.ys - Hy / coeffs.yHy
+        vv_weight = phi * coeffs.yHy
+    for i in range(0, n, rows):
+        j = min(i + rows, n)
+        o = out[i:j]
+        tmp = work[:j - i]
+        s_i = s[i:j]
+        if phi == 1.0:
+            np.multiply.outer(s_i, Hy, out=o)
+            np.multiply.outer(Hy[i:j], s, out=tmp)
+            o += tmp
+            o *= rho
+            np.subtract(H[i:j], o, out=o)
+            np.multiply.outer(s_i, s, out=tmp)
+            tmp *= ss_weight
+            o += tmp
+        else:
+            np.multiply.outer(Hy[i:j], Hy, out=tmp)
+            tmp /= coeffs.yHy
+            np.subtract(H[i:j], tmp, out=o)
+            if phi != 0.0:
+                np.multiply.outer(v[i:j], v, out=tmp)
+                tmp *= vv_weight
+                o += tmp
+        if tau != 1.0:
+            o /= tau
+        np.multiply.outer(s_i, s, out=tmp)
+        tmp *= rho
+        o += tmp
     return out
 
 

@@ -85,11 +85,56 @@ def expression_update(H, s, coeffs, phi, tau):
     return core / tau + rho * np.outer(s, s)
 
 
+def expression_pinn_evaluation(pinn, x):
+    """``PinnPoisson1D.value_and_gradient`` written as whole-array
+    expressions.
+
+    Bitwise reference for the workspace evaluation: every intermediate
+    is a fresh array and the operations run in the same order.
+    """
+    w1, b1, w2, b2 = pinn.split(x)
+    n_int = pinn.n_interior
+    z = np.outer(pinn.xs, w1) + b1
+    t = np.tanh(z)
+    t1 = 1.0 - t * t
+    t2 = -2.0 * t * t1
+    t3 = -2.0 * t1 * (1.0 - 3.0 * t * t)
+    w1sq = w1 * w1
+    r = t2 @ (w2 * w1sq) + pinn.forcing
+    loss = 0.5 * float(np.dot(r, r)) / n_int
+    rT2 = t2.T @ r
+    rT3 = t3.T @ r
+    rxT3 = t3.T @ (r * pinn.xs)
+    g_w1 = (2.0 * w1 * w2 * rT2 + w2 * w1sq * rxT3) / n_int
+    g_b1 = (w2 * w1sq * rT3) / n_int
+    g_w2 = (w1sq * rT2) / n_int
+    g_b2 = 0.0
+    tb = np.tanh(np.outer(pinn.x_boundary, w1) + b1)
+    e = tb @ w2 + b2 - pinn.u_boundary
+    n_bnd = e.size
+    loss += 0.5 * float(np.dot(e, e)) / n_bnd
+    tb1 = 1.0 - tb * tb
+    g_w1 = g_w1 + (w2 * ((e * pinn.x_boundary) @ tb1)) / n_bnd
+    g_b1 = g_b1 + (w2 * (e @ tb1)) / n_bnd
+    g_w2 = g_w2 + (e @ tb) / n_bnd
+    g_b2 = g_b2 + float(np.sum(e)) / n_bnd
+    return loss, np.concatenate([g_w1, g_b1, g_w2, [g_b2]])
+
+
 @pytest.fixture(scope="session")
 def instance_suite():
     """200 deterministic update instances with N cycling through 2..12."""
     rng = np.random.default_rng(20260822)
     return [quasi_newton_instance(rng, 2 + (i % 11)) for i in range(200)]
+
+
+@pytest.fixture(scope="session")
+def panel_suite():
+    """Update instances large enough that the kernel splits them into
+    several row panels with a short last one: two each at n = 160 and
+    n = 300."""
+    rng = np.random.default_rng(20261018)
+    return [quasi_newton_instance(rng, n) for n in (160, 160, 300, 300)]
 
 
 class CountingObjective(ObjectiveFunction):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from ssbroyden.problems import (
     LCG_SEED,
     default_start,
 )
+
+from conftest import expression_pinn_evaluation
 
 # frozen reproducible start for the width-4 network (13 parameters)
 GOLDEN_LCG_M4 = (
@@ -160,6 +163,48 @@ def test_pinn_rejects_bad_sizes():
         PinnPoisson1D(m=0)
     with pytest.raises(ValueError):
         PinnPoisson1D(m=4, n_interior=0)
+
+
+@pytest.mark.parametrize("m, n_int", [(8, 32), (64, 512)])
+def test_pinn_workspace_matches_expression_form_bitwise(m, n_int):
+    # The workspace evaluation rounds exactly like the whole-array
+    # expressions, also when evaluations at two points interleave.
+    pinn = PinnPoisson1D(m=m, n_interior=n_int)
+    rng = np.random.default_rng(m + n_int)
+    x1, x2, x3 = (rng.uniform(-1.5, 1.5, pinn.dimension) for _ in range(3))
+    for x in (pinn.default_start(), x1, x2, x1, x3):
+        f, g = pinn.value_and_gradient(x)
+        f_ref, g_ref = expression_pinn_evaluation(pinn, x)
+        assert float.hex(f) == float.hex(f_ref)
+        assert g.tobytes() == g_ref.tobytes()
+
+
+def test_pinn_gradient_does_not_alias_workspace():
+    pinn = PinnPoisson1D(m=8, n_interior=32)
+    rng = np.random.default_rng(3)
+    x1, x2 = (rng.uniform(-1.0, 1.0, pinn.dimension) for _ in range(2))
+    _, g1 = pinn.value_and_gradient(x1)
+    kept = g1.copy()
+    assert not np.shares_memory(g1, pinn._work)
+    _, g2 = pinn.value_and_gradient(x2)
+    assert not np.shares_memory(g2, pinn._work)
+    assert not np.shares_memory(g1, g2)
+    assert g1.tobytes() == kept.tobytes()
+
+
+def test_pinn_evaluation_allocates_less_than_one_grid_array():
+    # One evaluation at the benchmark's width holds no (N, m) temporary:
+    # the grid arrays live in the workspace made at construction.
+    pinn = PinnPoisson1D(m=64, n_interior=512)
+    x = pinn.default_start()
+    pinn.value_and_gradient(x)
+    tracemalloc.start()
+    try:
+        pinn.value_and_gradient(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 64 * 8
 
 
 # -------------------------------------------------------- start vectors

@@ -2,10 +2,14 @@
 
 The benchmark probe and the trajectory digest script import the public
 API; running them here makes an API change that breaks either one fail
-the test suite instead of the benchmark run or the bitwise check.
+the test suite instead of the benchmark run or the bitwise check.  The
+A/B driver runs on a two-commit repository whose benchmark prints
+canned result lines.
 """
 
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -45,3 +49,54 @@ def test_digest_script_runs_and_compares(tmp_path):
     differ = run([digest, "--compare", "0.txt", "1.txt"], tmp_path)
     assert differ.returncode == 1
     assert differ.stdout.startswith(f"first difference: {cells[0]} ")
+
+
+CANNED_RUN = """import json, sys
+from pathlib import Path
+value = float((Path(__file__).parent / "iter_us.txt").read_text())
+print("# canned run of", sys.argv[1:])
+metrics = {"iter_us": {"value": value, "unit": "us"},
+           "f_evals": {"value": 10, "unit": "count"}}
+print(json.dumps({"correct": True, "attempted": 2, "failed": 0, "metrics": metrics}))
+"""
+CANNED_SPEC = {
+    "workloads": [{"name": "w1"}],
+    "end_to_end": [{"name": "iter_us", "unit": "us", "better": "lower", "bound": 0.25},
+                   {"name": "f_evals", "unit": "count", "better": "lower", "bound": 0.25}],
+}
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="the A/B driver needs git")
+def test_ab_driver_alternates_pairs_and_writes_bench_file(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "perfbench" / "run.py").write_text(CANNED_RUN)
+    (repo / "BENCHMARK.json").write_text(json.dumps(CANNED_SPEC))
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(repo), "-c", "user.name=ab",
+                               "-c", "user.email=ab@example.org", *args],
+                              check=True, capture_output=True, text=True).stdout.strip()
+
+    git("init", "-q")
+    commits = []
+    for value in ("100", "80"):
+        (repo / "perfbench" / "iter_us.txt").write_text(value)
+        git("add", "-A")
+        git("commit", "-q", "-m", f"iter_us {value}")
+        commits.append(git("rev-parse", "HEAD"))
+
+    proc = run([str(ROOT / "scripts" / "ab.py"), "HEAD~1", "HEAD", "--slug", "smoke",
+                "--pairs", "2", "--seconds", "1", "--repo", str(repo)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    order = [line.split(":")[0] for line in proc.stdout.splitlines() if " pair " in line]
+    assert order == ["w1 pair 1/2 parent", "w1 pair 1/2 change",
+                     "w1 pair 2/2 change", "w1 pair 2/2 parent"]
+    bench = json.loads((repo / "BENCH_smoke.json").read_text())
+    assert [bench["commits"][side]["commit"] for side in ("parent", "change")] == commits
+    iter_us = bench["workloads"]["w1"]["metrics"]["iter_us"]
+    assert (iter_us["parent"], iter_us["change"]) == ([100.0, 100.0], [80.0, 80.0])
+    assert (iter_us["ratio"], iter_us["wins"], iter_us["gain"]) == (0.8, 2, True)
+    f_evals = bench["workloads"]["w1"]["metrics"]["f_evals"]
+    assert (f_evals["wins"], f_evals["gain"]) == (0, False)
+    assert bench["workloads"]["w1"]["failed"] == {"parent": [0, 0], "change": [0, 0]}

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,10 +275,15 @@ def test_update_is_exactly_symmetric(variant, instance_suite):
 
 @pytest.mark.parametrize("tau", [1.0, 0.7])
 @pytest.mark.parametrize("phi", [1.0, 0.0, 0.4, -0.3])
-def test_kernel_matches_expression_form_bitwise(phi, tau, instance_suite):
+def test_kernel_matches_expression_form_bitwise(phi, tau, instance_suite, panel_suite):
     # The in-place kernel must round exactly like the expression form (the
     # golden iteration counts depend on it) and must only read its inputs.
-    for i, inst in enumerate(instance_suite):
+    # The panel instances split into several row panels, the last short.
+    for inst in panel_suite:
+        n = inst["n"]
+        rows = updates.PANEL_BYTES // (8 * n)
+        assert rows < n and n % rows != 0
+    for i, inst in enumerate(instance_suite + panel_suite):
         H, s = inst["H"], inst["s"]
         coeffs = compute_base_coefficients(H, s, inst["y"], inst["g_prev"], inst["alpha"])
         inputs = (H, s, coeffs.Hy)
@@ -289,6 +295,22 @@ def test_kernel_matches_expression_form_bitwise(phi, tau, instance_suite):
             assert a.tobytes() == b, f"instance {i}: kernel wrote into {name}"
         assert not np.shares_memory(got, H), f"instance {i}: result aliases H"
         assert np.array_equal(got, got.T), f"instance {i}: result not symmetric"
+
+
+@pytest.mark.parametrize("phi", [1.0, 0.0, 0.4])
+def test_kernel_holds_result_plus_one_panel(phi, panel_suite):
+    # One call at n = 300 keeps the result and one row panel of scratch
+    # live, not a second n x n matrix.
+    inst = panel_suite[-1]
+    H, s = inst["H"], inst["s"]
+    coeffs = compute_base_coefficients(H, s, inst["y"], inst["g_prev"], inst["alpha"])
+    tracemalloc.start()
+    try:
+        apply_update(H, s, coeffs, phi, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * H.nbytes
 
 
 def test_jacobi_oracle_agrees_with_lapack(instance_suite):
