@@ -13,11 +13,19 @@ prints, per workload, the median of each side, the ratio of the
 medians, the interquartile ranges (``statistics.quantiles(values, n=4)``)
 and the number of pairs the change won.  ``gain`` is True when the
 change won at least nine pairs in ten and its median beats the parent's
-by more than the parent's IQR.  Everything, every value of every run
-included, goes to ``BENCH_<slug>.json`` at the root of the repository,
-with both commits, the git tree of each side's ``src`` and the
-environment.  ``--repo`` names another repository than the one holding
-this script.  Exits 1 when a run fails or reports failed solves.
+by more than the parent's IQR.
+
+Before the pairs, the change's ``scripts/digest.py`` digests the
+trajectories of both sides' ``src`` and compares them with
+``--compare``; ``digests`` records whether every cell is equal, the
+first cell that differs and the number of cells (None when the change
+has no digest script).  Everything, every value of every run included,
+goes to ``BENCH_<slug>.json`` at the root of the repository, with both
+commits, the git tree of each side's ``src`` and the environment.
+``--repo`` names another repository than the one holding this script.
+Exits 1 when a run fails or reports failed solves; differing digests
+are recorded, not failed, since a change may move trajectories on
+purpose.
 """
 
 import argparse
@@ -67,6 +75,35 @@ def run_perfbench(tree, workload, seed, seconds):
         raise RuntimeError(f"perfbench {workload} in {tree} exited "
                            f"{done.returncode}:\n{done.stderr[-2000:]}")
     return json.loads(lines[-1])
+
+
+def run_digests(trees, tmp):
+    """The change's digest script run on both sides' ``src``, compared."""
+    script = trees["change"] / "scripts" / "digest.py"
+    if not script.exists():
+        return None
+    files = {}
+    for side in SIDES:
+        path = os.pathsep.join(filter(None, [str(trees[side] / "src"),
+                                             os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, str(script)], cwd=trees[side],
+                              env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+        if done.returncode != 0:
+            raise RuntimeError(f"digests of {trees[side]} exited "
+                               f"{done.returncode}:\n{done.stderr[-2000:]}")
+        files[side] = Path(tmp) / f"digests_{side}.txt"
+        files[side].write_text(done.stdout)
+    done = subprocess.run([sys.executable, str(script), "--compare",
+                           str(files["parent"]), str(files["change"])],
+                          capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    if done.returncode not in (0, 1):
+        raise RuntimeError(f"digest comparison exited {done.returncode}:\n"
+                           f"{done.stderr[-2000:]}")
+    print(f"digests: {done.stdout.strip()}", flush=True)
+    return {"equal": done.returncode == 0,
+            "first_difference": done.stdout.split()[2] if done.returncode else None,
+            "cells": len(files["change"].read_text().splitlines())}
 
 
 def quartile_range(values):
@@ -128,6 +165,7 @@ def main(argv=None):
         trees = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             extract(args.repo, commits[side]["commit"], trees[side])
+        digests = run_digests(trees, tmp)
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         names = args.workloads or [w["name"] for w in spec["workloads"]]
         runs = {name: {side: [] for side in SIDES} for name in names}
@@ -169,7 +207,7 @@ def main(argv=None):
         "protocol": {"pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
                      "command": "perfbench/run.py --trace 0",
                      "order": "alternating; the parent runs first in odd pairs"},
-        "workloads": report}, indent=1) + "\n")
+        "digests": digests, "workloads": report}, indent=1) + "\n")
     print(f"wrote {out}")
     return status
 

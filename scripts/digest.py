@@ -6,16 +6,19 @@ the counters, the terminal status and the bytes of the final x, g and H,
 so two builds that print the same digest for a cell followed the same
 trajectory to the last bit.  The cells are quad10, rosen2, rosen8 and
 pinn1d (m=8, N=32) x the six variants x {identity, scaled_identity},
-Rosenbrock n=500 with bfgs, ssbfgs and ssbroyden, two runs with c2=0.4,
-pinn1d (m=4, N=16) with ssdfp for 200 iterations, the one cell whose
-run skips updates (at the curvature guard), and pinn1d (m=64, N=512)
-with bfgs and ssbroyden for 60 iterations: 56 cells.
+Rosenbrock n=500 with bfgs, ssbfgs and ssbroyden, Rosenbrock n=100
+with ssbroyden, two runs with c2=0.4, pinn1d (m=4, N=16) with ssdfp for
+200 iterations, the one cell whose run skips updates (at the curvature
+guard), and pinn1d (m=64, N=512) with bfgs and ssbroyden for 60
+iterations: 57 cells.
 
 The large cells split the update kernel into several row panels with a
 short last one (n=500 into 32-row panels, n=193 into 84/84/25 rows);
 rosen500/ssbfgs is the one run that takes the phi == 1 branch with
 tau != 1 there, and the m=64 cells run the network workspace at its
-benchmark size with phi in {0, 1, general}.
+benchmark size with phi in {0, 1, general}.  These cells and
+rosen100/ssbroyden (one 100 x 100 panel) form their panels with the
+minimum ufunc buffer; the n <= 25 cells with numpy's default one.
 
 The bits depend on the numpy/BLAS build, so compare digests of two
 source trees made on one machine; do not keep them as golden values.
@@ -55,7 +58,9 @@ def cell_specs():
     specs += [(f"rosen500/{variant}/identity",
                lambda: ssbroyden.make_rosenbrock(500), {"variant": variant})
               for variant in ("bfgs", "ssbfgs", "ssbroyden")]
-    specs += [("rosen2/bfgs/c2=0.4", problems["rosen2"],
+    specs += [("rosen100/ssbroyden/identity",
+               lambda: ssbroyden.make_rosenbrock(100), {"variant": "ssbroyden"}),
+              ("rosen2/bfgs/c2=0.4", problems["rosen2"],
                {"variant": "bfgs", "c2": 0.4}),
               ("rosen8/ssbroyden/c2=0.4", problems["rosen8"],
                {"variant": "ssbroyden", "c2": 0.4}),

@@ -62,14 +62,14 @@ def evaluate(problem, x):
     if g.shape != x.shape:
         raise DimensionMismatchError(
             f"gradient has shape {g.shape}, expected {x.shape}")
-    if not math.isfinite(f) or not np.all(np.isfinite(g)):
+    if not math.isfinite(f) or not np.isfinite(g).all():
         raise EvaluationError(
             f"{type(problem).__name__} produced a non-finite value or gradient")
     return f, g
 
 
 def norm_inf(v):
-    return float(np.max(np.abs(v)))
+    return float(np.abs(v).max())
 
 
 def norm_2(v):

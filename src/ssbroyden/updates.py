@@ -40,6 +40,21 @@ contract: a single compact form ``H/tau + [s, Hy] M [s, Hy]^T`` is
 algebraically equal but rounds differently, and in its place five of
 the six 8-D Rosenbrock golden iteration counts of the acceptance suite
 move by one to a few iterations.
+
+A panel's outer products broadcast both operands (one with stride 0),
+so numpy cannot fold their rows into one inner loop.  When such rows
+are shorter than numpy's ufunc buffer (8192 elements by default),
+numpy (2.4, the version measured) copies both operands through the
+buffer instead of reading them in place, which makes an outer product
+three to four times slower than an in-place pass over the same panel.
+The kernel therefore forms its panels with the buffer at numpy's
+minimum, ``MIN_UFUNC_BUFSIZE`` elements, whenever one panel holds more
+elements than the caller's buffer (n > 90 at the default), and
+restores the caller's size on the way out, also when a floating-point
+error is raised.  Below that size the save and restore would cost more
+than they save.  The buffer only decides where operands are copied:
+every element gets the same operations in the same order, so the
+results are bitwise the same.
 """
 
 import enum
@@ -65,6 +80,9 @@ CURVATURE_EPS = 1e-10
 # default mmap threshold (128 KiB), so freeing it never returns pages to
 # the OS that the next call would fault back in.
 PANEL_BYTES = 128 * 1024
+# numpy's smallest ufunc buffer, in elements; the kernel's panels are formed
+# with it (see the module docstring).
+MIN_UFUNC_BUFSIZE = 16
 
 
 class UpdateVariant(enum.Enum):
@@ -129,18 +147,17 @@ class UpdateResult:
     coeffs: Optional[UpdateCoefficients] = None
 
 
-def curvature_guard(s, y):
-    """Accept the pair iff y^T s > CURVATURE_EPS * ||s|| * ||y||.
+def curvature_guard(s, y, ys):
+    """Accept the pair iff ``ys = y^T s > CURVATURE_EPS * ||s|| * ||y||``.
 
     The strong Wolfe conditions guarantee y^T s > 0 in exact arithmetic;
     this guards against floating-point failure of that guarantee.  A
     rejected pair means the update is skipped and H carried over.
     """
-    ys = float(np.dot(y, s))
     return ys > CURVATURE_EPS * norm_2(s) * norm_2(y)
 
 
-def compute_base_coefficients(H, s, y, g_prev, alpha, scale=1.0):
+def compute_base_coefficients(H, s, y, ys, g_prev, alpha, scale=1.0):
     """Curvature ratios for an accepted step.
 
     ``b`` is computed without forming the direct Hessian approximation:
@@ -150,11 +167,11 @@ def compute_base_coefficients(H, s, y, g_prev, alpha, scale=1.0):
     that produced the direction; its inverse is ``B_d / scale``, so ``b``
     is divided by ``scale``.
 
+    ``ys`` is ``float(np.dot(y, s))``, computed once by the caller.
     Requires ``y^T s > 0``, which :func:`curvature_guard` establishes
     before this is called.  Returns None when ``y^T H y <= 0``, that is
     when ``H`` is no longer positive definite.
     """
-    ys = float(np.dot(y, s))
     Hy = matvec(H, y)
     yHy = float(np.dot(y, Hy))
     if yHy <= 0.0:
@@ -254,6 +271,14 @@ def apply_update(H, s, coeffs, phi, tau):
     moves the 8-D Rosenbrock golden iteration counts.  Every term is an
     outer product ``u u^T`` or a symmetric pair sum, so the result is
     exactly symmetric.
+
+    When a panel holds more than ``np.getbufsize()`` elements, the
+    panels are formed with numpy's ufunc buffer set to
+    ``MIN_UFUNC_BUFSIZE``, so that the outer products read their
+    operands in place instead of copying them through the buffer.  The
+    caller's size is saved by ``np.setbufsize`` and restored by it in a
+    ``finally``, not left to ``np.errstate``, which restores the buffer
+    size only from numpy 2.0 on.  The error state is not touched.
     """
     n = s.shape[0]
     rho = coeffs.rho
@@ -269,33 +294,39 @@ def apply_update(H, s, coeffs, phi, tau):
     elif phi != 0.0:
         v = s / coeffs.ys - Hy / coeffs.yHy
         vv_weight = phi * coeffs.yHy
-    for i in range(0, n, rows):
-        j = min(i + rows, n)
-        o = out[i:j]
-        tmp = work[:j - i]
-        s_i = s[i:j]
-        if phi == 1.0:
-            np.multiply.outer(s_i, Hy, out=o)
-            np.multiply.outer(Hy[i:j], s, out=tmp)
-            o += tmp
-            o *= rho
-            np.subtract(H[i:j], o, out=o)
-            np.multiply.outer(s_i, s, out=tmp)
-            tmp *= ss_weight
-            o += tmp
-        else:
-            np.multiply.outer(Hy[i:j], Hy, out=tmp)
-            tmp /= coeffs.yHy
-            np.subtract(H[i:j], tmp, out=o)
-            if phi != 0.0:
-                np.multiply.outer(v[i:j], v, out=tmp)
-                tmp *= vv_weight
+    old_bufsize = (np.setbufsize(MIN_UFUNC_BUFSIZE) if rows * n > np.getbufsize()
+                   else None)
+    try:
+        for i in range(0, n, rows):
+            j = min(i + rows, n)
+            o = out[i:j]
+            tmp = work[:j - i]
+            s_i = s[i:j]
+            if phi == 1.0:
+                np.multiply.outer(s_i, Hy, out=o)
+                np.multiply.outer(Hy[i:j], s, out=tmp)
                 o += tmp
-        if tau != 1.0:
-            o /= tau
-        np.multiply.outer(s_i, s, out=tmp)
-        tmp *= rho
-        o += tmp
+                o *= rho
+                np.subtract(H[i:j], o, out=o)
+                np.multiply.outer(s_i, s, out=tmp)
+                tmp *= ss_weight
+                o += tmp
+            else:
+                np.multiply.outer(Hy[i:j], Hy, out=tmp)
+                tmp /= coeffs.yHy
+                np.subtract(H[i:j], tmp, out=o)
+                if phi != 0.0:
+                    np.multiply.outer(v[i:j], v, out=tmp)
+                    tmp *= vv_weight
+                    o += tmp
+            if tau != 1.0:
+                o /= tau
+            np.multiply.outer(s_i, s, out=tmp)
+            tmp *= rho
+            o += tmp
+    finally:
+        if old_bufsize is not None:
+            np.setbufsize(old_bufsize)
     return out
 
 
@@ -309,10 +340,11 @@ def propose_update(variant, H, s, y, g_prev, alpha, scale=1.0):
     ``"singular_phi"`` with ``H`` returned unchanged; an unusable ``tau``
     falls back to 1 with ``tau_fallback=True``.
     """
-    if not curvature_guard(s, y):
+    ys = float(np.dot(y, s))
+    if not curvature_guard(s, y, ys):
         return UpdateResult(H=H, skip_reason="curvature_guard")
     H_work = H if scale == 1.0 else H * scale
-    coeffs = compute_base_coefficients(H_work, s, y, g_prev, alpha, scale)
+    coeffs = compute_base_coefficients(H_work, s, y, ys, g_prev, alpha, scale)
     if coeffs is None:
         return UpdateResult(H=H, skip_reason="not_spd")
     theta = compute_theta(variant, coeffs)

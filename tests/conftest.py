@@ -54,14 +54,21 @@ def propose(variant, inst):
     return result
 
 
+def base_coefficients(inst):
+    """``compute_base_coefficients`` of one instance, with y^T s computed
+    the way ``propose_update`` computes it."""
+    s, y = inst["s"], inst["y"]
+    return compute_base_coefficients(inst["H"], s, y, float(np.dot(y, s)),
+                                     inst["g_prev"], inst["alpha"])
+
+
 def family_update(inst, theta, tau=1.0):
     """The family member for a given theta and tau on one instance.
 
     Runs the update kernel directly, bypassing the variant's own choice
     of theta and tau; returns the updated matrix.
     """
-    coeffs = compute_base_coefficients(inst["H"], inst["s"], inst["y"],
-                                       inst["g_prev"], inst["alpha"])
+    coeffs = base_coefficients(inst)
     return apply_update(inst["H"], inst["s"], coeffs,
                         compute_phi(theta, coeffs.h, coeffs.b), tau)
 

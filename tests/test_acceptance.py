@@ -23,9 +23,9 @@ from ssbroyden import (
     solve,
 )
 from ssbroyden.cli import main as cli_main
-from ssbroyden.updates import compute_base_coefficients, compute_theta
+from ssbroyden.updates import compute_theta
 
-from conftest import CountingObjective, family_update, propose
+from conftest import CountingObjective, base_coefficients, family_update, propose
 from oracles import jacobi_eigenvalues, theta_bounds
 
 C1, C2 = 1e-4, 0.9
@@ -152,8 +152,7 @@ def test_criterion_04_theta_clamp(instance_suite, capfd):
     clamp_checked = 0
     ok = True
     for inst in instance_suite:
-        coeffs = compute_base_coefficients(
-            inst["H"], inst["s"], inst["y"], inst["g_prev"], inst["alpha"])
+        coeffs = base_coefficients(inst)
         if coeffs.b * coeffs.h - 1.0 < -1e-12:
             ok = False
         t_minus, t_plus, a = theta_bounds(inst["H"], inst["s"], inst["y"])

@@ -3,8 +3,8 @@
 The benchmark probe and the trajectory digest script import the public
 API; running them here makes an API change that breaks either one fail
 the test suite instead of the benchmark run or the bitwise check.  The
-A/B driver runs on a two-commit repository whose benchmark prints
-canned result lines.
+A/B driver runs on a two-commit repository whose benchmark and digest
+script print canned result lines.
 """
 
 import json
@@ -59,6 +59,17 @@ metrics = {"iter_us": {"value": value, "unit": "us"},
            "f_evals": {"value": 10, "unit": "count"}}
 print(json.dumps({"correct": True, "attempted": 2, "failed": 0, "metrics": metrics}))
 """
+CANNED_DIGEST = """import sys
+if sys.argv[1:2] == ["--compare"]:
+    a, b = (dict(line.split() for line in open(path)) for path in sys.argv[2:4])
+    differ = [name for name in a if a[name] != b.get(name)]
+    print(f"first difference: {differ[0]} (canned)" if differ
+          else f"{len(a)} cells identical")
+    sys.exit(1 if differ else 0)
+import cells
+for name, value in cells.DIGESTS.items():
+    print(name, value)
+"""
 CANNED_SPEC = {
     "workloads": [{"name": "w1"}],
     "end_to_end": [{"name": "iter_us", "unit": "us", "better": "lower", "bound": 0.25},
@@ -78,10 +89,18 @@ def test_ab_driver_alternates_pairs_and_writes_bench_file(tmp_path):
                                "-c", "user.email=ab@example.org", *args],
                               check=True, capture_output=True, text=True).stdout.strip()
 
+    (repo / "src").mkdir()
     git("init", "-q")
     commits = []
-    for value in ("100", "80"):
+    # Only the change has the digest script: the driver runs the change's
+    # script on both sides' src.
+    for value, digests in (("100", "bb"), ("80", "cc")):
         (repo / "perfbench" / "iter_us.txt").write_text(value)
+        (repo / "src" / "cells.py").write_text(
+            f"DIGESTS = {{'c1': 'aa', 'c2': '{digests}', 'c3': 'dd'}}\n")
+        if value == "80":
+            (repo / "scripts").mkdir()
+            (repo / "scripts" / "digest.py").write_text(CANNED_DIGEST)
         git("add", "-A")
         git("commit", "-q", "-m", f"iter_us {value}")
         commits.append(git("rev-parse", "HEAD"))
@@ -100,3 +119,4 @@ def test_ab_driver_alternates_pairs_and_writes_bench_file(tmp_path):
     f_evals = bench["workloads"]["w1"]["metrics"]["f_evals"]
     assert (f_evals["wins"], f_evals["gain"]) == (0, False)
     assert bench["workloads"]["w1"]["failed"] == {"parent": [0, 0], "change": [0, 0]}
+    assert bench["digests"] == {"equal": False, "first_difference": "c2", "cells": 3}

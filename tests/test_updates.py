@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -19,7 +20,8 @@ from ssbroyden.updates import (
     propose_update,
 )
 
-from conftest import expression_update, family_update, propose, quasi_newton_instance
+from conftest import (base_coefficients, expression_update, family_update, propose,
+                      quasi_newton_instance)
 from oracles import gaussian_solve, jacobi_eigenvalues, theta_bounds
 
 ALL_VARIANTS = list(VARIANT_ORDER)
@@ -53,7 +55,7 @@ def test_variant_enumeration_and_flags():
 def test_base_coefficients_identity_pair():
     # s = y with H = I collapses every ratio to 1
     s = np.array([1.0, 0.0])
-    c = compute_base_coefficients(np.eye(2), s, s, -s, 1.0)
+    c = compute_base_coefficients(np.eye(2), s, s, 1.0, -s, 1.0)
     assert c.ys == 1.0
     assert c.rho == 1.0
     assert c.h == 1.0
@@ -65,7 +67,7 @@ def test_base_coefficients_identity_pair():
 def test_base_coefficients_hand_case():
     # H=I, y=[1,0], s=[2,0] from alpha=2, g_prev=[-1,0]
     c = compute_base_coefficients(np.eye(2), np.array([2.0, 0.0]),
-                                  np.array([1.0, 0.0]),
+                                  np.array([1.0, 0.0]), 2.0,
                                   np.array([-1.0, 0.0]), 2.0)
     assert c.rho == 0.5
     assert c.h == 0.5
@@ -76,14 +78,13 @@ def test_base_coefficients_hand_case():
 
 def test_base_coefficients_lost_pd_returns_none():
     s = np.array([1.0, 0.0])
-    assert compute_base_coefficients(-np.eye(2), s, s, -s, 1.0) is None
+    assert compute_base_coefficients(-np.eye(2), s, s, 1.0, -s, 1.0) is None
 
 
 def test_b_matches_linear_solve_oracle(instance_suite):
     # b from the direction identity vs the explicit (s^T H^-1 s)/(y^T s)
     for inst in instance_suite[:50]:
-        c = compute_base_coefficients(inst["H"], inst["s"], inst["y"],
-                                      inst["g_prev"], inst["alpha"])
+        c = base_coefficients(inst)
         z = gaussian_solve(inst["H"], inst["s"])
         b_oracle = float(inst["s"] @ z) / float(inst["y"] @ inst["s"])
         assert abs(c.b - b_oracle) <= 1e-10 * max(1.0, abs(b_oracle))
@@ -91,8 +92,7 @@ def test_b_matches_linear_solve_oracle(instance_suite):
 
 def test_a_nonnegative_before_clamp(instance_suite):
     for inst in instance_suite:
-        c = compute_base_coefficients(inst["H"], inst["s"], inst["y"],
-                                      inst["g_prev"], inst["alpha"])
+        c = base_coefficients(inst)
         assert c.b * c.h - 1.0 >= -1e-12
         assert c.a >= 0.0
 
@@ -136,8 +136,7 @@ def test_theta_clamped_within_bounds(instance_suite):
         t_minus, t_plus, a = theta_bounds(inst["H"], inst["s"], inst["y"])
         if a <= 1e-12:
             continue
-        coeffs = compute_base_coefficients(inst["H"], inst["s"], inst["y"],
-                                           inst["g_prev"], inst["alpha"])
+        coeffs = base_coefficients(inst)
         for variant in DYNAMIC:
             theta = compute_theta(variant, coeffs)
             assert t_minus - 1e-9 * max(1.0, abs(t_minus)) <= theta
@@ -285,7 +284,7 @@ def test_kernel_matches_expression_form_bitwise(phi, tau, instance_suite, panel_
         assert rows < n and n % rows != 0
     for i, inst in enumerate(instance_suite + panel_suite):
         H, s = inst["H"], inst["s"]
-        coeffs = compute_base_coefficients(H, s, inst["y"], inst["g_prev"], inst["alpha"])
+        coeffs = base_coefficients(inst)
         inputs = (H, s, coeffs.Hy)
         before = [a.tobytes() for a in inputs]
         ref = expression_update(H, s, coeffs, phi, tau)
@@ -300,17 +299,44 @@ def test_kernel_matches_expression_form_bitwise(phi, tau, instance_suite, panel_
 @pytest.mark.parametrize("phi", [1.0, 0.0, 0.4])
 def test_kernel_holds_result_plus_one_panel(phi, panel_suite):
     # One call at n = 300 keeps the result and one row panel of scratch
-    # live, not a second n x n matrix.
+    # live, plus a few vectors: not a second n x n matrix, and not the two
+    # 64 KiB ufunc buffers numpy fills when it copies the operands of an
+    # outer product.
     inst = panel_suite[-1]
     H, s = inst["H"], inst["s"]
-    coeffs = compute_base_coefficients(H, s, inst["y"], inst["g_prev"], inst["alpha"])
+    n = inst["n"]
+    panel = (updates.PANEL_BYTES // (8 * n)) * n * 8
+    coeffs = base_coefficients(inst)
     tracemalloc.start()
     try:
         apply_update(H, s, coeffs, phi, 0.7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * H.nbytes
+    assert peak < H.nbytes + panel + 16 * 1024
+
+
+@pytest.mark.parametrize("n", [300, 25])
+def test_kernel_leaves_numpy_state_as_found(n, panel_suite):
+    # n = 300 forms its panels with the minimum ufunc buffer, n = 25 (one
+    # 625-element panel) with the caller's; either way the caller's buffer
+    # size and error state come back unchanged, also when the kernel raises.
+    inst = panel_suite[-1] if n == 300 else quasi_newton_instance(
+        np.random.default_rng(25), n)
+    H, s = inst["H"], inst["s"]
+    coeffs = base_coefficients(inst)
+    caller_bufsize = np.setbufsize(4096)
+    try:
+        with np.errstate(divide="raise"):
+            state = (np.getbufsize(), np.geterr())
+            for phi in (1.0, 0.0, 0.4):
+                apply_update(H, s, coeffs, phi, 0.7)
+                assert (np.getbufsize(), np.geterr()) == state
+            with pytest.raises(FloatingPointError):
+                apply_update(H, s, dataclasses.replace(coeffs, yHy=0.0), 0.0, 1.0)
+            assert (np.getbufsize(), np.geterr()) == state
+    finally:
+        np.setbufsize(caller_bufsize)
 
 
 def test_jacobi_oracle_agrees_with_lapack(instance_suite):
@@ -334,9 +360,9 @@ def test_update_preserves_positive_definiteness(variant, instance_suite):
 
 def test_curvature_guard_cases():
     s = np.array([1.0, 0.0])
-    assert curvature_guard(s, s)
-    assert not curvature_guard(s, -s)
-    assert not curvature_guard(s, np.array([0.0, 1.0]))  # exactly zero
+    assert curvature_guard(s, s, 1.0)
+    assert not curvature_guard(s, -s, -1.0)
+    assert not curvature_guard(s, np.array([0.0, 1.0]), 0.0)  # exactly zero
 
 
 def test_propose_update_skips_pair_failing_guard():
@@ -412,8 +438,7 @@ def test_property_tau_scaling_keeps_secant(seed, n):
     # scaling the inherited term must not disturb the secant equation
     rng = np.random.default_rng(seed)
     inst = quasi_newton_instance(rng, n)
-    coeffs = compute_base_coefficients(inst["H"], inst["s"], inst["y"],
-                                       inst["g_prev"], inst["alpha"])
+    coeffs = base_coefficients(inst)
     theta = compute_theta(UpdateVariant.SSBROYDEN, coeffs)
     for tau in (0.25, 1.0, 3.5):
         H_new = family_update(inst, theta, tau)
