@@ -2,15 +2,18 @@
 
 Each cell is one ``solve`` from the problem's default start.  Its digest
 covers every field of every iteration record (floats as ``float.hex``),
-the counters, the terminal status and the bytes of the final x, g and H,
-so two builds that print the same digest for a cell followed the same
-trajectory to the last bit.  The cells are quad10, rosen2, rosen8 and
-pinn1d (m=8, N=32) x the six variants x {identity, scaled_identity},
-Rosenbrock n=500 with bfgs, ssbfgs and ssbroyden, Rosenbrock n=100
-with ssbroyden, two runs with c2=0.4, pinn1d (m=4, N=16) with ssdfp for
-200 iterations, the one cell whose run skips updates (at the curvature
-guard), and pinn1d (m=64, N=512) with bfgs and ssbroyden for 60
-iterations: 57 cells.
+the counters, the terminal status, the bytes of the final x, g and H,
+and the bytes of the run's CSV and JSON traces as ``cli.emit_trace``
+writes them (the JSON one with a run summary built as ``bench`` builds
+it, with the cell's problem label as ``problem``), so
+two builds that print the same digest for a cell followed the same
+trajectory to the last bit and report it in the same bytes.  The cells
+are quad10, rosen2, rosen8 and pinn1d (m=8, N=32) x the six variants x
+{identity, scaled_identity}, Rosenbrock n=500 with bfgs, ssbfgs and
+ssbroyden, Rosenbrock n=100 with ssbroyden, two runs with c2=0.4,
+pinn1d (m=4, N=16) with ssdfp for 200 iterations, the one cell whose
+run skips updates (at the curvature guard), and pinn1d (m=64, N=512)
+with bfgs and ssbroyden for 60 iterations: 57 cells.
 
 The large cells split the update kernel into several row panels with a
 short last one (n=500 into 32-row panels, n=193 into 84/84/25 rows);
@@ -36,6 +39,8 @@ import argparse
 import dataclasses
 import hashlib
 import sys
+import tempfile
+from pathlib import Path
 
 VARIANTS = ("bfgs", "ssbfgs", "dfp", "ssdfp", "broyden", "ssbroyden")
 SCALINGS = ("identity", "scaled_identity")
@@ -78,11 +83,14 @@ def _token(value):
     return float.hex(value) if isinstance(value, float) else repr(value)
 
 
-def run_digest(make, kwargs):
+def run_digest(name, make, kwargs, out_dir):
+    """Digest of one cell; its trace files are written into ``out_dir``."""
     import ssbroyden
+    from ssbroyden import cli
+    from ssbroyden.core import norm_inf
     problem = make()
-    trace, state, counters = ssbroyden.solve(
-        problem, problem.default_start(), ssbroyden.SolverConfig(**kwargs))
+    config = ssbroyden.SolverConfig(**kwargs)
+    trace, state, counters = ssbroyden.solve(problem, problem.default_start(), config)
     digest = hashlib.sha256()
     for record in trace.records:
         digest.update(" ".join(_token(v) for v in
@@ -91,6 +99,13 @@ def run_digest(make, kwargs):
     digest.update(trace.status.encode())
     for array in (state.x, state.g, state.H):
         digest.update(array.tobytes())
+    summary = {"solver": config.variant.value, "problem": name.split("/")[0],
+               "status": trace.status, **dataclasses.asdict(counters),
+               "final_f": state.f, "final_gnorm_inf": norm_inf(state.g)}
+    for fmt in ("csv", "json"):
+        path = Path(out_dir) / f"trace.{fmt}"
+        cli.emit_trace(trace, fmt, path, summary=summary)
+        digest.update(path.read_bytes())
     return digest.hexdigest()
 
 
@@ -126,8 +141,9 @@ def main(argv=None):
         if unknown:
             parser.error(f"unknown cells: {', '.join(unknown)}")
         specs = [spec for spec in specs if spec[0] in args.cells]
-    for name, make, kwargs in specs:
-        print(name, run_digest(make, kwargs), flush=True)
+    with tempfile.TemporaryDirectory() as out_dir:
+        for name, make, kwargs in specs:
+            print(name, run_digest(name, make, kwargs, out_dir), flush=True)
     return 0
 
 

@@ -11,7 +11,8 @@ import csv
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from operator import attrgetter
 from pathlib import Path
 
 from .core import norm_inf
@@ -22,8 +23,39 @@ from .updates import VARIANT_ORDER
 PROBLEM_NAMES = ("quadratic", "rosenbrock", "pinn1d")
 SOLVER_NAMES = tuple(v.value for v in VARIANT_ORDER)
 
-TRACE_COLUMNS = ("iter", "f", "gnorm_inf", "gnorm_2", "alpha", "theta",
-                 "tau", "ls_evals", "skipped", "tau_fallback")
+#: The trace columns: (column, IterationRecord attribute, JSON type).
+RECORD_FIELDS = (
+    ("iter", "k", "integer"), ("f", "f", "number"),
+    ("gnorm_inf", "gnorm_inf", "number"), ("gnorm_2", "gnorm_2", "number"),
+    ("alpha", "alpha", "number"), ("theta", "theta", "number"),
+    ("tau", "tau", "number"), ("ls_evals", "ls_evals", "integer"),
+    ("skipped", "skipped", "boolean"), ("tau_fallback", "tau_fallback", "boolean"),
+)
+TRACE_COLUMNS = tuple(column for column, _, _ in RECORD_FIELDS)
+_record_values = attrgetter(*(attr for _, attr, _ in RECORD_FIELDS))
+
+
+def _fmt(value):
+    """17 significant digits: enough to round-trip a double exactly."""
+    return f"{float(value):.17g}"
+
+
+_CSV_CELL = {"integer": str, "number": _fmt, "boolean": lambda v: str(int(v))}
+_CSV_CELLS = tuple(_CSV_CELL[kind] for _, _, kind in RECORD_FIELDS)
+
+#: The run summary of a JSON trace: (key, JSON type).
+_SUMMARY_FIELDS = (
+    ("solver", "string"), ("problem", "string"), ("status", "string"),
+    *((f.name, "integer") for f in fields(Counters)),
+    ("final_f", "number"), ("final_gnorm_inf", "number"),
+)
+
+
+def _object_schema(typed):
+    return {"type": "object",
+            "required": [key for key, _ in typed],
+            "properties": {key: {"type": kind} for key, kind in typed}}
+
 
 #: Machine-checkable shape of the JSON trace files.
 TRACE_SCHEMA = {
@@ -32,42 +64,10 @@ TRACE_SCHEMA = {
     "properties": {
         "records": {
             "type": "array",
-            "items": {
-                "type": "object",
-                "required": list(TRACE_COLUMNS),
-                "properties": {
-                    "iter": {"type": "integer"},
-                    "f": {"type": "number"},
-                    "gnorm_inf": {"type": "number"},
-                    "gnorm_2": {"type": "number"},
-                    "alpha": {"type": "number"},
-                    "theta": {"type": "number"},
-                    "tau": {"type": "number"},
-                    "ls_evals": {"type": "integer"},
-                    "skipped": {"type": "boolean"},
-                    "tau_fallback": {"type": "boolean"},
-                },
-            },
+            "items": _object_schema([(column, kind)
+                                     for column, _, kind in RECORD_FIELDS]),
         },
-        "summary": {
-            "type": "object",
-            "required": ["solver", "problem", "status", "qn_iters", "f_evals",
-                         "g_evals", "ls_steps", "update_skips", "tau_fallbacks",
-                         "final_f", "final_gnorm_inf"],
-            "properties": {
-                "solver": {"type": "string"},
-                "problem": {"type": "string"},
-                "status": {"type": "string"},
-                "qn_iters": {"type": "integer"},
-                "f_evals": {"type": "integer"},
-                "g_evals": {"type": "integer"},
-                "ls_steps": {"type": "integer"},
-                "update_skips": {"type": "integer"},
-                "tau_fallbacks": {"type": "integer"},
-                "final_f": {"type": "number"},
-                "final_gnorm_inf": {"type": "number"},
-            },
-        },
+        "summary": _object_schema(_SUMMARY_FIELDS),
     },
 }
 
@@ -83,36 +83,26 @@ def build_problem(args):
     raise ValueError(f"unknown problem {args.problem!r}")
 
 
-def _fmt(value):
-    """17 significant digits: enough to round-trip a double exactly."""
-    return f"{float(value):.17g}"
-
-
 def emit_trace(trace, fmt, path, summary=None):
     """Write one run's per-iteration records to path.
 
     CSV column order is fixed; floats print with 17 significant digits
     so parsing the file recovers the in-memory doubles bitwise.  JSON
-    mirrors the records and adds the run summary object.
+    mirrors the records and adds the run summary object, which
+    ``TRACE_SCHEMA`` requires: without ``summary`` it raises ValueError.
     """
     path = Path(path)
     if fmt == "csv":
         lines = [",".join(TRACE_COLUMNS)]
         for r in trace.records:
-            lines.append(",".join([
-                str(r.k), _fmt(r.f), _fmt(r.gnorm_inf), _fmt(r.gnorm_2),
-                _fmt(r.alpha), _fmt(r.theta), _fmt(r.tau),
-                str(r.ls_evals), str(int(r.skipped)), str(int(r.tau_fallback)),
-            ]))
+            lines.append(",".join([cell(value) for cell, value
+                                   in zip(_CSV_CELLS, _record_values(r))]))
         path.write_text("\n".join(lines) + "\n")
     elif fmt == "json":
-        records = [{
-            "iter": r.k, "f": r.f, "gnorm_inf": r.gnorm_inf,
-            "gnorm_2": r.gnorm_2, "alpha": r.alpha, "theta": r.theta,
-            "tau": r.tau, "ls_evals": r.ls_evals, "skipped": r.skipped,
-            "tau_fallback": r.tau_fallback,
-        } for r in trace.records]
-        payload = {"records": records, "summary": summary if summary is not None else {}}
+        if summary is None:
+            raise ValueError("a JSON trace needs the run summary")
+        records = [dict(zip(TRACE_COLUMNS, _record_values(r))) for r in trace.records]
+        payload = {"records": records, "summary": summary}
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         raise ValueError(f"unknown trace format {fmt!r}")
@@ -178,19 +168,20 @@ SUMMARY_COLUMNS = ("solver", "status", "qn_iters", "ls_steps", "f_evals",
                    "update_skips", "tau_fallbacks")
 
 
+def _summary_cell(column, value):
+    """Floats round-trip (17 digits) except the wall time; the rest as is."""
+    if column == "wall_time_s":
+        return f"{value:.6f}"
+    return _fmt(value) if isinstance(value, float) else value
+
+
 def _write_summary(rows, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SUMMARY_COLUMNS)
         for row in rows:
-            writer.writerow([
-                row["solver"], row["status"], row["qn_iters"], row["ls_steps"],
-                row["f_evals"],
-                _fmt(row["final_f"]), _fmt(row["final_gnorm_inf"]),
-                f"{row['wall_time_s']:.6f}",
-                _fmt(row["l2_error"]) if row["l2_error"] != "" else "",
-                row["update_skips"], row["tau_fallbacks"],
-            ])
+            writer.writerow([_summary_cell(column, row[column])
+                             for column in SUMMARY_COLUMNS])
 
 
 def _print_summary(args, rows):

@@ -49,16 +49,17 @@ def matvec(m, x):
 def evaluate(problem, x):
     """Value and gradient of ``problem`` at ``x``, checked.
 
-    Returns ``(f, g)`` with ``f`` a float and ``g`` a float64 array of
-    the shape of ``x``.  Raises :class:`DimensionMismatchError` when the
-    gradient has another shape and :class:`EvaluationError` when the
-    value or the gradient is not finite.  This is the solver's only
-    call into the objective, so a duck-typed objective gets the same
-    checks as an :class:`ObjectiveFunction`.
+    Returns ``(f, g)`` with ``f`` a float and ``g`` a float64 copy of the
+    gradient (an objective may reuse its buffer), of the shape of ``x``.
+    Raises :class:`DimensionMismatchError` when the gradient has another
+    shape and :class:`EvaluationError` when the value or the gradient is
+    not finite.  This is the solver's only call into the objective, so a
+    duck-typed objective gets the same checks as an
+    :class:`ObjectiveFunction`.
     """
     f, g = problem.value_and_gradient(x)
     f = float(f)
-    g = np.asarray(g, dtype=float)
+    g = np.array(g, dtype=float)
     if g.shape != x.shape:
         raise DimensionMismatchError(
             f"gradient has shape {g.shape}, expected {x.shape}")

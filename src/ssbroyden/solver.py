@@ -2,15 +2,17 @@
 
 One iteration is: form d = -H g, line-search along d for a strong-Wolfe
 step, move, then update H from the displacement/gradient-change pair
-via the configured family member.  The driver separates outer
-quasi-Newton iterations from inner line-search trials in its counters,
-so cost comparisons between variants are meaningful.
+via the configured family member.  The iteration records are the one
+account of a run: ``solve`` derives ``Counters`` from them, separating
+outer quasi-Newton iterations from inner line-search trials, so cost
+comparisons between variants are meaningful.
 
 Robustness policy: a non-descent direction resets H to the identity; a
-pair failing the curvature guard, a singular mixing weight, or a lost
-positive-definiteness diagnosis skips the update; a degenerate scale
-factor falls back to tau = 1 but still applies the update.  All of
-these events are flagged in the iteration records and counted.
+pair failing the curvature guard, a lost positive-definiteness
+diagnosis, a pair too small for the update's terms to stay finite, or
+a singular mixing weight skips the update; a degenerate scale factor
+falls back to tau = 1 but still applies the update.  All of these
+events are flagged in the iteration records and counted from them.
 
 Checks happen where a fact enters, once: ``SolverConfig`` validates
 the run settings, ``solve``/``init_state`` coerce the start point with
@@ -20,9 +22,9 @@ point's shape), and the line search reports whether its step passed
 sufficient decrease.
 
 Events inside an iteration are values, not exceptions: ``step``
-returns None for a search without a sufficient-decrease step, which
-ends the run as ``line_search_failure``, and the update chain reports a
-skip reason.  Exceptions are kept for what leaves ``solve``:
+returns no new state for a search without a sufficient-decrease step,
+which ends the run as ``line_search_failure``, and the update chain
+reports a skip reason.  Exceptions are kept for what leaves ``solve``:
 ``DimensionMismatchError`` and ``EvaluationError`` from an evaluation
 and ``ValueError`` from ``SolverConfig``.
 
@@ -98,23 +100,6 @@ class SolverState:
 
 
 @dataclass
-class Counters:
-    """Evaluation and event accounting for one run.
-
-    ls_steps counts every line-search trial evaluation; f_evals and
-    g_evals additionally include the single evaluation at the start
-    point, so f_evals = g_evals = ls_steps + 1 on a completed run.
-    """
-
-    qn_iters: int = 0
-    f_evals: int = 0
-    g_evals: int = 0
-    ls_steps: int = 0
-    update_skips: int = 0
-    tau_fallbacks: int = 0
-
-
-@dataclass
 class IterationRecord:
     """Post-step snapshot: new iterate's value/gradient norms plus the
     step size, family scalars, and event flags for this iteration."""
@@ -130,6 +115,33 @@ class IterationRecord:
     skipped: bool
     tau_fallback: bool
     reset: bool
+
+
+@dataclass(frozen=True)
+class Counters:
+    """Evaluation and event accounting for one run, derived from its records.
+
+    ls_steps counts every line-search trial evaluation; f_evals and
+    g_evals additionally include the single evaluation at the start
+    point, so f_evals = g_evals = ls_steps + 1 on a completed run.
+    ``solve`` builds them once, at the end, with :meth:`of`.
+    """
+
+    qn_iters: int = 0
+    f_evals: int = 0
+    g_evals: int = 0
+    ls_steps: int = 0
+    update_skips: int = 0
+    tau_fallbacks: int = 0
+
+    @classmethod
+    def of(cls, records, failed_evals):
+        """Counters of ``records`` plus a final failed search's evaluations."""
+        ls_steps = sum(r.ls_evals for r in records) + failed_evals
+        return cls(qn_iters=len(records), f_evals=ls_steps + 1,
+                   g_evals=ls_steps + 1, ls_steps=ls_steps,
+                   update_skips=sum(r.skipped for r in records),
+                   tau_fallbacks=sum(r.tau_fallback for r in records))
 
 
 @dataclass
@@ -159,12 +171,12 @@ def init_state(problem, x0, config):
     return SolverState(x=x, f=f, g=g, H=np.eye(x.shape[0]), k=0)
 
 
-def step(state, problem, config, counters, observer=None):
-    """One outer iteration; returns (new_state, record).
+def step(state, problem, config, observer=None):
+    """One outer iteration; returns (outcome, new_state, record).
 
-    Mutates counters in place.  Returns None when the search cannot
-    produce even a sufficient-decrease point; counters are still charged
-    for the failed search so accounting stays exact.
+    ``new_state`` and ``record`` are None when the line search cannot
+    produce even a sufficient-decrease point; its ``outcome.n_evals``
+    is then the one account of the failed search's evaluations.
     """
     n = state.x.shape[0]
     H = state.H
@@ -183,12 +195,8 @@ def step(state, problem, config, counters, observer=None):
         reset = True
 
     outcome = search(problem, state.x, d, state.f, dphi0, config.c1, config.c2)
-    counters.f_evals += outcome.n_evals
-    counters.g_evals += outcome.n_evals
-    counters.ls_steps += outcome.n_evals
-
     if not outcome.sufficient_decrease:
-        return None
+        return outcome, None, None
 
     alpha = outcome.alpha
     s = alpha * d
@@ -206,10 +214,6 @@ def step(state, problem, config, counters, observer=None):
             scale = float(np.dot(y, s)) / yy
     update = propose_update(config.variant, H, s, y, state.g, alpha, scale=scale)
     skipped = update.skip_reason is not None
-    counters.update_skips += skipped
-    counters.tau_fallbacks += update.tau_fallback
-
-    counters.qn_iters += 1
     new_state = SolverState(x=x_new, f=outcome.f_new, g=outcome.g_new,
                             H=update.H, k=state.k + 1,
                             h_fresh=h_fresh and skipped)
@@ -221,7 +225,7 @@ def step(state, problem, config, counters, observer=None):
         tau_fallback=update.tau_fallback, reset=reset)
     if observer is not None:
         observer(state, d, outcome, new_state, record)
-    return new_state, record
+    return outcome, new_state, record
 
 
 def solve(problem, x0, config, observer=None):
@@ -233,11 +237,9 @@ def solve(problem, x0, config, observer=None):
     shape and EvaluationError for a non-finite value or gradient, at the
     start point or at any line-search trial.
     """
-    counters = Counters()
     state = init_state(problem, x0, config)
-    counters.f_evals += 1
-    counters.g_evals += 1
     trace = ConvergenceTrace()
+    failed_evals = 0
     gnorm = norm_inf(state.g)
     while True:
         if gnorm <= config.grad_tol:
@@ -246,11 +248,12 @@ def solve(problem, x0, config, observer=None):
         if state.k >= config.max_iters:
             trace.status = "max_iters"
             break
-        result = step(state, problem, config, counters, observer=observer)
-        if result is None:
+        outcome, new_state, record = step(state, problem, config, observer=observer)
+        if record is None:
             trace.status = "line_search_failure"
+            failed_evals = outcome.n_evals
             break
-        state, record = result
+        state = new_state
         trace.records.append(record)
         gnorm = record.gnorm_inf
-    return trace, state, counters
+    return trace, state, Counters.of(trace.records, failed_evals)

@@ -132,11 +132,11 @@ class UpdateResult:
     """Outcome of :func:`propose_update` for one iteration.
 
     ``skip_reason`` is None for an applied update, else why it was
-    skipped: ``"curvature_guard"``, ``"not_spd"`` or ``"singular_phi"``.
-    ``H`` is the updated matrix, or the input matrix unchanged when
-    skipped.  ``theta`` and ``tau`` are the values used (0 and 1 when
-    the chain stopped before computing them); ``coeffs`` is None when the
-    chain stopped before the base coefficients.
+    skipped: ``"curvature_guard"``, ``"not_spd"``, ``"overflow"`` or
+    ``"singular_phi"``.  ``H`` is the updated matrix, or the input matrix
+    unchanged when skipped.  ``theta`` and ``tau`` are the values used (0
+    and 1 when the chain stopped before computing them); ``coeffs`` is
+    None when the chain stopped before the base coefficients.
     """
 
     H: np.ndarray
@@ -169,16 +169,16 @@ def compute_base_coefficients(H, s, y, ys, g_prev, alpha, scale=1.0):
 
     ``ys`` is ``float(np.dot(y, s))``, computed once by the caller.
     Requires ``y^T s > 0``, which :func:`curvature_guard` establishes
-    before this is called.  Returns None when ``y^T H y <= 0``, that is
-    when ``H`` is no longer positive definite.
+    before this is called.  Returns None when ``y^T H y <= 0`` or ``b <= 0``
+    (also by underflow): ``H`` is no longer positive definite.
     """
     Hy = matvec(H, y)
     yHy = float(np.dot(y, Hy))
-    if yHy <= 0.0:
-        return None
     rho = 1.0 / ys
     h = yHy / ys
     b = -alpha * float(np.dot(s, g_prev)) / ys / scale
+    if not (yHy > 0.0 and b > 0.0):
+        return None
     # Cauchy-Schwarz in the H inner product gives b*h >= 1 up to rounding.
     a = max(b * h - 1.0, 0.0)
     c = 0.0 if a < A_DEGENERATE else math.sqrt(a / (1.0 + a))
@@ -335,10 +335,12 @@ def propose_update(variant, H, s, y, g_prev, alpha, scale=1.0):
 
     ``H`` is the matrix that produced the step ``s = alpha * (-H g_prev)``;
     the update is applied to ``scale * H``.  A pair that fails the
-    guard, a lost positive definiteness or a singular ``phi`` yields
-    ``skip_reason`` ``"curvature_guard"``, ``"not_spd"`` or
-    ``"singular_phi"`` with ``H`` returned unchanged; an unusable ``tau``
-    falls back to 1 with ``tau_fallback=True``.
+    guard, a lost positive definiteness, a pair so small that
+    ``rho^2 y^T H y`` overflows (where the guard's bound underflows to 0)
+    or a singular ``phi`` yields ``skip_reason`` ``"curvature_guard"``,
+    ``"not_spd"``, ``"overflow"`` or ``"singular_phi"`` with ``H``
+    returned unchanged; an unusable ``tau`` falls back to 1 with
+    ``tau_fallback=True``.
     """
     ys = float(np.dot(y, s))
     if not curvature_guard(s, y, ys):
@@ -347,6 +349,8 @@ def propose_update(variant, H, s, y, g_prev, alpha, scale=1.0):
     coeffs = compute_base_coefficients(H_work, s, y, ys, g_prev, alpha, scale)
     if coeffs is None:
         return UpdateResult(H=H, skip_reason="not_spd")
+    if not math.isfinite(coeffs.rho * coeffs.rho * coeffs.yHy):
+        return UpdateResult(H=H, skip_reason="overflow", coeffs=coeffs)
     theta = compute_theta(variant, coeffs)
     tau = compute_tau(variant, theta, coeffs, s.shape[0])
     tau_fallback = tau is None

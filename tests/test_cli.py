@@ -18,6 +18,54 @@ from ssbroyden.cli import (
 
 CSV_HEADER = "iter,f,gnorm_inf,gnorm_2,alpha,theta,tau,ls_evals,skipped,tau_fallback"
 
+# The JSON trace format, written out: cli.TRACE_SCHEMA is built from the
+# record and counter fields and must stay equal to it.
+REFERENCE_SCHEMA = {
+    "type": "object",
+    "required": ["records", "summary"],
+    "properties": {
+        "records": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["iter", "f", "gnorm_inf", "gnorm_2", "alpha", "theta",
+                             "tau", "ls_evals", "skipped", "tau_fallback"],
+                "properties": {
+                    "iter": {"type": "integer"},
+                    "f": {"type": "number"},
+                    "gnorm_inf": {"type": "number"},
+                    "gnorm_2": {"type": "number"},
+                    "alpha": {"type": "number"},
+                    "theta": {"type": "number"},
+                    "tau": {"type": "number"},
+                    "ls_evals": {"type": "integer"},
+                    "skipped": {"type": "boolean"},
+                    "tau_fallback": {"type": "boolean"},
+                },
+            },
+        },
+        "summary": {
+            "type": "object",
+            "required": ["solver", "problem", "status", "qn_iters", "f_evals",
+                         "g_evals", "ls_steps", "update_skips", "tau_fallbacks",
+                         "final_f", "final_gnorm_inf"],
+            "properties": {
+                "solver": {"type": "string"},
+                "problem": {"type": "string"},
+                "status": {"type": "string"},
+                "qn_iters": {"type": "integer"},
+                "f_evals": {"type": "integer"},
+                "g_evals": {"type": "integer"},
+                "ls_steps": {"type": "integer"},
+                "update_skips": {"type": "integer"},
+                "tau_fallbacks": {"type": "integer"},
+                "final_f": {"type": "number"},
+                "final_gnorm_inf": {"type": "number"},
+            },
+        },
+    },
+}
+
 
 def one_iteration_trace():
     quad = make_quadratic(2)
@@ -68,6 +116,19 @@ def test_emit_json_validates_schema(tmp_path):
     jsonschema.validate(payload, TRACE_SCHEMA)
     assert payload["records"][0]["iter"] == 1
     assert payload["records"][0]["f"] == trace.records[0].f
+
+
+def test_trace_schema_matches_reference():
+    assert TRACE_SCHEMA == REFERENCE_SCHEMA
+    assert json.dumps(TRACE_SCHEMA) == json.dumps(REFERENCE_SCHEMA)
+
+
+def test_emit_json_requires_summary(tmp_path):
+    # a summary-less JSON trace would fail TRACE_SCHEMA
+    out = tmp_path / "t.json"
+    with pytest.raises(ValueError):
+        emit_trace(one_iteration_trace(), "json", out)
+    assert not out.exists()
 
 
 def test_emit_rejects_unknown_format(tmp_path):

@@ -185,6 +185,38 @@ def test_monotone_descent_and_accounting(variant, make):
     assert counted.calls == counters.f_evals
 
 
+def test_counters_are_frozen():
+    # derived once from the records, so they cannot drift from them
+    _, _, counters = solve(unit_quadratic(), [3.0, 4.0], SolverConfig(variant="bfgs"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        counters.qn_iters += 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        counters.update_skips = 0
+    assert counters == Counters(qn_iters=1, f_evals=2, g_evals=2, ls_steps=1)
+
+
+# ------------------------------------------------------- tiny scales
+
+@pytest.mark.parametrize("variant", VARIANT_ORDER, ids=lambda v: v.value)
+def test_update_at_tiny_scales_keeps_h_finite(variant):
+    # with grad_tol far below what the quadratic can reach, y^T s shrinks
+    # until rho^2 y^T H y overflows and b underflows to 0; such updates
+    # are skipped, so H stays finite and the run ends at its cap
+    quad = make_quadratic(10)
+    finite = []
+
+    def observer(state, d, outcome, new_state, record):
+        finite.append(bool(np.isfinite(new_state.H).all()))
+
+    trace, _, counters = solve(quad, quad.default_start(),
+                               SolverConfig(variant=variant, grad_tol=1e-300,
+                                            max_iters=300),
+                               observer=observer)
+    assert trace.status in ("converged", "max_iters", "line_search_failure")
+    assert len(finite) == len(trace.records) > 0 and all(finite)
+    assert counters.update_skips > 0
+
+
 # ------------------------------------------------------------ reset path
 
 def test_indefinite_model_triggers_reset():
@@ -192,8 +224,7 @@ def test_indefinite_model_triggers_reset():
     cfg = SolverConfig(variant="bfgs")
     state = init_state(quad, [3.0, 4.0], cfg)
     state.H = -np.eye(2)  # -H g is an ascent direction
-    counters = Counters()
-    new_state, record = step(state, quad, cfg, counters)
+    _, new_state, record = step(state, quad, cfg)
     assert record.reset
     assert np.allclose(new_state.x, 0.0, atol=1e-15)
     assert np.allclose(new_state.H, np.eye(2), atol=1e-12)
@@ -205,11 +236,10 @@ def test_scaled_identity_rescales_identity_after_reset(variant):
     # the identity it restarts from is rescaled like the first H0
     quad = make_quadratic(10)
     cfg = SolverConfig(variant=variant, h0_scaling="scaled_identity")
-    counters = Counters()
-    state, _ = step(init_state(quad, quad.default_start(), cfg), quad, cfg, counters)
-    assert counters.update_skips == 0 and not state.h_fresh
+    _, state, record = step(init_state(quad, quad.default_start(), cfg), quad, cfg)
+    assert not record.skipped and not state.h_fresh
     state.H = -np.eye(10)
-    new_state, record = step(state, quad, cfg, counters)
+    _, new_state, record = step(state, quad, cfg)
     assert record.reset and not record.skipped
     s = record.alpha * -state.g
     y = new_state.g - state.g
@@ -237,7 +267,7 @@ def first_scaled_step(variant):
     quad = make_quadratic(10)
     cfg = SolverConfig(variant=variant, h0_scaling="scaled_identity")
     state = init_state(quad, quad.default_start(), cfg)
-    new_state, record = step(state, quad, cfg, Counters())
+    _, new_state, record = step(state, quad, cfg)
     s = new_state.x - state.x
     y = new_state.g - state.g
     return state, new_state, record, float(y @ s) / float(y @ y), s, y
@@ -277,13 +307,16 @@ def test_scaled_identity_still_converges():
 # ----------------------------------------------------------- stall path
 
 def test_line_search_stall_reported_with_exact_accounting():
-    trace, state, counters = solve(SteepValley(), np.zeros(1),
+    # the failed search's evaluations are the one count no record carries
+    counted = CountingObjective(SteepValley())
+    trace, state, counters = solve(counted, np.zeros(1),
                                    SolverConfig(variant="bfgs", max_iters=5))
     assert trace.status == "line_search_failure"
     assert trace.records == []
     assert counters.qn_iters == 0
     assert counters.f_evals == counters.g_evals == counters.ls_steps + 1
     assert counters.ls_steps > 0
+    assert counters.f_evals == counted.calls
     assert np.array_equal(state.x, np.zeros(1))  # no step was taken
 
 
@@ -340,6 +373,32 @@ def test_wrong_gradient_length_raises_dimension_mismatch(healthy_calls):
     with pytest.raises(DimensionMismatchError):
         solve(_BreaksAfter(healthy_calls, _truncate), [-1.2, 1.0],
               SolverConfig(variant="bfgs"))
+
+
+class _SharedGradient:
+    """Wrapper returning the inner gradient in one buffer it reuses."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dimension = inner.dimension
+        self.buffer = np.empty(inner.dimension)
+
+    def value_and_gradient(self, x):
+        f, g = self.inner.value_and_gradient(x)
+        self.buffer[:] = g
+        return f, self.buffer
+
+
+@pytest.mark.parametrize("variant", VARIANT_ORDER, ids=lambda v: v.value)
+def test_reused_gradient_buffer_is_not_aliased(variant):
+    # the solver holds the gradients of two points at once; aliasing them
+    # would make y = 0 and skip every update
+    cfg = SolverConfig(variant=variant, max_iters=200)
+    rosen = make_rosenbrock(8)
+    trace, _, _ = solve(_SharedGradient(rosen), rosen.default_start(), cfg)
+    plain, _, _ = solve(rosen, rosen.default_start(), cfg)
+    assert trace.records == plain.records
+    assert trace.status == plain.status
 
 
 def test_list_gradient_is_coerced_on_every_evaluation():

@@ -388,6 +388,32 @@ def test_propose_update_skips_lost_positive_definiteness():
         assert (result.theta, result.tau, result.tau_fallback) == (0.0, 1.0, False)
 
 
+def test_propose_update_skips_nonpositive_b():
+    # b = -alpha s^T g_prev / y^T s is s^T B s / y^T s, so b <= 0 means
+    # the inverse of H is not positive definite along s (b also reaches 0
+    # by underflow, where theta's (1 - b) / b would divide by zero)
+    s = np.array([1.0, 0.0])
+    H = np.eye(2)
+    for g_prev in (s, np.zeros(2)):
+        for variant in ALL_VARIANTS:
+            result = propose_update(variant, H, s, s, g_prev, 1.0)
+            assert result.skip_reason == "not_spd"
+            assert result.H is H
+            assert result.coeffs is None
+
+
+def test_propose_update_skips_pair_too_small_to_update():
+    # y^T s = 1e-310 passes the guard, whose 1e-10 ||s|| ||y|| is 1e-320,
+    # but rho = 1 / y^T s overflows, and the update would write inf into H
+    s = np.array([1e-155, 0.0])
+    H = np.eye(2)
+    for variant in ALL_VARIANTS:
+        result = propose_update(variant, H, s, s, -s, 1.0)
+        assert result.skip_reason == "overflow"
+        assert result.H is H
+        assert result.coeffs.b == 1.0
+
+
 # No positive-definite input reaches a vanishing phi denominator or an
 # unusable tau, so the two tests below stub the step that reports it.
 
