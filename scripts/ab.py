@@ -17,9 +17,10 @@ by more than the parent's IQR.
 
 Before the pairs, the change's ``scripts/digest.py`` digests the
 trajectories of both sides' ``src`` and compares them with
-``--compare``; ``digests`` records whether every cell is equal, the
-first cell that differs and the number of cells (None when the change
-has no digest script).  Everything, every value of every run included,
+``--compare``; ``digests`` records, for each kind of hash the script
+reports (``run``: the trajectory, ``bytes``: the emitted traces),
+whether every cell is equal and the first cell that differs, plus the
+number of cells (None when the change has no digest script).  Everything, every value of every run included,
 goes to ``BENCH_<slug>.json`` at the root of the repository, with both
 commits, the git tree of each side's ``src`` and the environment.
 ``--repo`` names another repository than the one holding this script.
@@ -100,10 +101,15 @@ def run_digests(trees, tmp):
     if done.returncode not in (0, 1):
         raise RuntimeError(f"digest comparison exited {done.returncode}:\n"
                            f"{done.stderr[-2000:]}")
-    print(f"digests: {done.stdout.strip()}", flush=True)
-    return {"equal": done.returncode == 0,
-            "first_difference": done.stdout.split()[2] if done.returncode else None,
-            "cells": len(files["change"].read_text().splitlines())}
+    digests = {}
+    for line in done.stdout.splitlines():
+        print(f"digests: {line}", flush=True)
+        kind, verdict = line.split(": ", 1)
+        equal = verdict.endswith(" cells identical")
+        digests[kind] = {"equal": equal,
+                         "first_difference": None if equal else verdict.split()[2]}
+    digests["cells"] = len(files["change"].read_text().splitlines())
+    return digests
 
 
 def quartile_range(values):

@@ -1,13 +1,15 @@
-"""Bitwise trajectory digests: one SHA-256 per solver run.
+"""Bitwise trajectory digests: two SHA-256 hashes per solver run.
 
-Each cell is one ``solve`` from the problem's default start.  Its digest
-covers every field of every iteration record (floats as ``float.hex``),
-the counters, the terminal status, the bytes of the final x, g and H,
-and the bytes of the run's CSV and JSON traces as ``cli.emit_trace``
-writes them (the JSON one with a run summary built as ``bench`` builds
-it, with the cell's problem label as ``problem``), so
-two builds that print the same digest for a cell followed the same
-trajectory to the last bit and report it in the same bytes.  The cells
+Each cell is one ``solve`` from the problem's default start.  Its
+``run`` hash covers every field of every iteration record (floats as
+``float.hex``), the counters, the terminal status and the bytes of the
+final x, g and H.  Its ``bytes`` hash covers the run's CSV and JSON
+traces as ``cli.emit_trace`` writes them (the JSON one with a run
+summary built as ``bench`` builds it, with the cell's problem label as
+``problem``).  Two builds that print the same ``run`` hash for a cell
+followed the same trajectory to the last bit; the same ``bytes`` hash
+says they also report it in the same bytes, so a deliberate change of
+the trace format moves only the ``bytes`` hashes.  The cells
 are quad10, rosen2, rosen8 and pinn1d (m=8, N=32) x the six variants x
 {identity, scaled_identity}, Rosenbrock n=500 with bfgs, ssbfgs and
 ssbroyden, Rosenbrock n=100 with ssbroyden, two runs with c2=0.4,
@@ -30,9 +32,11 @@ source trees made on one machine; do not keep them as golden values.
     PYTHONPATH=../parent/src python3 scripts/digest.py > parent.txt
     python3 scripts/digest.py --compare parent.txt change.txt
 
-``--cells`` restricts a run to the named cells.  ``--compare`` exits 0
-when both files list the same cells with the same digests, else names
-the first cell that differs and exits 1.
+Each output line is ``<cell> <run hash> <bytes hash>``.  ``--cells``
+restricts a run to the named cells.  ``--compare`` prints one line per
+hash, ``run: 57 cells identical`` or ``run: first difference: <cell>
+(<a> vs <b>)`` and the same for ``bytes``; it exits 0 when both files
+list the same cells with the same hashes of both kinds, else 1.
 """
 
 import argparse
@@ -44,6 +48,7 @@ from pathlib import Path
 
 VARIANTS = ("bfgs", "ssbfgs", "dfp", "ssdfp", "broyden", "ssbroyden")
 SCALINGS = ("identity", "scaled_identity")
+KINDS = ("run", "bytes")
 
 
 def cell_specs():
@@ -84,45 +89,60 @@ def _token(value):
 
 
 def run_digest(name, make, kwargs, out_dir):
-    """Digest of one cell; its trace files are written into ``out_dir``."""
+    """``run`` and ``bytes`` hashes of one cell; its trace files are
+    written into ``out_dir``."""
     import ssbroyden
     from ssbroyden import cli
     from ssbroyden.core import norm_inf
     problem = make()
     config = ssbroyden.SolverConfig(**kwargs)
     trace, state, counters = ssbroyden.solve(problem, problem.default_start(), config)
-    digest = hashlib.sha256()
+    run = hashlib.sha256()
     for record in trace.records:
-        digest.update(" ".join(_token(v) for v in
-                               dataclasses.astuple(record)).encode() + b"\n")
-    digest.update(repr(dataclasses.astuple(counters)).encode())
-    digest.update(trace.status.encode())
+        run.update(" ".join(_token(v) for v in
+                            dataclasses.astuple(record)).encode() + b"\n")
+    run.update(repr(dataclasses.astuple(counters)).encode())
+    run.update(trace.status.encode())
     for array in (state.x, state.g, state.H):
-        digest.update(array.tobytes())
+        run.update(array.tobytes())
     summary = {"solver": config.variant.value, "problem": name.split("/")[0],
                "status": trace.status, **dataclasses.asdict(counters),
                "final_f": state.f, "final_gnorm_inf": norm_inf(state.g)}
+    emitted = hashlib.sha256()
     for fmt in ("csv", "json"):
         path = Path(out_dir) / f"trace.{fmt}"
         cli.emit_trace(trace, fmt, path, summary=summary)
-        digest.update(path.read_bytes())
-    return digest.hexdigest()
+        emitted.update(path.read_bytes())
+    return run.hexdigest(), emitted.hexdigest()
 
 
 def read_digests(path):
+    """``{kind: {cell: hash}}`` of a digest file."""
+    digests = {kind: {} for kind in KINDS}
     with open(path) as fh:
-        return dict(line.split() for line in fh if line.strip())
+        for line in fh:
+            if line.strip():
+                name, *hashes = line.split()
+                for kind, value in zip(KINDS, hashes):
+                    digests[kind][name] = value
+    return digests
 
 
 def compare(path_a, path_b):
     a, b = read_digests(path_a), read_digests(path_b)
-    for name in list(a) + [n for n in b if n not in a]:
-        if a.get(name) != b.get(name):
-            print(f"first difference: {name} "
-                  f"({a.get(name, 'missing')} vs {b.get(name, 'missing')})")
-            return 1
-    print(f"{len(a)} cells identical")
-    return 0
+    status = 0
+    for kind in KINDS:
+        ka, kb = a[kind], b[kind]
+        differ = [name for name in list(ka) + [n for n in kb if n not in ka]
+                  if ka.get(name) != kb.get(name)]
+        if differ:
+            name = differ[0]
+            print(f"{kind}: first difference: {name} "
+                  f"({ka.get(name, 'missing')} vs {kb.get(name, 'missing')})")
+            status = 1
+        else:
+            print(f"{kind}: {len(ka)} cells identical")
+    return status
 
 
 def main(argv=None):
@@ -143,7 +163,7 @@ def main(argv=None):
         specs = [spec for spec in specs if spec[0] in args.cells]
     with tempfile.TemporaryDirectory() as out_dir:
         for name, make, kwargs in specs:
-            print(name, run_digest(name, make, kwargs, out_dir), flush=True)
+            print(name, *run_digest(name, make, kwargs, out_dir), flush=True)
     return 0
 
 

@@ -6,13 +6,15 @@ ndarrays that are exactly symmetric (``M[i, j] == M[j, i]`` bitwise);
 the update kernel (``updates.apply_update``) keeps them so by
 assembling every term from outer products ``u u^T`` and symmetric pair
 sums, never from generic matrix-matrix products.  It builds those terms
-in place, row panel by row panel, in one result and one scratch buffer
-of a panel's rows, and never writes into its input matrix, so a
-caller's ``H`` is unchanged by an update.
+in place, row panel by row panel, in a panel of scratch, and writes the
+result over its input matrix: an applied update consumes the caller's
+``H``.
 
 Inputs are checked once, where they enter: ``as_vector`` at the start
-point and :func:`evaluate` on every objective evaluation.  The kernels
-the solver calls on the hot path (``matvec``) trust their operands.
+point and :func:`evaluate_verdict` on every objective evaluation (as
+:func:`evaluate`, which raises on a non-finite result, at the start
+point).  The kernels the solver calls on the hot path (``matvec``)
+trust their operands.
 """
 
 import math
@@ -46,16 +48,17 @@ def matvec(m, x):
     return m @ x
 
 
-def evaluate(problem, x):
-    """Value and gradient of ``problem`` at ``x``, checked.
+def evaluate_verdict(problem, x):
+    """Value, gradient and finiteness verdict of ``problem`` at ``x``.
 
-    Returns ``(f, g)`` with ``f`` a float and ``g`` a float64 copy of the
-    gradient (an objective may reuse its buffer), of the shape of ``x``.
-    Raises :class:`DimensionMismatchError` when the gradient has another
-    shape and :class:`EvaluationError` when the value or the gradient is
-    not finite.  This is the solver's only call into the objective, so a
-    duck-typed objective gets the same checks as an
-    :class:`ObjectiveFunction`.
+    Returns ``(f, g, finite)`` with ``f`` a float, ``g`` a float64 copy
+    of the gradient (an objective may reuse its buffer), of the shape of
+    ``x``, and ``finite`` True when both are finite.  Raises
+    :class:`DimensionMismatchError` when the gradient has another shape.
+    This and :func:`evaluate` are the solver's only calls into the
+    objective, so a duck-typed objective gets the same checks as an
+    :class:`ObjectiveFunction`.  The line search calls it and rejects a
+    non-finite trial; the start point goes through :func:`evaluate`.
     """
     f, g = problem.value_and_gradient(x)
     f = float(f)
@@ -63,7 +66,17 @@ def evaluate(problem, x):
     if g.shape != x.shape:
         raise DimensionMismatchError(
             f"gradient has shape {g.shape}, expected {x.shape}")
-    if not math.isfinite(f) or not np.isfinite(g).all():
+    return f, g, math.isfinite(f) and np.isfinite(g).all()
+
+
+def evaluate(problem, x):
+    """Value and gradient of ``problem`` at ``x``, checked.
+
+    :func:`evaluate_verdict` that raises :class:`EvaluationError` when
+    the value or the gradient is not finite; returns ``(f, g)``.
+    """
+    f, g, finite = evaluate_verdict(problem, x)
+    if not finite:
         raise EvaluationError(
             f"{type(problem).__name__} produced a non-finite value or gradient")
     return f, g

@@ -15,11 +15,14 @@ caller passes from its ``SolverConfig``; the first trial, the expansion
 cap and the two trial budgets are the module constants below.
 
 Every trial evaluates the objective value and gradient together, through
-the checked ``core.evaluate``, so the per-search evaluation count equals
-the number of trial steps and a non-finite or misshapen trial raises
-instead of corrupting the bracket.  The search owns its verdict: the
-outcome says whether the returned step satisfies sufficient decrease,
-and the caller does not re-test it.
+the checked ``core.evaluate_verdict``, so the per-search evaluation
+count equals the number of trial steps.  A misshapen gradient raises.
+A non-finite value or gradient is a rejected trial, recorded as
+phi = inf and phi' = NaN: it fails sufficient decrease, so it caps the
+bracket from above, and the cubic fit through it is not finite, so
+:func:`interpolate_trial` bisects towards the last finite point.  The
+search owns its verdict: the outcome says whether the returned step
+satisfies sufficient decrease, and the caller does not re-test it.
 """
 
 import enum
@@ -29,7 +32,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import evaluate
+from .core import evaluate_verdict
 
 
 # First trial step: the unit quasi-Newton step is tried first.
@@ -131,8 +134,11 @@ def search(problem, x, d, f0, dphi0, c1, c2):
 
     def try_step(alpha):
         nonlocal n_evals, best_armijo, smallest
-        phi, g = evaluate(problem, x + alpha * d)
-        dphi = float(np.dot(g, d))
+        phi, g, finite = evaluate_verdict(problem, x + alpha * d)
+        if finite:
+            dphi = float(np.dot(g, d))
+        else:
+            phi, dphi = math.inf, math.nan
         n_evals += 1
         trial = _Trial(alpha, phi, dphi, g)
         if smallest is None or trial.alpha < smallest.alpha:

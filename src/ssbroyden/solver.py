@@ -17,16 +17,19 @@ events are flagged in the iteration records and counted from them.
 Checks happen where a fact enters, once: ``SolverConfig`` validates
 the run settings, ``solve``/``init_state`` coerce the start point with
 ``as_vector``, every objective evaluation goes through
-``core.evaluate`` (finite value and gradient, gradient of the start
-point's shape), and the line search reports whether its step passed
-sufficient decrease.
+``core.evaluate_verdict`` (gradient of the start point's shape, and a
+verdict on whether value and gradient are finite), and the line search
+reports whether its step passed sufficient decrease.
 
-Events inside an iteration are values, not exceptions: ``step``
-returns no new state for a search without a sufficient-decrease step,
-which ends the run as ``line_search_failure``, and the update chain
-reports a skip reason.  Exceptions are kept for what leaves ``solve``:
-``DimensionMismatchError`` and ``EvaluationError`` from an evaluation
-and ``ValueError`` from ``SolverConfig``.
+Events inside an iteration are values, not exceptions: the line search
+rejects a non-finite trial like any trial that fails sufficient
+decrease, ``step`` returns no new state for a search without a
+sufficient-decrease step, which ends the run as
+``line_search_failure``, and the update chain reports a skip reason.
+Exceptions are kept for what leaves ``solve``:
+``DimensionMismatchError`` from an evaluation, ``EvaluationError`` from
+a non-finite start point, which leaves nothing to back off to, and
+``ValueError`` from ``SolverConfig``.
 
 Each derived number of an iteration is computed once: ``step`` forms
 the slope g^T d for its descent test and hands it to the search as
@@ -89,6 +92,10 @@ class SolverState:
     from and no update has been applied to it since: at the start point
     and after a reset.  Under ``scaled_identity`` such an ``H`` is
     rescaled before it is updated.
+
+    ``step`` consumes the state's ``H``: an applied unscaled update
+    overwrites it, so the next state shares it (``new_state.H is
+    state.H``).  Copy ``H`` to keep the matrix of an earlier iterate.
     """
 
     x: np.ndarray
@@ -152,6 +159,9 @@ class ConvergenceTrace:
     status: str = "incomplete"
 
 
+# Called by ``step`` as observer(state, d, outcome, new_state, record)
+# after the update; ``state.H`` is then already the updated matrix when
+# the update was applied in place (see ``SolverState``).
 Observer = Callable[[SolverState, np.ndarray, object, SolverState, IterationRecord], None]
 
 
@@ -177,6 +187,12 @@ def step(state, problem, config, observer=None):
     ``new_state`` and ``record`` are None when the line search cannot
     produce even a sufficient-decrease point; its ``outcome.n_evals``
     is then the one account of the failed search's evaluations.
+
+    The step consumes ``state.H``.  An applied update that needs no
+    rescale writes H' over it, so ``new_state.H is state.H`` and an
+    observer sees the updated matrix as ``state.H`` too.  After a reset,
+    a skipped update or a rescaled fresh identity, ``state.H`` is left
+    as it was.
     """
     n = state.x.shape[0]
     H = state.H
@@ -234,8 +250,10 @@ def solve(problem, x0, config, observer=None):
     Returns (trace, final_state, counters); trace.status is one of
     "converged", "max_iters", "line_search_failure".  Raises
     DimensionMismatchError for a start point or a gradient of the wrong
-    shape and EvaluationError for a non-finite value or gradient, at the
-    start point or at any line-search trial.
+    shape and EvaluationError for a non-finite value or gradient at the
+    start point.  A non-finite trial of the line search is rejected and
+    counted like any other trial; a search whose trials leave no point
+    of sufficient decrease ends the run as "line_search_failure".
     """
     state = init_state(problem, x0, config)
     trace = ConvergenceTrace()

@@ -23,23 +23,28 @@ any other ``phi`` adds it.
 Every event of the chain is a value, not an exception: a step that
 fails a guard returns None, and :func:`propose_update` turns that None
 into a skip reason or the ``tau = 1`` fallback.  Exceptions are kept
-for what leaves ``solve``: ``DimensionMismatchError`` and
-``EvaluationError`` from an evaluation and ``ValueError`` from
-``SolverConfig``.
+for what leaves ``solve``: ``DimensionMismatchError`` from an
+evaluation, ``EvaluationError`` from a non-finite start point and
+``ValueError`` from ``SolverConfig``.
 
-The kernel works in the result and one panel of scratch: it forms H'
-in row panels of ``PANEL_BYTES`` (128 KiB) each, so that a panel's
-passes stay in cache and the scratch is small enough for the allocator
-to reuse without returning it to the OS.  It builds each term of a
-panel in place and keeps nothing between calls; for n <= 128 the one
-panel is the whole matrix.  It applies the terms in a fixed order, the
-order of the floating-point expressions the variants have always used,
-so every element rounds exactly as before and iteration counts and
-trajectories are bitwise unchanged.  The order is part of the
-contract: a single compact form ``H/tau + [s, Hy] M [s, Hy]^T`` is
-algebraically equal but rounds differently, and in its place five of
-the six 8-D Rosenbrock golden iteration counts of the acceptance suite
-move by one to a few iterations.
+The kernel writes H' over H and works in one panel of scratch, two
+for ``phi == 1``: it forms H' in row panels of ``PANEL_BYTES``
+(128 KiB) each, so that a panel's passes stay in cache and the scratch
+is small enough for the allocator to reuse without returning it to the
+OS.  A panel's terms read only its own rows of H, so a solve holds one
+n x n matrix, not a second one for the result.  The kernel builds
+each term of a panel in place and keeps nothing between calls; for
+n <= 128 the one panel is the whole matrix.  If a floating-point error
+raised under ``np.errstate`` stops it, H is left partly updated.  It
+applies the terms in a fixed order, the order of the floating-point
+expressions the variants have always used, so every element rounds
+exactly as before and iteration counts and trajectories are bitwise
+unchanged; the ``phi == 1`` branch forms ``s s^T`` once per panel for
+both of its ``s s^T`` terms, which are the same products.  The order is
+part of the contract: a single compact form ``H/tau + [s, Hy] M [s,
+Hy]^T`` is algebraically equal but rounds differently, and in its place
+five of the six 8-D Rosenbrock golden iteration counts of the
+acceptance suite move by one to a few iterations.
 
 A panel's outer products broadcast both operands (one with stride 0),
 so numpy cannot fold their rows into one inner loop.  When such rows
@@ -133,8 +138,9 @@ class UpdateResult:
 
     ``skip_reason`` is None for an applied update, else why it was
     skipped: ``"curvature_guard"``, ``"not_spd"``, ``"overflow"`` or
-    ``"singular_phi"``.  ``H`` is the updated matrix, or the input matrix
-    unchanged when skipped.  ``theta`` and ``tau`` are the values used (0
+    ``"singular_phi"``.  ``H`` is the updated matrix, written over the
+    input matrix (or over its scaled copy), or the input matrix unchanged
+    when skipped.  ``theta`` and ``tau`` are the values used (0
     and 1 when the chain stopped before computing them); ``coeffs`` is
     None when the chain stopped before the base coefficients.
     """
@@ -244,23 +250,29 @@ def compute_phi(theta, h, b):
 
 
 def apply_update(H, s, coeffs, phi, tau):
-    """Form H' for the family member with weight ``phi`` and scale ``tau``.
+    """Overwrite ``H`` with H' for the family member with weight ``phi``
+    and scale ``tau``; returns ``H``.
 
-    Returns a new array; ``H``, ``s`` and the vectors of ``coeffs`` are
-    only read.  The kernel allocates the result plus one panel of
-    scratch, ``rows = max(1, PANEL_BYTES // (8 n))`` rows of n (all n
-    rows when that is more), and forms the result panel by panel.  On
-    rows ``[i, j)`` it applies every term in place, in this order:
+    ``s`` and the vectors of ``coeffs`` are only read.  The kernel forms
+    H' in row panels of ``rows = max(1, PANEL_BYTES // (8 n))`` rows of
+    n (all n rows when that is more).  A panel's terms read only its own
+    rows of ``H`` and the vectors ``s``, ``Hy`` and ``v``, which are all
+    formed before the loop, so each panel of ``H`` is overwritten in
+    place once its rows are read.  The scratch is one panel, two for
+    ``phi == 1``.  On rows ``[i, j)`` of ``o = H`` it applies every term
+    in this order:
 
     * ``phi == 1`` (the expanded BFGS product):
-      ``out = s_i (Hy)^T + (Hy)_i s^T``, ``out *= rho``,
-      ``out = H_i - out``, ``out += (rho^2 y^T H y) s_i s^T``;
+      ``cross = s_i (Hy)^T + (Hy)_i s^T``, ``cross *= rho``,
+      ``o -= cross``, then ``ss = s_i s^T`` in the cross panel and
+      ``o += (rho^2 y^T H y) ss``;
     * otherwise: ``tmp = (Hy)_i (Hy)^T``, ``tmp /= y^T H y``,
-      ``out = H_i - tmp``, and ``out += (phi y^T H y) v_i v^T`` when
+      ``o -= tmp``, and ``o += (phi y^T H y) v_i v^T`` when
       ``phi != 0``, with ``v = s / (y^T s) - Hy / (y^T H y)`` formed
       only in that branch;
-    * then ``out /= tau`` (skipped for ``tau == 1``, where the division
-      is exact) and ``out += rho s_i s^T``.
+    * then ``o /= tau`` (skipped for ``tau == 1``, where the division
+      is exact) and ``o += rho s_i s^T``, for ``phi == 1`` as
+      ``ss *= rho`` on the product formed above.
 
     Each ``u u^T`` term is scaled as a whole panel and then added, so
     every element sees the same roundings in the same order as the
@@ -270,7 +282,8 @@ def apply_update(H, s, coeffs, phi, tau):
     contract: an algebraically equal reordering rounds differently and
     moves the 8-D Rosenbrock golden iteration counts.  Every term is an
     outer product ``u u^T`` or a symmetric pair sum, so the result is
-    exactly symmetric.
+    exactly symmetric.  When a floating-point error raised under
+    ``np.errstate`` stops the kernel, ``H`` is left partly updated.
 
     When a panel holds more than ``np.getbufsize()`` elements, the
     panels are formed with numpy's ufunc buffer set to
@@ -284,12 +297,9 @@ def apply_update(H, s, coeffs, phi, tau):
     rho = coeffs.rho
     Hy = coeffs.Hy
     rows = min(n, max(1, PANEL_BYTES // (8 * n)))
-    # The scratch is allocated before the result, so that freeing it leaves
-    # a hole below the result instead of growing the free top of the heap,
-    # which glibc trims back to the OS once it is large enough.
     work = np.empty((rows, n))
-    out = np.empty_like(H)
     if phi == 1.0:
+        cross_work = np.empty((rows, n))
         ss_weight = rho * rho * coeffs.yHy
     elif phi != 0.0:
         v = s / coeffs.ys - Hy / coeffs.yHy
@@ -299,48 +309,53 @@ def apply_update(H, s, coeffs, phi, tau):
     try:
         for i in range(0, n, rows):
             j = min(i + rows, n)
-            o = out[i:j]
+            o = H[i:j]
             tmp = work[:j - i]
             s_i = s[i:j]
             if phi == 1.0:
-                np.multiply.outer(s_i, Hy, out=o)
+                cross = cross_work[:j - i]
+                np.multiply.outer(s_i, Hy, out=cross)
                 np.multiply.outer(Hy[i:j], s, out=tmp)
-                o += tmp
-                o *= rho
-                np.subtract(H[i:j], o, out=o)
-                np.multiply.outer(s_i, s, out=tmp)
-                tmp *= ss_weight
+                cross += tmp
+                cross *= rho
+                o -= cross
+                ss = np.multiply.outer(s_i, s, out=cross)
+                np.multiply(ss, ss_weight, out=tmp)
                 o += tmp
             else:
                 np.multiply.outer(Hy[i:j], Hy, out=tmp)
                 tmp /= coeffs.yHy
-                np.subtract(H[i:j], tmp, out=o)
+                o -= tmp
                 if phi != 0.0:
                     np.multiply.outer(v[i:j], v, out=tmp)
                     tmp *= vv_weight
                     o += tmp
             if tau != 1.0:
                 o /= tau
-            np.multiply.outer(s_i, s, out=tmp)
-            tmp *= rho
-            o += tmp
+            if phi != 1.0:
+                ss = np.multiply.outer(s_i, s, out=tmp)
+            ss *= rho
+            o += ss
     finally:
         if old_bufsize is not None:
             np.setbufsize(old_bufsize)
-    return out
+    return H
 
 
 def propose_update(variant, H, s, y, g_prev, alpha, scale=1.0):
     """Run curvature guard -> coefficients -> theta -> tau -> phi -> apply.
 
     ``H`` is the matrix that produced the step ``s = alpha * (-H g_prev)``;
-    the update is applied to ``scale * H``.  A pair that fails the
-    guard, a lost positive definiteness, a pair so small that
-    ``rho^2 y^T H y`` overflows (where the guard's bound underflows to 0)
-    or a singular ``phi`` yields ``skip_reason`` ``"curvature_guard"``,
-    ``"not_spd"``, ``"overflow"`` or ``"singular_phi"`` with ``H``
-    returned unchanged; an unusable ``tau`` falls back to 1 with
-    ``tau_fallback=True``.
+    the update is applied to ``scale * H``.  An applied update consumes
+    ``H``: with ``scale == 1`` the kernel overwrites ``H`` itself and
+    returns it, otherwise it overwrites the scaled copy ``H * scale``
+    and leaves ``H`` as it was.  A pair that fails the guard, a lost
+    positive definiteness, a pair so small that ``rho^2 y^T H y``
+    overflows (where the guard's bound underflows to 0) or a singular
+    ``phi`` yields ``skip_reason`` ``"curvature_guard"``, ``"not_spd"``,
+    ``"overflow"`` or ``"singular_phi"`` with ``H`` returned unchanged
+    (a scaling is discarded with the skip); an unusable ``tau`` falls
+    back to 1 with ``tau_fallback=True``.
     """
     ys = float(np.dot(y, s))
     if not curvature_guard(s, y, ys):

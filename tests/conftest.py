@@ -47,8 +47,9 @@ def quasi_newton_instance(rng, n):
 
 
 def propose(variant, inst):
-    """propose_update on one instance; the instances never hit a skip."""
-    result = propose_update(variant, inst["H"], inst["s"], inst["y"],
+    """propose_update on a copy of one instance's H (an applied update
+    overwrites its input); the instances never hit a skip."""
+    result = propose_update(variant, inst["H"].copy(), inst["s"], inst["y"],
                             inst["g_prev"], inst["alpha"])
     assert result.skip_reason is None
     return result
@@ -66,10 +67,11 @@ def family_update(inst, theta, tau=1.0):
     """The family member for a given theta and tau on one instance.
 
     Runs the update kernel directly, bypassing the variant's own choice
-    of theta and tau; returns the updated matrix.
+    of theta and tau, on a copy of the instance's H; returns the updated
+    copy.
     """
     coeffs = base_coefficients(inst)
-    return apply_update(inst["H"], inst["s"], coeffs,
+    return apply_update(inst["H"].copy(), inst["s"], coeffs,
                         compute_phi(theta, coeffs.h, coeffs.b), tau)
 
 
@@ -169,3 +171,21 @@ class SteepValley:
     def value_and_gradient(self, x):
         t = float(x[0])
         return -t + self.k * t * t, np.array([-1.0 + 2.0 * self.k * t])
+
+
+class LogBarrier:
+    """f(x) = sum(10 x - log x), minimised at x = 0.1; NaN for x < 0.
+
+    From x0 = 2 * ones the unit quasi-Newton step leaves the domain, so
+    the line search must back off from a non-finite trial.
+    """
+
+    def __init__(self, n=4):
+        self.dimension = n
+
+    def default_start(self):
+        return np.full(self.dimension, 2.0)
+
+    def value_and_gradient(self, x):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return float(np.sum(10.0 * x - np.log(x))), 10.0 - 1.0 / x

@@ -4,10 +4,12 @@ Everything here is deliberately written with different algorithms or
 different algebra than the library code it checks: a double-loop
 matrix-vector product, a Gaussian-elimination linear solver, the
 dynamic-theta clamp interval from an explicitly solved ``b``, a cyclic
-Jacobi eigenvalue routine, and a self-contained textbook BFGS
+Jacobi eigenvalue routine, a self-contained textbook BFGS
 minimizer (Woodbury-form update, its own bracketing/zoom search with
-the cubic solved through a normalized quadratic-formula root).  None of
-these call into the package beyond plain numpy arrays in/out.
+the cubic solved through a normalized quadratic-formula root), the
+self-scaled Broyden class in its direct (B) form, and scipy's BFGS
+inverse-Hessian update.  None of these call into the package beyond
+plain numpy arrays in/out.
 """
 
 import math
@@ -29,7 +31,8 @@ def naive_matvec(m, x):
 
 
 def gaussian_solve(a, b):
-    """Solve a x = b by Gaussian elimination with partial pivoting."""
+    """Solve a x = b by Gaussian elimination with partial pivoting;
+    ``b`` is a vector or a matrix of right-hand-side columns."""
     a = np.array(a, dtype=float)
     x = np.array(b, dtype=float)
     n = a.shape[0]
@@ -47,6 +50,51 @@ def gaussian_solve(a, b):
     for col in range(n - 1, -1, -1):
         x[col] = (x[col] - np.dot(a[col, col + 1:], x[col + 1:])) / a[col, col]
     return x
+
+
+def elimination_inverse(a):
+    """Inverse of ``a`` by :func:`gaussian_solve` on the identity."""
+    return gaussian_solve(a, np.eye(a.shape[0]))
+
+
+def direct_broyden_update(H, s, y, theta, tau):
+    """H' of the self-scaled Broyden class, from its direct (B) form.
+
+    With ``B = H^-1`` (by elimination) the class updates the scaled
+    ``tau B`` as
+
+        B' = tau B - (tau B s)(tau B s)^T / (s^T tau B s) + y y^T / y^T s
+             + theta (s^T tau B s) w w^T,
+        w  = y / y^T s - tau B s / s^T tau B s,
+
+    where ``theta`` weighs the DFP-like term of the B side (0 is BFGS,
+    1 is DFP).  Returns ``B'^-1``, again by elimination.  The inverse
+    form weighs its ``v v^T`` term by the dual ``phi = (1 - theta) /
+    (1 + (h b - 1) theta)``, which this form never computes.
+    """
+    tB = tau * elimination_inverse(H)
+    tBs = tB @ s
+    stBs = float(s @ tBs)
+    ys = float(y @ s)
+    w = y / ys - tBs / stBs
+    B_new = (tB - np.outer(tBs, tBs) / stBs + np.outer(y, y) / ys
+             + theta * stBs * np.outer(w, w))
+    return elimination_inverse(B_new)
+
+
+def scipy_bfgs_update(H, s, y, init_scale=1.0):
+    """``scipy.optimize.BFGS``'s inverse-Hessian update of ``H`` by the
+    pair ``(s, y)``, or of the identity with ``init_scale="auto"``,
+    which scipy rescales by ``y^T s / y^T y`` (Nocedal & Wright, eq.
+    6.20) before its first update.  scipy is imported here, on use.
+    """
+    from scipy.optimize import BFGS
+    bfgs = BFGS(init_scale=init_scale)
+    bfgs.initialize(s.size, "inv_hess")
+    if init_scale != "auto":
+        bfgs.H = np.array(H, dtype=float)
+    bfgs.update(s, y)
+    return bfgs.get_matrix()
 
 
 def theta_bounds(H, s, y):

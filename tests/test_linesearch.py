@@ -10,7 +10,7 @@ from ssbroyden.linesearch import (
     wolfe_check,
 )
 
-from conftest import CountingObjective, SteepValley
+from conftest import CountingObjective, LogBarrier, SteepValley
 
 C1, C2 = 1e-4, 0.9
 
@@ -179,3 +179,39 @@ def test_search_expansion_pins_at_alpha_max(monkeypatch):
     assert out.alpha == 2.0 ** 19
     assert out.n_evals == 20  # doubling path 1, 2, ..., 2^19
     assert out.f_new == -4.0 * 2.0 ** 19
+
+
+def test_search_backs_off_from_nonfinite_trial():
+    # the unit step lands at x = 2 - 9.5 < 0, where f is NaN: that trial
+    # is rejected and the zoom bisects back into the domain
+    prob = CountingObjective(LogBarrier(1))
+    x = prob.inner.default_start()
+    f0, g0 = prob.inner.value_and_gradient(x)
+    out = search(prob, x, -g0, f0, float(g0 @ -g0), C1, C2)
+    assert out.status is LineSearchStatus.WOLFE_SATISFIED
+    assert out.sufficient_decrease
+    assert 0.0 < out.alpha < 2.0 / 9.5
+    assert np.isfinite(out.f_new) and out.f_new < f0
+    assert prob.calls == out.n_evals > 1
+
+
+class _Poisoned:
+    """Finite only at the origin, the start point the tests pass."""
+
+    dimension = 2
+
+    def value_and_gradient(self, x):
+        return np.inf, np.full(2, np.nan)
+
+
+def test_search_with_only_nonfinite_trials_says_so():
+    # every trial is rejected: the first one opens the zoom, which halves
+    # the bracket until its budget runs out, and no step is returned
+    prob = CountingObjective(_Poisoned())
+    x = np.zeros(2)
+    d = np.array([1.0, 0.0])
+    out = search(prob, x, d, 0.0, -1.0, C1, C2)
+    assert out.status is LineSearchStatus.MAX_ITERS_REACHED
+    assert not out.sufficient_decrease
+    assert out.n_evals == prob.calls == 1 + linesearch.MAX_ZOOM_ITERS
+    assert out.alpha == 0.5 ** linesearch.MAX_ZOOM_ITERS

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,15 +13,18 @@ from ssbroyden import (
     UpdateVariant,
     VARIANT_ORDER,
     init_state,
+    make_pinn1d,
     make_quadratic,
     make_rosenbrock,
     solve,
 )
+from ssbroyden import updates
 from ssbroyden.solver import step
 from ssbroyden.updates import propose_update
 
-from conftest import CountingObjective, SteepValley
-from oracles import gaussian_solve, reference_bfgs
+from conftest import CountingObjective, LogBarrier, SteepValley
+from oracles import (direct_broyden_update, gaussian_solve, reference_bfgs,
+                     scipy_bfgs_update)
 
 # frozen reference trajectory: bfgs on the diag(1, 10) quadratic from [1, 1]
 GOLDEN_BFGS_F = (0.40459540459540461, 3.270678150244208e-05, 0.0)
@@ -217,6 +221,97 @@ def test_update_at_tiny_scales_keeps_h_finite(variant):
     assert counters.update_skips > 0
 
 
+# ---------------------------------------------------------- H in place
+
+@pytest.mark.parametrize("variant", VARIANT_ORDER, ids=lambda v: v.value)
+def test_step_updates_h_in_place(variant):
+    # an applied update from an unscaled H overwrites the state's matrix;
+    # a reset or a rescaled first H0 updates a new matrix and leaves the
+    # state's H as it was
+    quad = make_quadratic(10)
+    cfg = SolverConfig(variant=variant)
+    state = init_state(quad, quad.default_start(), cfg)
+    H = state.H
+    _, new_state, record = step(state, quad, cfg)
+    assert not record.skipped and not record.reset
+    assert new_state.H is H
+    assert not np.array_equal(H, np.eye(10))
+
+    state = new_state
+    state.H = -np.eye(10)
+    _, new_state, record = step(state, quad, cfg)
+    assert record.reset and not record.skipped
+    assert new_state.H is not state.H
+    assert np.array_equal(state.H, -np.eye(10))
+
+    cfg = SolverConfig(variant=variant, h0_scaling="scaled_identity")
+    state = init_state(quad, quad.default_start(), cfg)
+    _, new_state, record = step(state, quad, cfg)
+    assert not record.skipped
+    assert new_state.H is not state.H
+    assert np.array_equal(state.H, np.eye(10))
+
+
+@pytest.mark.parametrize("variant", ["bfgs", "dfp", "ssbroyden"])
+def test_solve_holds_one_matrix(variant):
+    # one variant per branch of the kernel (phi == 1, phi == 0, general):
+    # five iterations at n = 300 keep one n x n matrix live, plus at most
+    # two row panels of update scratch and the vectors, never a second H
+    rosen = make_rosenbrock(300)
+    x0 = rosen.default_start()
+    cfg = SolverConfig(variant=variant, max_iters=5)
+    n = rosen.dimension
+    panel = (updates.PANEL_BYTES // (8 * n)) * n * 8
+    tracemalloc.start()
+    try:
+        trace, state, _ = solve(rosen, x0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.status == "max_iters"
+    assert not any(r.skipped or r.reset for r in trace.records)
+    assert peak < state.H.nbytes + 2 * panel + 64 * 1024
+
+
+# ------------------------------------------------------------- oracles
+
+@pytest.mark.parametrize("variant", VARIANT_ORDER, ids=lambda v: v.value)
+def test_run_updates_match_direct_form_oracle(variant):
+    # at every iteration of 20 on the paper-size network, where the
+    # dynamic theta and the scale tau vary from step to step, the updated
+    # H matches the inverse of the direct (B) form; the observer copies
+    # each H, since the next step overwrites it
+    pinn = make_pinn1d(m=8, n_interior=32)
+    previous = [np.eye(pinn.dimension)]
+    checked = []
+
+    def observer(state, d, outcome, new_state, record):
+        assert not (record.skipped or record.reset)
+        ref = direct_broyden_update(previous[0], new_state.x - state.x,
+                                    new_state.g - state.g, record.theta, record.tau)
+        checked.append(np.max(np.abs(new_state.H - ref)) <= 1e-12 * np.max(np.abs(ref)))
+        previous[0] = new_state.H.copy()
+
+    solve(pinn, pinn.default_start(), SolverConfig(variant=variant, max_iters=20),
+          observer=observer)
+    assert len(checked) == 20 and all(checked)
+
+
+@pytest.mark.parametrize("problem", [make_quadratic(10), make_rosenbrock(8)],
+                         ids=["quad10", "rosen8"])
+def test_scaled_identity_first_step_matches_scipy_auto_scale(problem):
+    # scipy's BFGS rescales its identity by y^T s / y^T y before the first
+    # update, as scaled_identity does
+    pytest.importorskip("scipy.optimize")
+    cfg = SolverConfig(variant="bfgs", h0_scaling="scaled_identity")
+    state = init_state(problem, problem.default_start(), cfg)
+    _, new_state, record = step(state, problem, cfg)
+    assert not record.skipped
+    ref = scipy_bfgs_update(None, new_state.x - state.x, new_state.g - state.g,
+                            init_scale="auto")
+    assert np.max(np.abs(new_state.H - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 # ------------------------------------------------------------ reset path
 
 def test_indefinite_model_triggers_reset():
@@ -362,10 +457,36 @@ def test_nonfinite_start_raises_evaluation_error():
         solve(_BreaksAfter(0, _poison), [-1.2, 1.0], SolverConfig(variant="bfgs"))
 
 
-def test_nonfinite_midrun_raises_evaluation_error():
-    poisoned = _BreaksAfter(5, _poison)
-    with pytest.raises(EvaluationError):
-        solve(poisoned, [-1.2, 1.0], SolverConfig(variant="bfgs"))
+def test_nonfinite_midrun_ends_line_search_failure():
+    # 13 healthy calls are the start point and the 8 + 3 + 1 trials of the
+    # first three iterations; every trial of the fourth search is NaN, so
+    # it is rejected trial by trial (1 bracket + 30 zoom trials) and the
+    # run ends with the three records it made, not with an exception
+    cfg = SolverConfig(variant="bfgs")
+    plain, _, _ = solve(make_rosenbrock(2), [-1.2, 1.0], cfg)
+    assert [r.ls_evals for r in plain.records[:3]] == [8, 3, 1]
+    poisoned = _BreaksAfter(13, _poison)
+    trace, state, counters = solve(poisoned, [-1.2, 1.0], cfg)
+    assert trace.status == "line_search_failure"
+    assert trace.records == plain.records[:3]
+    assert counters == Counters(qn_iters=3, f_evals=44, g_evals=44, ls_steps=43,
+                                update_skips=0, tau_fallbacks=0)
+    assert poisoned.left == 13 - counters.f_evals
+    assert state.k == 3 and np.isfinite(state.H).all()
+
+
+@pytest.mark.parametrize("variant", VARIANT_ORDER, ids=lambda v: v.value)
+def test_nonfinite_trial_is_rejected_not_raised(variant):
+    # the first unit step of each run leaves the barrier's domain; the
+    # search backs off and every variant reaches the minimiser x = 0.1
+    barrier = LogBarrier(4)
+    trace, state, counters = solve(barrier, barrier.default_start(),
+                                   SolverConfig(variant=variant))
+    assert trace.status == "converged"
+    assert [r.ls_evals for r in trace.records] == [5, 5, 1, 1, 1, 1, 1, 1, 1]
+    assert counters == Counters(qn_iters=9, f_evals=18, g_evals=18, ls_steps=17,
+                                update_skips=0, tau_fallbacks=0)
+    assert np.max(np.abs(state.x - 0.1)) <= 1e-10
 
 
 @pytest.mark.parametrize("healthy_calls", [0, 5], ids=["start", "midrun"])

@@ -41,14 +41,27 @@ def test_digest_script_runs_and_compares(tmp_path):
     runs = [run([digest, "--cells", *cells], tmp_path) for _ in range(2)]
     for i, proc in enumerate(runs):
         assert proc.returncode == 0, proc.stderr
-        assert [line.split()[0] for line in proc.stdout.splitlines()] == cells
+        lines = [line.split() for line in proc.stdout.splitlines()]
+        assert [fields[0] for fields in lines] == cells
+        assert all(len(fields) == 3 for fields in lines)
         (tmp_path / f"{i}.txt").write_text(proc.stdout)
     same = run([digest, "--compare", "0.txt", "1.txt"], tmp_path)
-    assert (same.returncode, same.stdout) == (0, "3 cells identical\n")
+    assert (same.returncode, same.stdout) == (
+        0, "run: 3 cells identical\nbytes: 3 cells identical\n")
+    # A changed run hash of the first cell, then a changed bytes hash of
+    # the last: each is reported under its own kind only.
     (tmp_path / "1.txt").write_text(runs[1].stdout.replace(" ", " 0", 1))
     differ = run([digest, "--compare", "0.txt", "1.txt"], tmp_path)
     assert differ.returncode == 1
-    assert differ.stdout.startswith(f"first difference: {cells[0]} ")
+    run_line, bytes_line = differ.stdout.splitlines()
+    assert run_line.startswith(f"run: first difference: {cells[0]} ")
+    assert bytes_line == "bytes: 3 cells identical"
+    (tmp_path / "1.txt").write_text(runs[1].stdout.rstrip("\n") + "0\n")
+    differ = run([digest, "--compare", "0.txt", "1.txt"], tmp_path)
+    assert differ.returncode == 1
+    run_line, bytes_line = differ.stdout.splitlines()
+    assert run_line == "run: 3 cells identical"
+    assert bytes_line.startswith(f"bytes: first difference: {cells[2]} ")
 
 
 CANNED_RUN = """import json, sys
@@ -61,14 +74,18 @@ print(json.dumps({"correct": True, "attempted": 2, "failed": 0, "metrics": metri
 """
 CANNED_DIGEST = """import sys
 if sys.argv[1:2] == ["--compare"]:
-    a, b = (dict(line.split() for line in open(path)) for path in sys.argv[2:4])
-    differ = [name for name in a if a[name] != b.get(name)]
-    print(f"first difference: {differ[0]} (canned)" if differ
-          else f"{len(a)} cells identical")
-    sys.exit(1 if differ else 0)
+    a, b = ({line.split()[0]: line.split()[1:] for line in open(path)}
+            for path in sys.argv[2:4])
+    status = 0
+    for i, kind in enumerate(("run", "bytes")):
+        differ = [name for name in a if a[name][i] != b[name][i]]
+        print(f"{kind}: first difference: {differ[0]} (canned)" if differ
+              else f"{kind}: {len(a)} cells identical")
+        status |= bool(differ)
+    sys.exit(status)
 import cells
 for name, value in cells.DIGESTS.items():
-    print(name, value)
+    print(name, value, "ee")
 """
 CANNED_SPEC = {
     "workloads": [{"name": "w1"}],
@@ -119,4 +136,6 @@ def test_ab_driver_alternates_pairs_and_writes_bench_file(tmp_path):
     f_evals = bench["workloads"]["w1"]["metrics"]["f_evals"]
     assert (f_evals["wins"], f_evals["gain"]) == (0, False)
     assert bench["workloads"]["w1"]["failed"] == {"parent": [0, 0], "change": [0, 0]}
-    assert bench["digests"] == {"equal": False, "first_difference": "c2", "cells": 3}
+    assert bench["digests"] == {"run": {"equal": False, "first_difference": "c2"},
+                                "bytes": {"equal": True, "first_difference": None},
+                                "cells": 3}

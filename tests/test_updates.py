@@ -22,7 +22,8 @@ from ssbroyden.updates import (
 
 from conftest import (base_coefficients, expression_update, family_update, propose,
                       quasi_newton_instance)
-from oracles import gaussian_solve, jacobi_eigenvalues, theta_bounds
+from oracles import (direct_broyden_update, gaussian_solve, jacobi_eigenvalues,
+                     scipy_bfgs_update, theta_bounds)
 
 ALL_VARIANTS = list(VARIANT_ORDER)
 DYNAMIC = [UpdateVariant.BROYDEN, UpdateVariant.SSBROYDEN]
@@ -258,6 +259,26 @@ def test_mixed_update_is_phi_blend_of_bfgs_and_dfp(instance_suite):
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.value)
+def test_update_matches_direct_form_oracle(variant, instance_suite):
+    # the inverse of the direct (B) form with the library's theta and tau:
+    # checks phi, the duality of theta and phi, and the kernel's terms
+    # against formulas the library does not contain
+    for inst in instance_suite:
+        result = propose(variant, inst)
+        ref = direct_broyden_update(inst["H"], inst["s"], inst["y"],
+                                    result.theta, result.tau)
+        assert np.max(np.abs(result.H - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_bfgs_matches_scipy_oracle(instance_suite):
+    pytest.importorskip("scipy.optimize")
+    for inst in instance_suite:
+        got = propose(UpdateVariant.BFGS, inst).H
+        ref = scipy_bfgs_update(inst["H"], inst["s"], inst["y"])
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.value)
 def test_secant_equation_full_suite(variant, instance_suite):
     for inst in instance_suite:
         H_new = propose(variant, inst).H
@@ -275,9 +296,10 @@ def test_update_is_exactly_symmetric(variant, instance_suite):
 @pytest.mark.parametrize("tau", [1.0, 0.7])
 @pytest.mark.parametrize("phi", [1.0, 0.0, 0.4, -0.3])
 def test_kernel_matches_expression_form_bitwise(phi, tau, instance_suite, panel_suite):
-    # The in-place kernel must round exactly like the expression form (the
-    # golden iteration counts depend on it) and must only read its inputs.
-    # The panel instances split into several row panels, the last short.
+    # The kernel writes H' over its input matrix, must round exactly like
+    # the expression form (the golden iteration counts depend on it) and
+    # must only read its vectors.  The panel instances split into several
+    # row panels, the last short.
     for inst in panel_suite:
         n = inst["n"]
         rows = updates.PANEL_BYTES // (8 * n)
@@ -285,25 +307,26 @@ def test_kernel_matches_expression_form_bitwise(phi, tau, instance_suite, panel_
     for i, inst in enumerate(instance_suite + panel_suite):
         H, s = inst["H"], inst["s"]
         coeffs = base_coefficients(inst)
-        inputs = (H, s, coeffs.Hy)
-        before = [a.tobytes() for a in inputs]
+        vectors = (s, coeffs.Hy)
+        before = [a.tobytes() for a in vectors]
         ref = expression_update(H, s, coeffs, phi, tau)
-        got = apply_update(H, s, coeffs, phi, tau)
+        work = H.copy()
+        got = apply_update(work, s, coeffs, phi, tau)
+        assert got is work, f"instance {i}: result is not the input matrix"
         assert got.tobytes() == ref.tobytes(), f"instance {i}: rounds differently"
-        for name, a, b in zip(("H", "s", "Hy"), inputs, before):
+        for name, a, b in zip(("s", "Hy"), vectors, before):
             assert a.tobytes() == b, f"instance {i}: kernel wrote into {name}"
-        assert not np.shares_memory(got, H), f"instance {i}: result aliases H"
         assert np.array_equal(got, got.T), f"instance {i}: result not symmetric"
 
 
 @pytest.mark.parametrize("phi", [1.0, 0.0, 0.4])
 def test_kernel_holds_result_plus_one_panel(phi, panel_suite):
-    # One call at n = 300 keeps the result and one row panel of scratch
-    # live, plus a few vectors: not a second n x n matrix, and not the two
-    # 64 KiB ufunc buffers numpy fills when it copies the operands of an
-    # outer product.
+    # One call at n = 300 writes the result over its input and keeps one
+    # row panel of scratch live (two for phi == 1), plus a few vectors:
+    # no n x n matrix, and not the two 64 KiB ufunc buffers numpy fills
+    # when it copies the operands of an outer product.
     inst = panel_suite[-1]
-    H, s = inst["H"], inst["s"]
+    H, s = inst["H"].copy(), inst["s"]
     n = inst["n"]
     panel = (updates.PANEL_BYTES // (8 * n)) * n * 8
     coeffs = base_coefficients(inst)
@@ -313,7 +336,7 @@ def test_kernel_holds_result_plus_one_panel(phi, panel_suite):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < H.nbytes + panel + 16 * 1024
+    assert peak < 2 * panel + 16 * 1024
 
 
 @pytest.mark.parametrize("n", [300, 25])
@@ -330,10 +353,11 @@ def test_kernel_leaves_numpy_state_as_found(n, panel_suite):
         with np.errstate(divide="raise"):
             state = (np.getbufsize(), np.geterr())
             for phi in (1.0, 0.0, 0.4):
-                apply_update(H, s, coeffs, phi, 0.7)
+                apply_update(H.copy(), s, coeffs, phi, 0.7)
                 assert (np.getbufsize(), np.geterr()) == state
             with pytest.raises(FloatingPointError):
-                apply_update(H, s, dataclasses.replace(coeffs, yHy=0.0), 0.0, 1.0)
+                apply_update(H.copy(), s, dataclasses.replace(coeffs, yHy=0.0),
+                             0.0, 1.0)
             assert (np.getbufsize(), np.geterr()) == state
     finally:
         np.setbufsize(caller_bufsize)
@@ -435,13 +459,31 @@ def test_propose_update_tau_fallback_applies_unscaled_update(monkeypatch, instan
     inst = instance_suite[0]
     H, s = inst["H"], inst["s"]
     for variant in ALL_VARIANTS:
-        result = propose_update(variant, H, s, inst["y"], inst["g_prev"], inst["alpha"])
+        work = H.copy()
+        result = propose_update(variant, work, s, inst["y"], inst["g_prev"],
+                                inst["alpha"])
         assert result.skip_reason is None
         assert result.tau_fallback and result.tau == 1.0
+        assert result.H is work
         phi = compute_phi(result.theta, result.coeffs.h, result.coeffs.b)
-        expected = apply_update(H, s, result.coeffs, phi, 1.0)
+        expected = apply_update(H.copy(), s, result.coeffs, phi, 1.0)
         assert result.H.tobytes() == expected.tobytes()
         assert not np.array_equal(result.H, H)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.value)
+def test_propose_update_overwrites_h_only_when_unscaled(variant, instance_suite):
+    # scale == 1 consumes H; a scaled update works on the copy H * scale
+    # and leaves H as it was, so a skip can discard the scaling
+    inst = instance_suite[3]
+    args = (inst["s"], inst["y"], inst["g_prev"], inst["alpha"])
+    work = inst["H"].copy()
+    result = propose_update(variant, work, *args)
+    assert result.skip_reason is None and result.H is work
+    work = inst["H"].copy()
+    result = propose_update(variant, work, *args, scale=0.5)
+    assert result.skip_reason is None and result.H is not work
+    assert np.array_equal(work, inst["H"])
 
 
 # ------------------------------------------------------------ properties
