@@ -14,8 +14,14 @@ are quad10, rosen2, rosen8 and pinn1d (m=8, N=32) x the six variants x
 {identity, scaled_identity}, Rosenbrock n=500 with bfgs, ssbfgs and
 ssbroyden, Rosenbrock n=100 with ssbroyden, two runs with c2=0.4,
 pinn1d (m=4, N=16) with ssdfp for 200 iterations, the one cell whose
-run skips updates (at the curvature guard), and pinn1d (m=64, N=512)
-with bfgs and ssbroyden for 60 iterations: 57 cells.
+run skips updates (at the curvature guard), pinn1d (m=64, N=512)
+with bfgs and ssbroyden for 60 iterations, the log barrier
+sum(10 x - log x) (n=4, from 2 * ones) x the six variants, whose unit
+steps are non-finite trials the line search rejects, and the steep
+valley -x + 1e16 x^2 from 0 with bfgs, which ends
+``line_search_failure`` with no trial of sufficient decrease: 64 cells.
+The last two objectives are defined here, so that the script runs them
+on any source tree it is pointed at.
 
 The large cells split the update kernel into several row panels with a
 short last one (n=500 into 32-row panels, n=193 into 84/84/25 rows);
@@ -34,7 +40,7 @@ source trees made on one machine; do not keep them as golden values.
 
 Each output line is ``<cell> <run hash> <bytes hash>``.  ``--cells``
 restricts a run to the named cells.  ``--compare`` prints one line per
-hash, ``run: 57 cells identical`` or ``run: first difference: <cell>
+hash, ``run: 64 cells identical`` or ``run: first difference: <cell>
 (<a> vs <b>)`` and the same for ``bytes``; it exits 0 when both files
 list the same cells with the same hashes of both kinds, else 1.
 """
@@ -46,9 +52,46 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 VARIANTS = ("bfgs", "ssbfgs", "dfp", "ssdfp", "broyden", "ssbroyden")
 SCALINGS = ("identity", "scaled_identity")
 KINDS = ("run", "bytes")
+
+
+class LogBarrier:
+    """f(x) = sum(10 x - log x), minimised at x = 0.1; NaN for x < 0.
+
+    From x0 = 2 * ones the unit quasi-Newton step leaves the domain, so
+    the line search must back off from a non-finite trial.
+    """
+
+    def __init__(self, n=4):
+        self.dimension = n
+
+    def default_start(self):
+        return np.full(self.dimension, 2.0)
+
+    def value_and_gradient(self, x):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return float(np.sum(10.0 * x - np.log(x))), 10.0 - 1.0 / x
+
+
+class SteepValley:
+    """f(x) = -x + K x^2 with K so large the sufficient-decrease band
+    lies below the line search's degenerate-interval floor."""
+
+    dimension = 1
+
+    def __init__(self, k=1e16):
+        self.k = k
+
+    def default_start(self):
+        return np.zeros(1)
+
+    def value_and_gradient(self, x):
+        t = float(x[0])
+        return -t + self.k * t * t, np.array([-1.0 + 2.0 * self.k * t])
 
 
 def cell_specs():
@@ -81,6 +124,9 @@ def cell_specs():
                lambda: ssbroyden.make_pinn1d(m=64, n_interior=512),
                {"variant": variant, "max_iters": 60})
               for variant in ("bfgs", "ssbroyden")]
+    specs += [(f"logbarrier4/{variant}/identity", LogBarrier,
+               {"variant": variant}) for variant in VARIANTS]
+    specs += [("steepvalley/bfgs/identity", SteepValley, {"variant": "bfgs"})]
     return specs
 
 

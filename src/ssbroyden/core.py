@@ -1,5 +1,5 @@
 """Dense linear-algebra helpers, the objective-function contract and
-the solver's one checked door to the objective.
+the solver's one door to the objective.
 
 Vectors are 1-D float64 ndarrays, symmetric matrices are 2-D float64
 ndarrays that are exactly symmetric (``M[i, j] == M[j, i]`` bitwise);
@@ -11,10 +11,9 @@ result over its input matrix: an applied update consumes the caller's
 ``H``.
 
 Inputs are checked once, where they enter: ``as_vector`` at the start
-point and :func:`evaluate_verdict` on every objective evaluation (as
-:func:`evaluate`, which raises on a non-finite result, at the start
-point).  The kernels the solver calls on the hot path (``matvec``)
-trust their operands.
+point and :func:`evaluate` on every objective evaluation, which marks a
+non-finite result as a rejected evaluation, f = inf.  The kernels the
+solver calls on the hot path (``matvec``) trust their operands.
 """
 
 import math
@@ -48,17 +47,15 @@ def matvec(m, x):
     return m @ x
 
 
-def evaluate_verdict(problem, x):
-    """Value, gradient and finiteness verdict of ``problem`` at ``x``.
+def evaluate(problem, x):
+    """Value and gradient of ``problem`` at ``x``: ``(f, g)``.
 
-    Returns ``(f, g, finite)`` with ``f`` a float, ``g`` a float64 copy
-    of the gradient (an objective may reuse its buffer), of the shape of
-    ``x``, and ``finite`` True when both are finite.  Raises
-    :class:`DimensionMismatchError` when the gradient has another shape.
-    This and :func:`evaluate` are the solver's only calls into the
-    objective, so a duck-typed objective gets the same checks as an
-    :class:`ObjectiveFunction`.  The line search calls it and rejects a
-    non-finite trial; the start point goes through :func:`evaluate`.
+    ``f`` is a float, ``g`` a float64 copy of the gradient (an objective
+    may reuse its buffer); a gradient of another shape than ``x`` raises
+    :class:`DimensionMismatchError`.  A non-finite value or gradient is a
+    rejected evaluation, returned as ``f = inf``.  This is the solver's
+    only call into the objective, so a duck-typed objective gets the
+    same checks as an :class:`ObjectiveFunction`.
     """
     f, g = problem.value_and_gradient(x)
     f = float(f)
@@ -66,19 +63,8 @@ def evaluate_verdict(problem, x):
     if g.shape != x.shape:
         raise DimensionMismatchError(
             f"gradient has shape {g.shape}, expected {x.shape}")
-    return f, g, math.isfinite(f) and np.isfinite(g).all()
-
-
-def evaluate(problem, x):
-    """Value and gradient of ``problem`` at ``x``, checked.
-
-    :func:`evaluate_verdict` that raises :class:`EvaluationError` when
-    the value or the gradient is not finite; returns ``(f, g)``.
-    """
-    f, g, finite = evaluate_verdict(problem, x)
-    if not finite:
-        raise EvaluationError(
-            f"{type(problem).__name__} produced a non-finite value or gradient")
+    if not (math.isfinite(f) and np.isfinite(g).all()):
+        f = math.inf
     return f, g
 
 

@@ -15,14 +15,14 @@ caller passes from its ``SolverConfig``; the first trial, the expansion
 cap and the two trial budgets are the module constants below.
 
 Every trial evaluates the objective value and gradient together, through
-the checked ``core.evaluate_verdict``, so the per-search evaluation
-count equals the number of trial steps.  A misshapen gradient raises.
-A non-finite value or gradient is a rejected trial, recorded as
+``core.evaluate``, the one door to the objective, so the per-search
+evaluation count equals the number of trial steps.  A misshapen
+gradient raises.  A rejected evaluation, f = inf, is a trial with
 phi = inf and phi' = NaN: it fails sufficient decrease, so it caps the
 bracket from above, and the cubic fit through it is not finite, so
 :func:`interpolate_trial` bisects towards the last finite point.  The
-search owns its verdict: the outcome says whether the returned step
-satisfies sufficient decrease, and the caller does not re-test it.
+search hands back only a step it accepted, else the start of the ray
+(alpha = 0), so the caller does not re-test sufficient decrease.
 """
 
 import enum
@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import evaluate_verdict
+from .core import evaluate
 
 
 # First trial step: the unit quasi-Newton step is tried first.
@@ -54,17 +54,20 @@ class LineSearchStatus(enum.Enum):
 class LineSearchOutcome:
     """Result of one search: the chosen step and its evaluation data.
 
-    ``sufficient_decrease`` is the Armijo verdict on the returned step:
-    always True with WOLFE_SATISFIED, and True on the other statuses
-    only when some trial passed the Armijo test.
+    A search with no trial of sufficient decrease returns the start of
+    the ray: ``alpha = 0``, ``f_new = phi(0)`` and ``g_new = None``.
     """
 
     alpha: float
     f_new: float
-    g_new: np.ndarray
+    g_new: Optional[np.ndarray]
     n_evals: int
     status: LineSearchStatus
-    sufficient_decrease: bool
+
+    @property
+    def sufficient_decrease(self):
+        """Whether the search accepted a step (True with WOLFE_SATISFIED)."""
+        return self.alpha > 0.0
 
 
 class _Trial(NamedTuple):
@@ -123,42 +126,31 @@ def search(problem, x, d, f0, dphi0, c1, c2):
     ray there, both of which the caller already paid for; ``dphi0``
     must be negative.  On success the outcome status is WOLFE_SATISFIED.
     If the iteration budget runs out or the zoom bracket collapses, the
-    best trial seen so far is returned (preferring trials that satisfy
-    sufficient decrease) with a status describing why the search
-    stopped, and ``sufficient_decrease`` tells the caller whether that
-    step passed the Armijo test.
+    sufficient-decrease trial with the lowest phi is returned, else the
+    start of the ray (alpha = 0, ``f0``, ``g_new=None``), with a status
+    describing why the search stopped.
     """
     n_evals = 0
-    best_armijo = None
-    smallest = None
+    start = _Trial(0.0, f0, dphi0, None)
+    best_armijo = start
 
     def try_step(alpha):
-        nonlocal n_evals, best_armijo, smallest
-        phi, g, finite = evaluate_verdict(problem, x + alpha * d)
-        if finite:
-            dphi = float(np.dot(g, d))
-        else:
-            phi, dphi = math.inf, math.nan
+        nonlocal n_evals, best_armijo
+        phi, g = evaluate(problem, x + alpha * d)
+        dphi = float(np.dot(g, d)) if phi < math.inf else math.nan
         n_evals += 1
         trial = _Trial(alpha, phi, dphi, g)
-        if smallest is None or trial.alpha < smallest.alpha:
-            smallest = trial
         armijo, curvature = wolfe_check(f0, dphi0, alpha, phi, dphi, c1, c2)
-        if armijo and (best_armijo is None or trial.phi < best_armijo.phi):
+        # The first Armijo trial replaces the start even at phi == f0
+        # (a flat ray can pass Armijo in floating point); later ones only
+        # with a lower phi.
+        if armijo and (best_armijo is start or trial.phi < best_armijo.phi):
             best_armijo = trial
         return trial, armijo, curvature
 
-    def outcome(trial, status, sufficient_decrease=True):
+    def outcome(trial, status):
         return LineSearchOutcome(alpha=trial.alpha, f_new=trial.phi,
-                                 g_new=trial.g, n_evals=n_evals, status=status,
-                                 sufficient_decrease=sufficient_decrease)
-
-    def fallback(status):
-        # Best effort: the lowest Armijo-satisfying trial, else the
-        # smallest step tried (least damage when nothing qualified).
-        if best_armijo is not None:
-            return outcome(best_armijo, status)
-        return outcome(smallest, status, sufficient_decrease=False)
+                                 g_new=trial.g, n_evals=n_evals, status=status)
 
     def zoom(lo, hi):
         # Invariants: lo satisfies sufficient decrease with the lowest
@@ -166,7 +158,7 @@ def search(problem, x, d, f0, dphi0, c1, c2):
         for _ in range(MAX_ZOOM_ITERS):
             width = abs(hi.alpha - lo.alpha)
             if width <= 1e-14 * max(1.0, abs(lo.alpha), abs(hi.alpha)):
-                return fallback(LineSearchStatus.DEGENERATE_INTERVAL)
+                return outcome(best_armijo, LineSearchStatus.DEGENERATE_INTERVAL)
             trial, armijo, curvature = try_step(interpolate_trial(lo, hi))
             if (not armijo) or trial.phi >= lo.phi:
                 hi = trial
@@ -176,9 +168,9 @@ def search(problem, x, d, f0, dphi0, c1, c2):
                 if trial.dphi * (hi.alpha - lo.alpha) >= 0.0:
                     hi = lo
                 lo = trial
-        return fallback(LineSearchStatus.MAX_ITERS_REACHED)
+        return outcome(best_armijo, LineSearchStatus.MAX_ITERS_REACHED)
 
-    prev = _Trial(0.0, f0, dphi0, None)
+    prev = start
     alpha = ALPHA_INIT
     for i in range(MAX_BRACKET_ITERS):
         trial, armijo, curvature = try_step(alpha)
@@ -193,4 +185,4 @@ def search(problem, x, d, f0, dphi0, c1, c2):
         if next_alpha <= alpha:
             break  # pinned at ALPHA_MAX, cannot expand further
         alpha = next_alpha
-    return fallback(LineSearchStatus.MAX_ITERS_REACHED)
+    return outcome(best_armijo, LineSearchStatus.MAX_ITERS_REACHED)

@@ -17,14 +17,14 @@ events are flagged in the iteration records and counted from them.
 Checks happen where a fact enters, once: ``SolverConfig`` validates
 the run settings, ``solve``/``init_state`` coerce the start point with
 ``as_vector``, every objective evaluation goes through
-``core.evaluate_verdict`` (gradient of the start point's shape, and a
-verdict on whether value and gradient are finite), and the line search
-reports whether its step passed sufficient decrease.
+``core.evaluate``, the one door to the objective (gradient of the start
+point's shape, f = inf for a non-finite result), and the line search
+hands back only a step it accepted.
 
 Events inside an iteration are values, not exceptions: the line search
-rejects a non-finite trial like any trial that fails sufficient
-decrease, ``step`` returns no new state for a search without a
-sufficient-decrease step, which ends the run as
+rejects a trial with f = inf like any trial that fails sufficient
+decrease, ``step`` returns no new state for a search that returns the
+start of its ray (alpha = 0), which ends the run as
 ``line_search_failure``, and the update chain reports a skip reason.
 Exceptions are kept for what leaves ``solve``:
 ``DimensionMismatchError`` from an evaluation, ``EvaluationError`` from
@@ -42,7 +42,7 @@ from typing import Callable, List, Union
 
 import numpy as np
 
-from .core import as_vector, evaluate, matvec, norm_2, norm_inf
+from .core import EvaluationError, as_vector, evaluate, matvec, norm_2, norm_inf
 from .linesearch import search
 from .updates import UpdateVariant, propose_update
 
@@ -178,15 +178,19 @@ def init_state(problem, x0, config):
     """
     x = as_vector(x0, problem.dimension)
     f, g = evaluate(problem, x)
+    if f == np.inf:
+        raise EvaluationError(
+            f"{type(problem).__name__} produced a non-finite value or gradient")
     return SolverState(x=x, f=f, g=g, H=np.eye(x.shape[0]), k=0)
 
 
 def step(state, problem, config, observer=None):
     """One outer iteration; returns (outcome, new_state, record).
 
-    ``new_state`` and ``record`` are None when the line search cannot
-    produce even a sufficient-decrease point; its ``outcome.n_evals``
-    is then the one account of the failed search's evaluations.
+    ``new_state`` and ``record`` are None when the line search finds no
+    sufficient-decrease point and returns the start of its ray
+    (``outcome.alpha == 0``); its ``outcome.n_evals`` is then the one
+    account of the failed search's evaluations.
 
     The step consumes ``state.H``.  An applied update that needs no
     rescale writes H' over it, so ``new_state.H is state.H`` and an

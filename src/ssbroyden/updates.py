@@ -199,14 +199,16 @@ def compute_theta(variant, coeffs):
     ``rho_minus = min(1, h (1 - c))``, ``theta_minus = (rho_minus - 1)/a``
     and ``theta_plus = 1/rho_minus``; when ``a`` is degenerate the lower
     bound collapses to 0 and the clamp keeps the update inside the
-    convex class.
+    convex class.  ``rho_minus`` is 0 when ``c`` rounds to 1 or
+    ``h (1 - c)`` underflows; ``theta_plus`` is then its limit, +inf.
     """
     fixed = variant.fixed_theta
     if fixed is not None:
         return fixed
     rho_minus = min(1.0, coeffs.h * (1.0 - coeffs.c))
     theta_minus = 0.0 if coeffs.a < A_DEGENERATE else (rho_minus - 1.0) / coeffs.a
-    return max(theta_minus, min(1.0 / rho_minus, (1.0 - coeffs.b) / coeffs.b))
+    theta_plus = math.inf if rho_minus == 0.0 else 1.0 / rho_minus
+    return max(theta_minus, min(theta_plus, (1.0 - coeffs.b) / coeffs.b))
 
 
 def compute_tau(variant, theta, coeffs, n):

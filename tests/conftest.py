@@ -1,5 +1,8 @@
 """Shared generators and helpers for the test suite."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,11 @@ from ssbroyden.updates import (
     compute_phi,
     propose_update,
 )
+
+# The rare-path objectives are the digest script's own, so that the tests
+# and the bitwise digests exercise the same functions.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+from digest import LogBarrier, SteepValley  # noqa: E402,F401
 
 
 def random_spd(rng, n, shift=0.5):
@@ -28,12 +36,13 @@ def bounded_spectrum_spd(rng, n, lo=0.5, hi=2.5):
     return 0.5 * (c + c.T)  # enforce bitwise symmetry
 
 
-def quasi_newton_instance(rng, n):
+def quasi_newton_instance(rng, n, g_spectrum=(0.5, 2.5)):
     """One valid (H, s, y, g_prev, alpha) tuple for the update formulas.
 
     s lies exactly along the quasi-Newton direction -H g_prev, and y = G s
-    for a random SPD G, i.e. the pair (s, y) a quadratic with Hessian G
-    would generate.  That keeps y^T s > 0 without any post-hoc nudging.
+    for a random SPD G with eigenvalues in ``g_spectrum``, i.e. the pair
+    (s, y) a quadratic with Hessian G would generate.  That keeps
+    y^T s > 0 without any post-hoc nudging.
     """
     H = bounded_spectrum_spd(rng, n, 0.5, 5.0)
     g_prev = rng.standard_normal(n)
@@ -42,7 +51,7 @@ def quasi_newton_instance(rng, n):
     alpha = 0.25 + 1.5 * rng.random()
     d = -(H @ g_prev)
     s = alpha * d
-    y = bounded_spectrum_spd(rng, n, 0.5, 2.5) @ s
+    y = bounded_spectrum_spd(rng, n, *g_spectrum) @ s
     return {"H": H, "s": s, "y": y, "g_prev": g_prev, "alpha": alpha, "n": n}
 
 
@@ -138,6 +147,23 @@ def instance_suite():
 
 
 @pytest.fixture(scope="session")
+def interior_theta_suite():
+    """100 update instances built like ``instance_suite``'s, N cycling
+    through 2..12, but with G's spectrum in [0.05, 0.3].
+
+    That lies mostly below the spectrum [0.2, 2] of H's inverse, so
+    b = s^T H^-1 s / y^T s is mostly above 1: the dynamic theta leaves
+    DFP's theta = 1 for a value inside [theta_minus, theta_plus], and
+    ``ssbfgs``'s tau leaves 1.  In ``instance_suite`` (b <= 1 on nearly
+    every instance) ``broyden`` is bitwise ``dfp`` and ``ssbfgs`` is
+    ``bfgs`` almost everywhere.
+    """
+    rng = np.random.default_rng(20261019)
+    return [quasi_newton_instance(rng, 2 + (i % 11), g_spectrum=(0.05, 0.3))
+            for i in range(100)]
+
+
+@pytest.fixture(scope="session")
 def panel_suite():
     """Update instances large enough that the kernel splits them into
     several row panels with a short last one: two each at n = 160 and
@@ -157,35 +183,3 @@ class CountingObjective(ObjectiveFunction):
     def value_and_gradient(self, x):
         self.calls += 1
         return self.inner.value_and_gradient(x)
-
-
-class SteepValley:
-    """f(x) = -x + K x^2 with K so large the sufficient-decrease band
-    lies below the line search's degenerate-interval floor."""
-
-    dimension = 1
-
-    def __init__(self, k=1e16):
-        self.k = k
-
-    def value_and_gradient(self, x):
-        t = float(x[0])
-        return -t + self.k * t * t, np.array([-1.0 + 2.0 * self.k * t])
-
-
-class LogBarrier:
-    """f(x) = sum(10 x - log x), minimised at x = 0.1; NaN for x < 0.
-
-    From x0 = 2 * ones the unit quasi-Newton step leaves the domain, so
-    the line search must back off from a non-finite trial.
-    """
-
-    def __init__(self, n=4):
-        self.dimension = n
-
-    def default_start(self):
-        return np.full(self.dimension, 2.0)
-
-    def value_and_gradient(self, x):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return float(np.sum(10.0 * x - np.log(x))), 10.0 - 1.0 / x

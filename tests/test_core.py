@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from ssbroyden import DimensionMismatchError, EvaluationError, ObjectiveFunction
+from ssbroyden import (DimensionMismatchError, EvaluationError, ObjectiveFunction,
+                       SolverConfig, init_state)
 from ssbroyden.core import as_vector, evaluate, matvec, norm_2, norm_inf
 
 from oracles import naive_matvec
@@ -52,12 +55,24 @@ def test_evaluate_returns_float_and_float64_gradient():
 @pytest.mark.parametrize("f, g, error", [
     (float("nan"), [0.0, 0.0], EvaluationError),
     (1.0, [0.0, float("inf")], EvaluationError),
+    (-float("inf"), [0.0, 0.0], EvaluationError),
     (1.0, [0.0], DimensionMismatchError),
     (1.0, [[0.0, 0.0]], DimensionMismatchError),
-], ids=["nan-value", "inf-gradient", "short-gradient", "2d-gradient"])
+], ids=["nan-value", "inf-gradient", "-inf-value", "short-gradient", "2d-gradient"])
 def test_evaluate_rejects_bad_results(f, g, error):
+    # A misshapen gradient raises at every evaluation.  A non-finite value
+    # or gradient is a rejected evaluation, f = inf, and only the start
+    # point turns that into an error.
+    problem = _Returns(f, g)
+    if error is DimensionMismatchError:
+        with pytest.raises(error):
+            evaluate(problem, np.zeros(2))
+    else:
+        f_out, g_out = evaluate(problem, np.zeros(2))
+        assert f_out == math.inf
+        assert g_out.shape == (2,) and g_out.dtype == np.float64
     with pytest.raises(error):
-        evaluate(_Returns(f, g), np.zeros(2))
+        init_state(problem, np.zeros(2), SolverConfig(variant="bfgs"))
 
 
 def test_norms():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ssbroyden import RosenbrockProblem, SolverConfig, linesearch, make_quadratic
+from ssbroyden import RosenbrockProblem, SolverConfig, linesearch, make_quadratic, solve
 from ssbroyden.linesearch import (
     LineSearchStatus,
     _Trial,
@@ -130,33 +130,87 @@ def test_search_eval_accounting_and_determinism():
     assert out1.status is out2.status
 
 
+class _Recording(CountingObjective):
+    """CountingObjective that also keeps each trial point and value."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.trials = []
+
+    def value_and_gradient(self, x):
+        f, g = super().value_and_gradient(x)
+        self.trials.append((x.copy(), f))
+        return f, g
+
+
+def assert_returns_start(out, f0, status, n_evals):
+    """The outcome of a search that accepted no step: the ray's start."""
+    assert out.status is status
+    assert out.n_evals == n_evals
+    assert out.alpha == 0.0
+    assert out.f_new == f0
+    assert out.g_new is None
+    assert not out.sufficient_decrease
+
+
 def test_search_budget_exhaustion_falls_back(monkeypatch):
     monkeypatch.setattr(linesearch, "MAX_BRACKET_ITERS", 1)
     monkeypatch.setattr(linesearch, "MAX_ZOOM_ITERS", 1)
-    rosen = RosenbrockProblem(2)
-    x = rosen.default_start()
-    f0, g0 = rosen.value_and_gradient(x)
-    out = search(rosen, x, -g0, f0, float(g0 @ -g0), C1, C2)
-    assert out.status is LineSearchStatus.MAX_ITERS_REACHED
-    assert out.n_evals == 2
-    assert 0.0 < out.alpha <= 1.0
-    phi, _ = rosen.value_and_gradient(x - out.alpha * g0)
-    assert out.f_new == phi
-    # neither trial passed Armijo: the smaller step comes back, flagged
-    assert not out.sufficient_decrease
-    assert phi > f0 + 1e-4 * out.alpha * float(g0 @ -g0)
+    rosen = _Recording(RosenbrockProblem(2))
+    x = rosen.inner.default_start()
+    f0, g0 = rosen.inner.value_and_gradient(x)
+    dphi0 = float(g0 @ -g0)
+    out = search(rosen, x, -g0, f0, dphi0, C1, C2)
+    # neither trial passed Armijo: the start of the ray comes back
+    assert_returns_start(out, f0, LineSearchStatus.MAX_ITERS_REACHED, 2)
+    assert len(rosen.trials) == 2
+    for point, phi in rosen.trials:
+        alpha = float((point - x) @ -g0) / float(g0 @ g0)
+        assert 0.0 < alpha <= 1.0
+        assert phi > f0 + C1 * alpha * dphi0
 
 
 def test_search_without_sufficient_decrease_says_so():
     # the Armijo band of the steep valley lies below the degenerate-
-    # interval floor, so no trial passes and the smallest one is returned
-    prob = SteepValley()
+    # interval floor, so no trial passes and the start of the ray returns
+    prob = _Recording(SteepValley())
     x = np.zeros(1)
+    f0, g0 = prob.inner.value_and_gradient(x)
+    dphi0 = float(g0 @ -g0)
+    out = search(prob, x, -g0, f0, dphi0, C1, C2)
+    assert_returns_start(out, f0, LineSearchStatus.DEGENERATE_INTERVAL, 16)
+    assert prob.calls == 16
+    for point, phi in prob.trials:
+        alpha = float(point[0] / -g0[0])
+        assert alpha > 0.0 and phi > f0 + C1 * alpha * dphi0
+
+
+class _FlatValley:
+    """f(x) = 1e16 + 100 x^2: near its minimum f rounds to 1e16 exactly."""
+
+    dimension = 1
+
+    def value_and_gradient(self, x):
+        t = float(x[0])
+        return 1e16 + 100.0 * t * t, np.array([200.0 * t])
+
+
+def test_search_keeps_armijo_trial_level_with_start():
+    # From x = 0.01 every trial near the minimum rounds to phi(0) = 1e16,
+    # which passes Armijo in floating point (f0 + c1 alpha phi'(0) rounds
+    # to f0).  The first such trial is the step, not the start of the ray,
+    # and the run converges on it.
+    prob = _FlatValley()
+    x = np.array([0.01])
     f0, g0 = prob.value_and_gradient(x)
     out = search(prob, x, -g0, f0, float(g0 @ -g0), C1, C2)
-    assert out.status is not LineSearchStatus.WOLFE_SATISFIED
-    assert not out.sufficient_decrease
-    assert out.f_new > f0 + 1e-4 * out.alpha * float(g0 @ -g0)
+    assert out.status is LineSearchStatus.DEGENERATE_INTERVAL
+    assert out.sufficient_decrease and out.f_new == f0
+    assert out.alpha == 0.010000000000000002 and out.n_evals == 22
+    assert np.array_equal(out.g_new, prob.value_and_gradient(x - out.alpha * g0)[1])
+    trace, _, counters = solve(prob, x, SolverConfig(variant="bfgs"))
+    assert trace.status == "converged"
+    assert (counters.qn_iters, counters.f_evals) == (2, 24)
 
 
 class _LinearDrop:
@@ -206,12 +260,14 @@ class _Poisoned:
 
 def test_search_with_only_nonfinite_trials_says_so():
     # every trial is rejected: the first one opens the zoom, which halves
-    # the bracket until its budget runs out, and no step is returned
-    prob = CountingObjective(_Poisoned())
+    # the bracket until its budget runs out, and the start of the ray is
+    # returned
+    prob = _Recording(_Poisoned())
     x = np.zeros(2)
     d = np.array([1.0, 0.0])
     out = search(prob, x, d, 0.0, -1.0, C1, C2)
-    assert out.status is LineSearchStatus.MAX_ITERS_REACHED
-    assert not out.sufficient_decrease
-    assert out.n_evals == prob.calls == 1 + linesearch.MAX_ZOOM_ITERS
-    assert out.alpha == 0.5 ** linesearch.MAX_ZOOM_ITERS
+    n_evals = 1 + linesearch.MAX_ZOOM_ITERS
+    assert_returns_start(out, 0.0, LineSearchStatus.MAX_ITERS_REACHED, n_evals)
+    assert prob.calls == n_evals
+    assert [point[0] for point, _ in prob.trials] == [0.5 ** i for i in range(n_evals)]
+    assert all(phi == np.inf for _, phi in prob.trials)

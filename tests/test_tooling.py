@@ -1,8 +1,9 @@
 """Smoke tests for the programs outside the package that drive it.
 
-The benchmark probe and the trajectory digest script import the public
-API; running them here makes an API change that breaks either one fail
-the test suite instead of the benchmark run or the bitwise check.  The
+The benchmark probe, the benchmark's emission check and the trajectory
+digest script import the public API; running them here makes an API
+change that breaks any of them fail the test suite instead of the
+benchmark run or the bitwise check.  The
 A/B driver runs on a two-commit repository whose benchmark and digest
 script print canned result lines.
 """
@@ -32,6 +33,31 @@ def test_perfbench_probe_runs(workload, tmp_path):
     proc = run([str(ROOT / "perfbench" / "probe.py"), workload, "0"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     float(proc.stdout)  # the probe prints its clock reading
+
+
+EMISSION_CHECK = """import dataclasses, json, sys
+sys.path.insert(0, sys.argv[1])
+import workloads
+workload = workloads.WORKLOADS["pinn-paper"]
+cell = workloads.prepare(workload, 0, sys.argv[2])[0]
+cell.config = dataclasses.replace(cell.config, max_iters=3)
+out = workloads.run_pass(workload, [cell])[0]
+assert out.error is None, out.error
+print(json.dumps([out.counters.qn_iters,
+                  workloads.check_emission(workload, cell, out,
+                                           cell.trace_path.read_bytes())]))
+"""
+
+
+def test_perfbench_emission_check_passes(tmp_path):
+    # perfbench's own schema and re-emission check on a 3-iteration
+    # pinn-paper cell: a change to the library's run summary or trace
+    # schema that the benchmark's summary builder does not follow fails
+    # here, not only in a benchmark run.
+    pytest.importorskip("jsonschema")
+    proc = run(["-c", EMISSION_CHECK, str(ROOT / "perfbench"), str(tmp_path)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [3, []]
 
 
 def test_digest_script_runs_and_compares(tmp_path):

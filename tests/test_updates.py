@@ -130,10 +130,10 @@ def test_theta_degenerate_a_clamps_to_zero():
     assert compute_theta(UpdateVariant.BROYDEN, coeffs) == 0.0
 
 
-def test_theta_clamped_within_bounds(instance_suite):
+def test_theta_clamped_within_bounds(instance_suite, interior_theta_suite):
     # the bounds come from the oracle's b and h, not from the library
     checked = 0
-    for inst in instance_suite:
+    for inst in instance_suite + interior_theta_suite:
         t_minus, t_plus, a = theta_bounds(inst["H"], inst["s"], inst["y"])
         if a <= 1e-12:
             continue
@@ -144,6 +144,41 @@ def test_theta_clamped_within_bounds(instance_suite):
             assert theta <= t_plus + 1e-9 * max(1.0, abs(t_plus))
             checked += 1
     assert checked > 0
+
+
+def test_interior_theta_suite_separates_variants(interior_theta_suite):
+    # the suite the tests above share with instance_suite exercises the
+    # dynamic theta and the self-scaling tau: broyden is not dfp, and
+    # ssbfgs is not bfgs, on nearly every instance
+    def differ(a, b, inst):
+        return not np.array_equal(propose(a, inst).H, propose(b, inst).H)
+
+    dynamic = sum(differ(UpdateVariant.BROYDEN, UpdateVariant.DFP, inst)
+                  for inst in interior_theta_suite)
+    scaled = sum(differ(UpdateVariant.SSBFGS, UpdateVariant.BFGS, inst)
+                 for inst in interior_theta_suite)
+    assert len(interior_theta_suite) == 100
+    assert dynamic >= 90 and scaled >= 90, (dynamic, scaled)
+    for inst in interior_theta_suite:
+        assert 0.0 != compute_theta(UpdateVariant.BROYDEN,
+                                    base_coefficients(inst)) != 1.0
+
+
+def test_theta_plus_unbounded_when_rho_minus_vanishes():
+    # a = b h - 1 ~ 1e16, so c = sqrt(a / (1 + a)) rounds to 1 and
+    # rho_minus = h (1 - c) is 0: theta_plus = 1/rho_minus is +inf, not a
+    # ZeroDivisionError, and the pair ends in the named singular_phi skip
+    H = np.diag([1.0, 1e-6])
+    s = np.array([1.0, 1.0])
+    y = np.array([1.0, -1.0 + 1e-5])
+    g_prev = -np.linalg.solve(H, s)
+    assert curvature_guard(s, y, float(np.dot(y, s)))
+    for variant in DYNAMIC:
+        result = propose_update(variant, H, s, y, g_prev, 1.0)
+        assert result.coeffs.a > 4.5e15 and result.coeffs.c == 1.0
+        assert result.skip_reason == "singular_phi"
+        assert result.H is H and np.array_equal(H, np.diag([1.0, 1e-6]))
+        assert math.isfinite(result.theta)
 
 
 # ------------------------------------------------------------------- tau
@@ -259,11 +294,12 @@ def test_mixed_update_is_phi_blend_of_bfgs_and_dfp(instance_suite):
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.value)
-def test_update_matches_direct_form_oracle(variant, instance_suite):
+def test_update_matches_direct_form_oracle(variant, instance_suite,
+                                           interior_theta_suite):
     # the inverse of the direct (B) form with the library's theta and tau:
     # checks phi, the duality of theta and phi, and the kernel's terms
     # against formulas the library does not contain
-    for inst in instance_suite:
+    for inst in instance_suite + interior_theta_suite:
         result = propose(variant, inst)
         ref = direct_broyden_update(inst["H"], inst["s"], inst["y"],
                                     result.theta, result.tau)
@@ -279,16 +315,16 @@ def test_bfgs_matches_scipy_oracle(instance_suite):
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.value)
-def test_secant_equation_full_suite(variant, instance_suite):
-    for inst in instance_suite:
+def test_secant_equation_full_suite(variant, instance_suite, interior_theta_suite):
+    for inst in instance_suite + interior_theta_suite:
         H_new = propose(variant, inst).H
         resid = np.max(np.abs(H_new @ inst["y"] - inst["s"]))
         assert resid <= 1e-10 * max(1.0, np.max(np.abs(inst["s"])))
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.value)
-def test_update_is_exactly_symmetric(variant, instance_suite):
-    for inst in instance_suite[:60]:
+def test_update_is_exactly_symmetric(variant, instance_suite, interior_theta_suite):
+    for inst in instance_suite[:60] + interior_theta_suite:
         H_new = propose(variant, inst).H
         assert np.array_equal(H_new, H_new.T)
 
@@ -374,8 +410,9 @@ def test_jacobi_oracle_agrees_with_lapack(instance_suite):
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.value)
-def test_update_preserves_positive_definiteness(variant, instance_suite):
-    for inst in instance_suite:
+def test_update_preserves_positive_definiteness(variant, instance_suite,
+                                                interior_theta_suite):
+    for inst in instance_suite + interior_theta_suite:
         H_new = propose(variant, inst).H
         assert np.min(np.linalg.eigvalsh(H_new)) > -1e-10
 
@@ -438,7 +475,7 @@ def test_propose_update_skips_pair_too_small_to_update():
         assert result.coeffs.b == 1.0
 
 
-# No positive-definite input reaches a vanishing phi denominator or an
+# The update suites reach neither a vanishing phi denominator nor an
 # unusable tau, so the two tests below stub the step that reports it.
 
 def test_propose_update_skips_singular_phi(monkeypatch, instance_suite):
