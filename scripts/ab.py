@@ -13,7 +13,10 @@ prints, per workload, the median of each side, the ratio of the
 medians, the interquartile ranges (``statistics.quantiles(values, n=4)``)
 and the number of pairs the change won.  ``gain`` is True when the
 change won at least nine pairs in ten and its median beats the parent's
-by more than the parent's IQR.
+by more than the parent's IQR.  ``worse`` is True when the change's
+median is worse than the parent's by more than the metric's ``bound``
+in ``BENCHMARK.json``, a fraction of the parent's median: the
+regression the benchmark rejects.
 
 Before the pairs, the change's ``scripts/digest.py`` digests the
 trajectories of both sides' ``src`` and compares them with
@@ -120,7 +123,7 @@ def quartile_range(values):
 
 
 def summarize(entry, parent, change):
-    """Medians, IQRs, wins and verdict of one metric over paired runs."""
+    """Medians, IQRs, wins and verdicts of one metric over paired runs."""
     sign = 1.0 if entry["better"] == "lower" else -1.0
     p_med, c_med = statistics.median(parent), statistics.median(change)
     p_iqr = quartile_range(parent)
@@ -133,6 +136,7 @@ def summarize(entry, parent, change):
         "parent_iqr": p_iqr, "change_iqr": quartile_range(change),
         "wins": wins, "pairs": len(parent),
         "gain": wins >= 0.9 * len(parent) and sign * (p_med - c_med) > p_iqr,
+        "worse": sign * (c_med - p_med) > entry["bound"] * abs(p_med),
     }
 
 
@@ -199,13 +203,14 @@ def main(argv=None):
         report[name] = {"failed": failed, "metrics": metrics}
 
     print(f"\n{'workload':<16}{'metric':<15}{'parent':>12}{'change':>12}"
-          f"{'ratio':>8}{'IQR p':>11}{'IQR c':>11}{'wins':>7}  gain")
+          f"{'ratio':>8}{'IQR p':>11}{'IQR c':>11}{'wins':>7}  gain   worse")
     for name, entry in report.items():
         for metric, m in entry["metrics"].items():
             ratio = f"{m['ratio']:.3f}" if m["ratio"] is not None else "-"
             print(f"{name:<16}{metric:<15}{m['parent_median']:>12.6g}"
                   f"{m['change_median']:>12.6g}{ratio:>8}{m['parent_iqr']:>11.4g}"
-                  f"{m['change_iqr']:>11.4g}{m['wins']:>4}/{m['pairs']:<2}  {m['gain']}")
+                  f"{m['change_iqr']:>11.4g}{m['wins']:>4}/{m['pairs']:<2}  "
+                  f"{m['gain']!s:<6} {m['worse']}")
 
     out = args.repo / f"BENCH_{args.slug}.json"
     out.write_text(json.dumps({

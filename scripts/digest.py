@@ -23,11 +23,11 @@ valley -x + 1e16 x^2 from 0 with bfgs, which ends
 The last two objectives are defined here, so that the script runs them
 on any source tree it is pointed at.
 
-The large cells split the update kernel into several row panels with a
-short last one (n=500 into 32-row panels, n=193 into 84/84/25 rows);
-rosen500/ssbfgs is the one run that takes the phi == 1 branch with
-tau != 1 there, and the m=64 cells run the network workspace at its
-benchmark size with phi in {0, 1, general}.  These cells and
+The large cells split the update kernel into several balanced row
+panels (n=500 into 32-row panels, the last of 20 rows; n=193 into
+65/65/63 rows); rosen500/ssbfgs is the one run that takes the
+phi == 1 branch with tau != 1 there, and the m=64 cells run the
+network workspace at its benchmark size with phi in {0, 1, general}.  These cells and
 rosen100/ssbroyden (one 100 x 100 panel) form their panels with the
 minimum ufunc buffer; the n <= 25 cells with numpy's default one.
 

@@ -9,6 +9,7 @@ wall time appears only in the summary.
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, fields
@@ -42,6 +43,30 @@ def _fmt(value):
 
 _CSV_CELL = {"integer": str, "number": _fmt, "boolean": lambda v: str(int(v))}
 _CSV_CELLS = tuple(_CSV_CELL[kind] for _, _, kind in RECORD_FIELDS)
+
+
+def _json_number(value):
+    """A float as ``json.dumps`` writes it, non-finite values included."""
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+_JSON_CELL = {"integer": int.__repr__, "number": _json_number,
+              "boolean": lambda v: "true" if v else "false"}
+# A JSON record as json.dumps(indent=2, sort_keys=True) nests it in the
+# trace: keys sorted, one per line, at depth two.
+_JSON_FIELDS = sorted(RECORD_FIELDS)
+_JSON_CELLS = tuple(_JSON_CELL[kind] for _, _, kind in _JSON_FIELDS)
+_json_values = attrgetter(*(attr for _, attr, _ in _JSON_FIELDS))
+_JSON_RECORD = ("    {{\n"
+                + ",\n".join(f"      {json.dumps(column)}: {{}}"
+                             for column, _, _ in _JSON_FIELDS)
+                + "\n    }}")
 
 #: The run summary of a JSON trace: (key, JSON type).
 _SUMMARY_FIELDS = (
@@ -90,6 +115,11 @@ def emit_trace(trace, fmt, path, summary=None):
     so parsing the file recovers the in-memory doubles bitwise.  JSON
     mirrors the records and adds the run summary object, which
     ``TRACE_SCHEMA`` requires: without ``summary`` it raises ValueError.
+    The JSON file holds the bytes of ``json.dumps(payload, indent=2,
+    sort_keys=True)`` and a newline, ``payload`` being ``{"records":
+    [...], "summary": summary}``, but it is written record by record
+    with formatters built from ``RECORD_FIELDS``, so no string of the
+    whole trace is built.
     """
     path = Path(path)
     if fmt == "csv":
@@ -101,9 +131,19 @@ def emit_trace(trace, fmt, path, summary=None):
     elif fmt == "json":
         if summary is None:
             raise ValueError("a JSON trace needs the run summary")
-        records = [dict(zip(TRACE_COLUMNS, _record_values(r))) for r in trace.records]
-        payload = {"records": records, "summary": summary}
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        # formatted first: a summary json cannot write raises before the
+        # file is opened
+        tail = json.dumps(summary, indent=2, sort_keys=True).replace("\n", "\n  ")
+        with path.open("w") as fh:
+            fh.write('{\n  "records": [')
+            separator = "\n"
+            for r in trace.records:
+                fh.write(separator)
+                fh.write(_JSON_RECORD.format(*[cell(value) for cell, value
+                                               in zip(_JSON_CELLS, _json_values(r))]))
+                separator = ",\n"
+            close = "\n  ]" if trace.records else "]"
+            fh.write(f'{close},\n  "summary": {tail}\n}}\n')
     else:
         raise ValueError(f"unknown trace format {fmt!r}")
 

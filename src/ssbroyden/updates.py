@@ -28,13 +28,17 @@ evaluation, ``EvaluationError`` from a non-finite start point and
 ``ValueError`` from ``SolverConfig``.
 
 The kernel writes H' over H and works in one panel of scratch, two
-for ``phi == 1``: it forms H' in row panels of ``PANEL_BYTES``
+for ``phi == 1``: it forms H' in row panels of at most ``PANEL_BYTES``
 (128 KiB) each, so that a panel's passes stay in cache and the scratch
 is small enough for the allocator to reuse without returning it to the
-OS.  A panel's terms read only its own rows of H, so a solve holds one
-n x n matrix, not a second one for the result.  The kernel builds
-each term of a panel in place and keeps nothing between calls; for
-n <= 128 the one panel is the whole matrix.  If a floating-point error
+OS.  :func:`panel_rows` balances the panels: it keeps the number of
+128 KiB panels but gives each the fewest rows that keep that number, so
+that no panel is a runt and the scratch is no larger than the panels
+need (at n = 193, three panels of 65/65/63 rows).  A panel's terms read
+only its own rows of H, so a solve holds one n x n matrix, not a
+second one for the result.  The kernel builds each term of a panel in
+place and keeps nothing between calls; for n <= 128 the one panel is
+the whole matrix.  If a floating-point error
 raised under ``np.errstate`` stops it, H is left partly updated.  It
 applies the terms in a fixed order, the order of the floating-point
 expressions the variants have always used, so every element rounds
@@ -80,8 +84,8 @@ PHI_DENOM_EPS = 1e-12
 TAU_MIN = 1e-8
 # Relative threshold of the curvature guard.
 CURVATURE_EPS = 1e-10
-# Bytes of one row panel of the update kernel's scratch: small enough that
-# a panel's passes stay in L2 and that the scratch stays below glibc's
+# Most bytes of one row panel of the update kernel's scratch: small enough
+# that a panel's passes stay in L2 and that the scratch stays below glibc's
 # default mmap threshold (128 KiB), so freeing it never returns pages to
 # the OS that the next call would fault back in.
 PANEL_BYTES = 128 * 1024
@@ -251,13 +255,28 @@ def compute_phi(theta, h, b):
     return (1.0 - theta) / denom
 
 
+def panel_rows(n):
+    """Rows of one row panel of :func:`apply_update` at dimension ``n``.
+
+    The panels are as many as ``PANEL_BYTES`` panels would be,
+    ``ceil(n / rows_max)`` with ``rows_max = PANEL_BYTES // (8 n)`` (at
+    least 1), and each gets the fewest rows that keep that count,
+    ``ceil(n / panels)``; the last panel is then short by fewer rows
+    than there are panels.  ``n`` itself when one panel holds the
+    matrix.
+    """
+    rows_max = max(1, PANEL_BYTES // (8 * n))
+    panels = -(-n // rows_max)
+    return -(-n // panels)
+
+
 def apply_update(H, s, coeffs, phi, tau):
     """Overwrite ``H`` with H' for the family member with weight ``phi``
     and scale ``tau``; returns ``H``.
 
     ``s`` and the vectors of ``coeffs`` are only read.  The kernel forms
-    H' in row panels of ``rows = max(1, PANEL_BYTES // (8 n))`` rows of
-    n (all n rows when that is more).  A panel's terms read only its own
+    H' in row panels of ``rows = panel_rows(n)`` rows of n, the last
+    panel holding what is left.  A panel's terms read only its own
     rows of ``H`` and the vectors ``s``, ``Hy`` and ``v``, which are all
     formed before the loop, so each panel of ``H`` is overwritten in
     place once its rows are read.  The scratch is one panel, two for
@@ -298,7 +317,7 @@ def apply_update(H, s, coeffs, phi, tau):
     n = s.shape[0]
     rho = coeffs.rho
     Hy = coeffs.Hy
-    rows = min(n, max(1, PANEL_BYTES // (8 * n)))
+    rows = panel_rows(n)
     work = np.empty((rows, n))
     if phi == 1.0:
         cross_work = np.empty((rows, n))

@@ -166,10 +166,10 @@ def interior_theta_suite():
 @pytest.fixture(scope="session")
 def panel_suite():
     """Update instances large enough that the kernel splits them into
-    several row panels with a short last one: two each at n = 160 and
-    n = 300."""
+    several row panels: two each at n = 160 (80/80 rows) and n = 300
+    (six of 50), and n = 193, whose three panels (65/65/63) end short."""
     rng = np.random.default_rng(20261018)
-    return [quasi_newton_instance(rng, n) for n in (160, 160, 300, 300)]
+    return [quasi_newton_instance(rng, n) for n in (160, 160, 300, 300, 193)]
 
 
 class CountingObjective(ObjectiveFunction):

@@ -1,10 +1,14 @@
+import dataclasses
 import json
+import math
+import tracemalloc
 
 import jsonschema
 import numpy as np
 import pytest
 
-from ssbroyden import EvaluationError, SolverConfig, UpdateVariant, make_quadratic, solve
+from ssbroyden import (EvaluationError, SolverConfig, UpdateVariant, make_pinn1d,
+                       make_quadratic, solve)
 from ssbroyden import cli
 from ssbroyden.cli import (
     SOLVER_NAMES,
@@ -15,6 +19,7 @@ from ssbroyden.cli import (
     emit_trace,
     main,
 )
+from ssbroyden.solver import ConvergenceTrace, Counters, IterationRecord
 
 CSV_HEADER = "iter,f,gnorm_inf,gnorm_2,alpha,theta,tau,ls_evals,skipped,tau_fallback"
 
@@ -134,6 +139,71 @@ def test_emit_json_requires_summary(tmp_path):
 def test_emit_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         emit_trace(one_iteration_trace(), "xml", tmp_path / "t.xml")
+
+
+def run_summary(trace, final_f, final_gnorm_inf):
+    return {"solver": "ssbroyden", "problem": "pinn1d", "status": trace.status,
+            **dataclasses.asdict(Counters.of(trace.records, 0)),
+            "final_f": final_f, "final_gnorm_inf": final_gnorm_inf}
+
+
+def dumps_oracle(trace, summary):
+    """The JSON trace as one ``json.dumps`` call writes it."""
+    records = [{column: getattr(r, attr) for column, attr, _ in cli.RECORD_FIELDS}
+               for r in trace.records]
+    return json.dumps({"records": records, "summary": summary},
+                      indent=2, sort_keys=True) + "\n"
+
+
+def pinn_trace():
+    pinn = make_pinn1d(m=8, n_interior=32)
+    trace, _, _ = solve(pinn, pinn.default_start(),
+                        SolverConfig(variant="ssbroyden", max_iters=50))
+    assert len(trace.records) == 50
+    return trace
+
+
+def non_finite_trace():
+    base = IterationRecord(k=1, f=math.nan, gnorm_inf=math.inf, gnorm_2=-math.inf,
+                           alpha=0.1, theta=-0.0, tau=5e-324, ls_evals=3,
+                           skipped=True, tau_fallback=False, reset=False)
+    return ConvergenceTrace(
+        records=[base, dataclasses.replace(base, k=2, f=-math.inf, gnorm_inf=math.nan,
+                                           gnorm_2=1e308, alpha=1.0, theta=1 / 3,
+                                           skipped=False, tau_fallback=True)],
+        status="line_search_failure")
+
+
+@pytest.mark.parametrize("make_trace", [pinn_trace, non_finite_trace,
+                                        lambda: ConvergenceTrace(status="max_iters")],
+                         ids=["pinn1d", "non_finite", "no_records"])
+def test_emit_json_matches_dumps(make_trace, tmp_path):
+    # the streamed trace is byte for byte the one-call json.dumps form,
+    # NaN and infinities written as json writes them
+    trace = make_trace()
+    summary = run_summary(trace, math.nan, 2.5e-9)
+    out = tmp_path / "t.json"
+    emit_trace(trace, "json", out, summary=summary)
+    assert out.read_text() == dumps_oracle(trace, summary)
+
+
+def test_emit_json_streams_records(tmp_path):
+    # a 1000-record trace (240 KB of JSON) is written without building
+    # the whole trace as one string, which costs json.dumps about 2 MiB
+    base = one_iteration_trace().records[0]
+    trace = ConvergenceTrace(records=[dataclasses.replace(base, k=k, f=base.f / k)
+                                      for k in range(1, 1001)], status="max_iters")
+    summary = run_summary(trace, base.f, base.gnorm_inf)
+    out = tmp_path / "t.json"
+    tracemalloc.start()
+    try:
+        emit_trace(trace, "json", out, summary=summary)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * 1024
+    assert out.stat().st_size > 128 * 1024
+    assert out.read_text() == dumps_oracle(trace, summary)
 
 
 # ------------------------------------------------------------ exit codes

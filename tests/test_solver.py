@@ -261,7 +261,7 @@ def test_solve_holds_one_matrix(variant):
     x0 = rosen.default_start()
     cfg = SolverConfig(variant=variant, max_iters=5)
     n = rosen.dimension
-    panel = (updates.PANEL_BYTES // (8 * n)) * n * 8
+    panel = updates.panel_rows(n) * n * 8
     tracemalloc.start()
     try:
         trace, state, _ = solve(rosen, x0, cfg)

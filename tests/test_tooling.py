@@ -95,7 +95,8 @@ from pathlib import Path
 value = float((Path(__file__).parent / "iter_us.txt").read_text())
 print("# canned run of", sys.argv[1:])
 metrics = {"iter_us": {"value": value, "unit": "us"},
-           "f_evals": {"value": 10, "unit": "count"}}
+           "f_evals": {"value": 10, "unit": "count"},
+           "peak_rss_mb": {"value": 6000 / value, "unit": "MiB"}}
 print(json.dumps({"correct": True, "attempted": 2, "failed": 0, "metrics": metrics}))
 """
 CANNED_DIGEST = """import sys
@@ -116,7 +117,8 @@ for name, value in cells.DIGESTS.items():
 CANNED_SPEC = {
     "workloads": [{"name": "w1"}],
     "end_to_end": [{"name": "iter_us", "unit": "us", "better": "lower", "bound": 0.25},
-                   {"name": "f_evals", "unit": "count", "better": "lower", "bound": 0.25}],
+                   {"name": "f_evals", "unit": "count", "better": "lower", "bound": 0.25},
+                   {"name": "peak_rss_mb", "unit": "MiB", "better": "lower", "bound": 0.1}],
 }
 
 
@@ -158,9 +160,20 @@ def test_ab_driver_alternates_pairs_and_writes_bench_file(tmp_path):
     assert [bench["commits"][side]["commit"] for side in ("parent", "change")] == commits
     iter_us = bench["workloads"]["w1"]["metrics"]["iter_us"]
     assert (iter_us["parent"], iter_us["change"]) == ([100.0, 100.0], [80.0, 80.0])
-    assert (iter_us["ratio"], iter_us["wins"], iter_us["gain"]) == (0.8, 2, True)
+    assert (iter_us["ratio"], iter_us["wins"], iter_us["gain"], iter_us["worse"]) == (
+        0.8, 2, True, False)
+    # a flat metric is neither a gain nor a regression
     f_evals = bench["workloads"]["w1"]["metrics"]["f_evals"]
-    assert (f_evals["wins"], f_evals["gain"]) == (0, False)
+    assert (f_evals["wins"], f_evals["gain"], f_evals["worse"]) == (0, False, False)
+    # 60 -> 75 MiB is worse than the parent by 25%, beyond the 10% bound
+    peak = bench["workloads"]["w1"]["metrics"]["peak_rss_mb"]
+    assert (peak["parent_median"], peak["change_median"]) == (60.0, 75.0)
+    assert (peak["wins"], peak["gain"], peak["worse"]) == (0, False, True)
+    table = [line.split() for line in proc.stdout.splitlines()
+             if line.startswith("w1 ") and " pair " not in line]
+    assert [(row[1], row[-2], row[-1]) for row in table] == [
+        ("iter_us", "True", "False"), ("f_evals", "False", "False"),
+        ("peak_rss_mb", "False", "True")]
     assert bench["workloads"]["w1"]["failed"] == {"parent": [0, 0], "change": [0, 0]}
     assert bench["digests"] == {"run": {"equal": False, "first_difference": "c2"},
                                 "bytes": {"equal": True, "first_difference": None},

@@ -335,11 +335,9 @@ def test_kernel_matches_expression_form_bitwise(phi, tau, instance_suite, panel_
     # The kernel writes H' over its input matrix, must round exactly like
     # the expression form (the golden iteration counts depend on it) and
     # must only read its vectors.  The panel instances split into several
-    # row panels, the last short.
-    for inst in panel_suite:
-        n = inst["n"]
-        rows = updates.PANEL_BYTES // (8 * n)
-        assert rows < n and n % rows != 0
+    # balanced row panels, at n = 193 with a short last one.
+    splits = {inst["n"]: panel_split(inst["n"]) for inst in panel_suite}
+    assert splits == {160: [80, 80], 300: [50] * 6, 193: [65, 65, 63]}
     for i, inst in enumerate(instance_suite + panel_suite):
         H, s = inst["H"], inst["s"]
         coeffs = base_coefficients(inst)
@@ -355,16 +353,35 @@ def test_kernel_matches_expression_form_bitwise(phi, tau, instance_suite, panel_
         assert np.array_equal(got, got.T), f"instance {i}: result not symmetric"
 
 
+def panel_split(n):
+    """Rows of each row panel the kernel forms at dimension n."""
+    rows = updates.panel_rows(n)
+    return [min(rows, n - i) for i in range(0, n, rows)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 25, 128, 129, 160, 193, 300, 500, 16384, 20000])
+def test_panels_are_balanced(n):
+    # as many panels as PANEL_BYTES-sized ones, each within the budget,
+    # and no runt: the last is short by fewer rows than there are panels
+    rows_max = max(1, updates.PANEL_BYTES // (8 * n))
+    split = panel_split(n)
+    assert sum(split) == n
+    assert len(split) == -(-n // rows_max)
+    assert split[0] == max(split) <= rows_max
+    assert split[0] - split[-1] < len(split)
+
+
 @pytest.mark.parametrize("phi", [1.0, 0.0, 0.4])
 def test_kernel_holds_result_plus_one_panel(phi, panel_suite):
     # One call at n = 300 writes the result over its input and keeps one
-    # row panel of scratch live (two for phi == 1), plus a few vectors:
-    # no n x n matrix, and not the two 64 KiB ufunc buffers numpy fills
-    # when it copies the operands of an outer product.
-    inst = panel_suite[-1]
+    # balanced row panel of scratch live (two for phi == 1), plus a few
+    # vectors: no n x n matrix, no scratch rows beyond the panel's 50,
+    # and not the two 64 KiB ufunc buffers numpy fills when it copies
+    # the operands of an outer product.
+    inst = panel_suite[3]  # n = 300
     H, s = inst["H"].copy(), inst["s"]
     n = inst["n"]
-    panel = (updates.PANEL_BYTES // (8 * n)) * n * 8
+    panel = updates.panel_rows(n) * n * 8
     coeffs = base_coefficients(inst)
     tracemalloc.start()
     try:
@@ -380,7 +397,7 @@ def test_kernel_leaves_numpy_state_as_found(n, panel_suite):
     # n = 300 forms its panels with the minimum ufunc buffer, n = 25 (one
     # 625-element panel) with the caller's; either way the caller's buffer
     # size and error state come back unchanged, also when the kernel raises.
-    inst = panel_suite[-1] if n == 300 else quasi_newton_instance(
+    inst = panel_suite[3] if n == 300 else quasi_newton_instance(
         np.random.default_rng(25), n)
     H, s = inst["H"], inst["s"]
     coeffs = base_coefficients(inst)
