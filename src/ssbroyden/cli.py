@@ -117,17 +117,17 @@ def emit_trace(trace, fmt, path, summary=None):
     ``TRACE_SCHEMA`` requires: without ``summary`` it raises ValueError.
     The JSON file holds the bytes of ``json.dumps(payload, indent=2,
     sort_keys=True)`` and a newline, ``payload`` being ``{"records":
-    [...], "summary": summary}``, but it is written record by record
-    with formatters built from ``RECORD_FIELDS``, so no string of the
-    whole trace is built.
+    [...], "summary": summary}``.  Both formats are written to the open
+    file record by record, with formatters built from ``RECORD_FIELDS``,
+    so no string of the whole trace is built.
     """
     path = Path(path)
     if fmt == "csv":
-        lines = [",".join(TRACE_COLUMNS)]
-        for r in trace.records:
-            lines.append(",".join([cell(value) for cell, value
-                                   in zip(_CSV_CELLS, _record_values(r))]))
-        path.write_text("\n".join(lines) + "\n")
+        with path.open("w") as fh:
+            fh.write(",".join(TRACE_COLUMNS) + "\n")
+            for r in trace.records:
+                fh.write(",".join([cell(value) for cell, value
+                                   in zip(_CSV_CELLS, _record_values(r))]) + "\n")
     elif fmt == "json":
         if summary is None:
             raise ValueError("a JSON trace needs the run summary")

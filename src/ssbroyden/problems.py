@@ -85,12 +85,16 @@ class PinnPoisson1D(ObjectiveFunction):
     Interior residuals are enforced on the uniform grid
     x_i = i / (n_interior + 1).
 
-    ``value_and_gradient`` forms tanh and its three derivatives on the
-    grid in a ``(5, n_interior, m)`` workspace allocated once, here, so
-    an evaluation allocates no ``(n_interior, m)`` array; what it returns
-    is freshly allocated and never aliases the workspace.  Because of
-    the shared workspace, one instance must not be evaluated from two
-    threads at once.
+    ``value_and_gradient`` forms tanh and its three derivatives in a
+    ``(5, n_interior + 2, m)`` workspace allocated once, here: the rows
+    are the interior grid followed by the two boundary points, so one
+    pass over the grid serves both terms of the loss.  The interior and
+    boundary parts of the w1, b1 and w2 gradient are built in a
+    ``(2, 3, m)`` scratch, also allocated here, and added into the
+    returned gradient, so an evaluation allocates no ``(n_interior, m)``
+    array.  What it returns is freshly allocated and never aliases
+    either buffer.  Because of the shared buffers, one instance must
+    not be evaluated from two threads at once.
     """
 
     def __init__(self, m=8, n_interior=32):
@@ -105,8 +109,21 @@ class PinnPoisson1D(ObjectiveFunction):
         # sin(pi*0) and sin(pi*1) are exactly zero; using the analytic
         # values keeps the boundary term exactly zero for the zero network.
         self.u_boundary = np.array([0.0, 0.0])
+        n_int, m = self.n_interior, self.m
+        # The workspace rows: the interior points, then the boundary
+        # points, as a column that broadcasts against w1.
+        self._x_rows = np.concatenate([self.xs, self.x_boundary])[:, None]
         # t, t1, t2, t3 and one scratch array of value_and_gradient.
-        self._work = np.empty((5, self.n_interior, self.m))
+        self._work = np.empty((5, n_int + 2, m))
+        # The interior and boundary parts of [g_w1, g_b1, g_w2].
+        self._parts = np.empty((2, 3, m))
+        # Views into both, made once: at the paper's size, unpacking or
+        # slicing an array on every call costs as much as the arithmetic.
+        t, t1, t2, t3, tmp = self._work
+        self._work_views = (t, t1, t2, t3, tmp,
+                            t2[:n_int], t3[:n_int], t[n_int:], t1[n_int:])
+        self._part_views = (*self._parts.reshape(2, 3 * m),
+                            *self._parts.reshape(6, m))
 
     def split(self, x):
         """Parameter vector -> (w1, b1, w2, b2) views."""
@@ -117,11 +134,13 @@ class PinnPoisson1D(ObjectiveFunction):
         x = self._validated(x)
         w1, b1, w2, b2 = self.split(x)
         n_int = self.n_interior
+        t, t1, t2, t3, tmp, t2_int, t3_int, tb, tb1 = self._work_views
+        (interior, boundary,
+         g_w1, g_b1, g_w2, gb_w1, gb_b1, gb_w2) = self._part_views
 
-        # Interior: second-derivative residuals on the grid.  tanh and its
-        # derivatives are built in place in the workspace.
-        t, t1, t2, t3, tmp = self._work
-        np.multiply.outer(self.xs, w1, out=t)   # z = x w1 + b1
+        # tanh and its derivatives on every row, built in place in the
+        # workspace.
+        np.multiply(self._x_rows, w1, out=t)    # z = x w1 + b1
         t += b1
         np.tanh(t, out=t)                       # t = tanh(z)
         np.multiply(t, t, out=t1)
@@ -133,34 +152,44 @@ class PinnPoisson1D(ObjectiveFunction):
         np.subtract(1.0, tmp, out=tmp)
         np.multiply(-2.0, t1, out=t3)
         t3 *= tmp                               # t3 = (-2 t1)(1 - (3 t) t)
+
+        # Interior: second-derivative residuals on the interior rows.
         w1sq = w1 * w1
-        upp = t2 @ (w2 * w1sq)                  # u''(x_i)
-        r = upp + self.forcing
+        w2w1sq = w2 * w1sq
+        r = np.dot(t2_int, w2w1sq)              # u''(x_i)
+        r += self.forcing
         loss = 0.5 * float(np.dot(r, r)) / n_int
 
-        rT2 = t2.T @ r                          # (m,)
-        rT3 = t3.T @ r
-        rxT3 = t3.T @ (r * self.xs)
-        g_w1 = (2.0 * w1 * w2 * rT2 + w2 * w1sq * rxT3) / n_int
-        g_b1 = (w2 * w1sq * rT3) / n_int
-        g_w2 = (w1sq * rT2) / n_int
-        g_b2 = 0.0
+        rT2 = np.dot(r, t2_int)                 # (m,)
+        rT3 = np.dot(r, t3_int)
+        rxT3 = np.dot(r * self.xs, t3_int)
+        np.multiply(2.0, w1, out=g_w1)
+        g_w1 *= w2
+        g_w1 *= rT2
+        g_w1 += w2w1sq * rxT3
+        np.multiply(w2w1sq, rT3, out=g_b1)
+        np.multiply(w1sq, rT2, out=g_w2)
+        interior /= n_int
 
-        # Boundary: value mismatch at the two endpoints.
-        zb = np.outer(self.x_boundary, w1) + b1  # (2, m)
-        tb = np.tanh(zb)
-        ub = tb @ w2 + b2
-        e = ub - self.u_boundary
-        n_bnd = e.size
-        loss += 0.5 * float(np.dot(e, e)) / n_bnd
+        # Boundary: value mismatch at the two endpoints, the last two rows.
+        e = np.dot(tb, w2)
+        e += b2
+        e -= self.u_boundary
+        loss += 0.5 * float(np.dot(e, e)) / 2
+        np.dot(e * self.x_boundary, tb1, out=gb_w1)
+        gb_w1 *= w2
+        np.dot(e, tb1, out=gb_b1)
+        gb_b1 *= w2
+        np.dot(e, tb, out=gb_w2)
+        boundary /= 2.0
 
-        tb1 = 1.0 - tb * tb
-        g_w1 = g_w1 + (w2 * ((e * self.x_boundary) @ tb1)) / n_bnd
-        g_b1 = g_b1 + (w2 * (e @ tb1)) / n_bnd
-        g_w2 = g_w2 + (e @ tb) / n_bnd
-        g_b2 = g_b2 + float(np.sum(e)) / n_bnd
-
-        g = np.concatenate([g_w1, g_b1, g_w2, [g_b2]])
+        g = np.empty(self.dimension)
+        np.add(interior, boundary, out=g[:-1])
+        # The b2 gradient: 0.0, its interior part, plus the mean of e.
+        # e0 + e1 is the sum np.sum(e) forms up to the sign of a zero
+        # result, and adding 0.0 makes that sign +.
+        e0, e1 = e.tolist()
+        g[-1] = 0.0 + (e0 + e1) / 2
         return loss, g
 
     def network_values(self, x, points):

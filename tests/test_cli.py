@@ -155,6 +155,19 @@ def dumps_oracle(trace, summary):
                       indent=2, sort_keys=True) + "\n"
 
 
+_CSV_ORACLE_CELL = {"integer": str, "number": lambda v: f"{v:.17g}",
+                    "boolean": lambda v: str(int(v))}
+
+
+def join_oracle(trace):
+    """The CSV trace as its lines joined into one string."""
+    lines = [",".join(TRACE_COLUMNS)]
+    for r in trace.records:
+        lines.append(",".join(_CSV_ORACLE_CELL[kind](getattr(r, attr))
+                              for _, attr, kind in cli.RECORD_FIELDS))
+    return "\n".join(lines) + "\n"
+
+
 def pinn_trace():
     pinn = make_pinn1d(m=8, n_interior=32)
     trace, _, _ = solve(pinn, pinn.default_start(),
@@ -188,22 +201,25 @@ def test_emit_json_matches_dumps(make_trace, tmp_path):
 
 
 def test_emit_json_streams_records(tmp_path):
-    # a 1000-record trace (240 KB of JSON) is written without building
-    # the whole trace as one string, which costs json.dumps about 2 MiB
+    # a 1000-record trace (240 KB of JSON, 42 KB of CSV) is written
+    # without building the whole trace as one string, which costs
+    # json.dumps about 2 MiB and a join of the CSV lines about 180 KiB
     base = one_iteration_trace().records[0]
     trace = ConvergenceTrace(records=[dataclasses.replace(base, k=k, f=base.f / k)
                                       for k in range(1, 1001)], status="max_iters")
     summary = run_summary(trace, base.f, base.gnorm_inf)
-    out = tmp_path / "t.json"
-    tracemalloc.start()
-    try:
-        emit_trace(trace, "json", out, summary=summary)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 128 * 1024
-    assert out.stat().st_size > 128 * 1024
-    assert out.read_text() == dumps_oracle(trace, summary)
+    for fmt, expected in (("json", dumps_oracle(trace, summary)),
+                          ("csv", join_oracle(trace))):
+        out = tmp_path / f"t.{fmt}"
+        tracemalloc.start()
+        try:
+            emit_trace(trace, fmt, out, summary=summary)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * 1024, fmt
+        assert out.read_text() == expected, fmt
+    assert (tmp_path / "t.json").stat().st_size > 128 * 1024
 
 
 # ------------------------------------------------------------ exit codes

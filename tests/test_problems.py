@@ -165,7 +165,7 @@ def test_pinn_rejects_bad_sizes():
         PinnPoisson1D(m=4, n_interior=0)
 
 
-@pytest.mark.parametrize("m, n_int", [(8, 32), (64, 512)])
+@pytest.mark.parametrize("m, n_int", [(1, 1), (3, 7), (8, 32), (64, 512)])
 def test_pinn_workspace_matches_expression_form_bitwise(m, n_int):
     # The workspace evaluation rounds exactly like the whole-array
     # expressions, also when evaluations at two points interleave.
@@ -186,8 +186,10 @@ def test_pinn_gradient_does_not_alias_workspace():
     _, g1 = pinn.value_and_gradient(x1)
     kept = g1.copy()
     assert not np.shares_memory(g1, pinn._work)
+    assert not np.shares_memory(g1, pinn._parts)
     _, g2 = pinn.value_and_gradient(x2)
     assert not np.shares_memory(g2, pinn._work)
+    assert not np.shares_memory(g2, pinn._parts)
     assert not np.shares_memory(g1, g2)
     assert g1.tobytes() == kept.tobytes()
 
