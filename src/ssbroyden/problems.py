@@ -28,6 +28,12 @@ LCG_SEED = 42
 _LCG_MOD = 1 << 64
 
 
+def _require_integer(name, value):
+    """Reject a size that int() would truncate: bools and non-integers."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class QuadraticProblem(ObjectiveFunction):
     """f(x) = 1/2 * sum_i diag_i * x_i^2 with positive diagonal curvatures."""
 
@@ -56,6 +62,7 @@ class RosenbrockProblem(ObjectiveFunction):
     """
 
     def __init__(self, n=2):
+        _require_integer("dimension", n)
         if n < 2 or n % 2 != 0:
             raise ValueError(f"dimension must be even and >= 2, got {n}")
         self.dimension = int(n)
@@ -86,18 +93,25 @@ class PinnPoisson1D(ObjectiveFunction):
     x_i = i / (n_interior + 1).
 
     ``value_and_gradient`` forms tanh and its three derivatives in a
-    ``(5, n_interior + 2, m)`` workspace allocated once, here: the rows
+    ``(4, n_interior + 2, m)`` workspace allocated once, here: the rows
     are the interior grid followed by the two boundary points, so one
-    pass over the grid serves both terms of the loss.  The interior and
-    boundary parts of the w1, b1 and w2 gradient are built in a
-    ``(2, 3, m)`` scratch, also allocated here, and added into the
+    pass over the grid serves both terms of the loss.  z = w1 x + b1 is
+    formed against a ``(n_interior + 2, m)`` tile of those grid points,
+    made here too and read-only: w1 and b1 are copied into every row of
+    a workspace array and the tile is multiplied in, so no arithmetic
+    pass has a broadcasting operand, which numpy runs more slowly than
+    a same-shape one; w1 x rounds exactly as x w1.  The
+    interior and boundary parts of the w1, b1 and w2 gradient are built
+    in a ``(2, 3, m)`` scratch, also allocated here, and added into the
     returned gradient, so an evaluation allocates no ``(n_interior, m)``
-    array.  What it returns is freshly allocated and never aliases
-    either buffer.  Because of the shared buffers, one instance must
-    not be evaluated from two threads at once.
+    array.  What it returns is freshly allocated and never aliases the
+    tile or either buffer.  Because of the shared buffers, one instance
+    must not be evaluated from two threads at once.
     """
 
     def __init__(self, m=8, n_interior=32):
+        _require_integer("m", m)
+        _require_integer("n_interior", n_interior)
         if m < 1 or n_interior < 1:
             raise ValueError("need m >= 1 hidden units and n_interior >= 1 points")
         self.m = int(m)
@@ -111,16 +125,18 @@ class PinnPoisson1D(ObjectiveFunction):
         self.u_boundary = np.array([0.0, 0.0])
         n_int, m = self.n_interior, self.m
         # The workspace rows: the interior points, then the boundary
-        # points, as a column that broadcasts against w1.
-        self._x_rows = np.concatenate([self.xs, self.x_boundary])[:, None]
-        # t, t1, t2, t3 and one scratch array of value_and_gradient.
-        self._work = np.empty((5, n_int + 2, m))
+        # points, each repeated across the m columns.
+        grid = np.concatenate([self.xs, self.x_boundary])
+        self._x_tile = np.repeat(grid[:, None], m, axis=1)
+        self._x_tile.flags.writeable = False
+        # t, t1, t2 and t3 of value_and_gradient.
+        self._work = np.empty((4, n_int + 2, m))
         # The interior and boundary parts of [g_w1, g_b1, g_w2].
         self._parts = np.empty((2, 3, m))
         # Views into both, made once: at the paper's size, unpacking or
         # slicing an array on every call costs as much as the arithmetic.
-        t, t1, t2, t3, tmp = self._work
-        self._work_views = (t, t1, t2, t3, tmp,
+        t, t1, t2, t3 = self._work
+        self._work_views = (t, t1, t2, t3,
                             t2[:n_int], t3[:n_int], t[n_int:], t1[n_int:])
         self._part_views = (*self._parts.reshape(2, 3 * m),
                             *self._parts.reshape(6, m))
@@ -134,24 +150,26 @@ class PinnPoisson1D(ObjectiveFunction):
         x = self._validated(x)
         w1, b1, w2, b2 = self.split(x)
         n_int = self.n_interior
-        t, t1, t2, t3, tmp, t2_int, t3_int, tb, tb1 = self._work_views
+        t, t1, t2, t3, t2_int, t3_int, tb, tb1 = self._work_views
         (interior, boundary,
          g_w1, g_b1, g_w2, gb_w1, gb_b1, gb_w2) = self._part_views
 
         # tanh and its derivatives on every row, built in place in the
         # workspace.
-        np.multiply(self._x_rows, w1, out=t)    # z = x w1 + b1
-        t += b1
+        np.copyto(t, w1)                        # z = w1 x + b1
+        t *= self._x_tile
+        np.copyto(t1, b1)
+        t += t1
         np.tanh(t, out=t)                       # t = tanh(z)
-        np.multiply(t, t, out=t1)
+        np.square(t, out=t1)
         np.subtract(1.0, t1, out=t1)            # t1 = 1 - t t
-        np.multiply(-2.0, t, out=t2)
-        t2 *= t1                                # t2 = (-2 t) t1
-        np.multiply(3.0, t, out=tmp)
-        tmp *= t
-        np.subtract(1.0, tmp, out=tmp)
-        np.multiply(-2.0, t1, out=t3)
-        t3 *= tmp                               # t3 = (-2 t1)(1 - (3 t) t)
+        np.multiply(-2.0, t1, out=t2)
+        np.multiply(3.0, t, out=t3)
+        t3 *= t
+        np.subtract(1.0, t3, out=t3)
+        t3 *= t2                                # t3 = (-2 t1)(1 - (3 t) t)
+        # Doubling is exact, so t (-2 t1) rounds as (-2 t) t1.
+        t2 *= t                                 # t2 = (-2 t) t1
 
         # Interior: second-derivative residuals on the interior rows.
         w1sq = w1 * w1

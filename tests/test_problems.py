@@ -85,9 +85,11 @@ def test_rosenbrock_minimum_and_start():
 
 
 def test_rosenbrock_rejects_odd_or_small_dimension():
-    for n in (0, 1, 3, 7):
+    # Sizes int() would truncate are rejected too; numpy integers pass.
+    for n in (0, 1, 3, 7, 4.0, 2.5, True, np.float64(4.0)):
         with pytest.raises(ValueError):
             RosenbrockProblem(n)
+    assert RosenbrockProblem(np.int64(4)).dimension == 4
 
 
 def test_rosenbrock_extended_start_repeats_pairs():
@@ -163,6 +165,13 @@ def test_pinn_rejects_bad_sizes():
         PinnPoisson1D(m=0)
     with pytest.raises(ValueError):
         PinnPoisson1D(m=4, n_interior=0)
+    # Sizes int() would truncate are rejected; numpy integers pass.
+    for m, n_int in ((2.5, 7), (2, 7.9), (True, 7), (2, True), (4.0, 7),
+                     (np.float64(2.0), 7)):
+        with pytest.raises(ValueError):
+            make_pinn1d(m=m, n_interior=n_int)
+    pinn = make_pinn1d(m=np.int64(3), n_interior=np.int32(7))
+    assert (pinn.m, pinn.n_interior, pinn.dimension) == (3, 7, 10)
 
 
 @pytest.mark.parametrize("m, n_int", [(1, 1), (3, 7), (8, 32), (64, 512)])
@@ -172,11 +181,49 @@ def test_pinn_workspace_matches_expression_form_bitwise(m, n_int):
     pinn = PinnPoisson1D(m=m, n_interior=n_int)
     rng = np.random.default_rng(m + n_int)
     x1, x2, x3 = (rng.uniform(-1.5, 1.5, pinn.dimension) for _ in range(3))
-    for x in (pinn.default_start(), x1, x2, x1, x3):
+    # Signed zeros: all +0, all -0, and each entry's sign drawn at random,
+    # alone and mixed into a random point.
+    zeros = np.zeros(pinn.dimension)
+    signs = rng.choice([0.0, -0.0], pinn.dimension)
+    mixed = np.where(rng.random(pinn.dimension) < 0.5, signs, x1)
+    for x in (pinn.default_start(), x1, x2, x1, x3, zeros, -zeros, signs,
+              mixed):
         f, g = pinn.value_and_gradient(x)
         f_ref, g_ref = expression_pinn_evaluation(pinn, x)
         assert float.hex(f) == float.hex(f_ref)
         assert g.tobytes() == g_ref.tobytes()
+
+
+@pytest.mark.parametrize("m, n_int", [(3, 7), (8, 32), (64, 512)])
+def test_pinn_nonfinite_and_huge_parameters_match_expression_form(m, n_int):
+    # Entries of +-inf, NaN and +-1e308 (whose products overflow) give the
+    # values of the whole-array expressions, NaN where they give NaN; the
+    # NaN payload bits may differ.  m = 1 is left out: there np.dot of a
+    # one-column matrix with a +-0 weight gives 0 for a NaN or inf entry,
+    # where the expressions' @ gives NaN.
+    pinn = PinnPoisson1D(m=m, n_interior=n_int)
+    rng = np.random.default_rng(m * n_int)
+    specials = [np.inf, -np.inf, np.nan, 1e308, -1e308]
+    points = []
+    # One special entry in each of the w1, b1, w2 and b2 blocks in turn,
+    # so inf as well as NaN reaches f and g ...
+    for value in specials:
+        for block in range(4):
+            x = rng.uniform(-1.5, 1.5, pinn.dimension)
+            x[block * m + rng.integers(m if block < 3 else 1)] = value
+            points.append(x)
+    # ... and points mixing all of them with signed zeros.
+    for share in (0.25, 0.5, 1.0):
+        x = rng.uniform(-1.5, 1.5, pinn.dimension)
+        where = rng.random(pinn.dimension) < share
+        x[where] = rng.choice(specials + [0.0, -0.0], where.sum())
+        points.append(x)
+    for x in points:
+        with np.errstate(all="ignore"):
+            f, g = pinn.value_and_gradient(x)
+            f_ref, g_ref = expression_pinn_evaluation(pinn, x)
+        assert f == f_ref or (math.isnan(f) and math.isnan(f_ref))
+        assert np.array_equal(g, g_ref, equal_nan=True)
 
 
 def test_pinn_gradient_does_not_alias_workspace():
@@ -207,6 +254,21 @@ def test_pinn_evaluation_allocates_less_than_one_grid_array():
     finally:
         tracemalloc.stop()
     assert peak < 512 * 64 * 8
+
+
+def test_pinn_grid_tile_is_read_only():
+    pinn = PinnPoisson1D(m=8, n_interior=32)
+    tile = pinn._x_tile
+    assert tile.shape == (34, 8)
+    assert np.array_equal(tile, np.repeat(
+        np.concatenate([pinn.xs, pinn.x_boundary])[:, None], 8, axis=1))
+    with pytest.raises(ValueError):
+        tile[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        tile *= 2.0
+    _, g = pinn.value_and_gradient(pinn.default_start())
+    assert not np.shares_memory(g, tile)
+    assert not np.shares_memory(tile, pinn._work)
 
 
 # -------------------------------------------------------- start vectors
