@@ -18,6 +18,13 @@ median is worse than the parent's by more than the metric's ``bound``
 in ``BENCHMARK.json``, a fraction of the parent's median: the
 regression the benchmark rejects.
 
+Next to them it prints the paired statistics, which compare each
+change run with the parent run of its own pair and so are blind to a
+drift of the host between pairs: the median and quartiles of the
+per-pair ratios change/parent, and the one-sided sign-test p-value of
+the wins (ties dropped), the chance of at least as many wins if either
+side were as likely to win a pair.
+
 Before the pairs, the change's ``scripts/digest.py`` digests the
 trajectories of both sides' ``src`` and compares them with
 ``--compare``; ``digests`` records, for each kind of hash the script
@@ -35,6 +42,7 @@ purpose.
 import argparse
 import io
 import json
+import math
 import os
 import platform
 import statistics
@@ -122,19 +130,39 @@ def quartile_range(values):
     return q3 - q1
 
 
+def sign_test_p(wins, losses):
+    """One-sided sign test: the chance of at least ``wins`` wins in
+    ``wins + losses`` fair coin flips (1.0 when there are none)."""
+    flips = wins + losses
+    return sum(math.comb(flips, k) for k in range(wins, flips + 1)) / 2 ** flips
+
+
+def ratio_quartiles(ratios):
+    """Q1, median and Q3 of the per-pair ratios; all None without any."""
+    if len(ratios) < 2:
+        return [ratios[0]] * 3 if ratios else [None] * 3
+    return statistics.quantiles(ratios, n=4)
+
+
 def summarize(entry, parent, change):
-    """Medians, IQRs, wins and verdicts of one metric over paired runs."""
+    """Medians, IQRs, wins, paired statistics and verdicts of one metric
+    over paired runs."""
     sign = 1.0 if entry["better"] == "lower" else -1.0
     p_med, c_med = statistics.median(parent), statistics.median(change)
     p_iqr = quartile_range(parent)
     wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    losses = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    ratios = [c / p for p, c in zip(parent, change) if p]
+    q1, r_med, q3 = ratio_quartiles(ratios)
     return {
         "unit": entry["unit"], "better": entry["better"],
         "parent": parent, "change": change,
         "parent_median": p_med, "change_median": c_med,
         "ratio": c_med / p_med if p_med else None,
         "parent_iqr": p_iqr, "change_iqr": quartile_range(change),
-        "wins": wins, "pairs": len(parent),
+        "wins": wins, "losses": losses, "pairs": len(parent),
+        "pair_ratios": ratios, "pair_ratio_q1": q1, "pair_ratio_median": r_med,
+        "pair_ratio_q3": q3, "sign_p": sign_test_p(wins, losses),
         "gain": wins >= 0.9 * len(parent) and sign * (p_med - c_med) > p_iqr,
         "worse": sign * (c_med - p_med) > entry["bound"] * abs(p_med),
     }
@@ -203,14 +231,18 @@ def main(argv=None):
         report[name] = {"failed": failed, "metrics": metrics}
 
     print(f"\n{'workload':<16}{'metric':<15}{'parent':>12}{'change':>12}"
-          f"{'ratio':>8}{'IQR p':>11}{'IQR c':>11}{'wins':>7}  gain   worse")
+          f"{'ratio':>8}{'IQR p':>11}{'IQR c':>11}{'wins':>7}"
+          f"{'Q1 c/p':>9}{'med c/p':>9}{'Q3 c/p':>9}{'sign p':>9}  gain   worse")
     for name, entry in report.items():
         for metric, m in entry["metrics"].items():
             ratio = f"{m['ratio']:.3f}" if m["ratio"] is not None else "-"
+            pair = "".join(f"{m[key]:>9.3f}" if m[key] is not None else f"{'-':>9}"
+                           for key in ("pair_ratio_q1", "pair_ratio_median",
+                                       "pair_ratio_q3"))
             print(f"{name:<16}{metric:<15}{m['parent_median']:>12.6g}"
                   f"{m['change_median']:>12.6g}{ratio:>8}{m['parent_iqr']:>11.4g}"
-                  f"{m['change_iqr']:>11.4g}{m['wins']:>4}/{m['pairs']:<2}  "
-                  f"{m['gain']!s:<6} {m['worse']}")
+                  f"{m['change_iqr']:>11.4g}{m['wins']:>4}/{m['pairs']:<2}"
+                  f"{pair}{m['sign_p']:>9.3g}  {m['gain']!s:<6} {m['worse']}")
 
     out = args.repo / f"BENCH_{args.slug}.json"
     out.write_text(json.dumps({

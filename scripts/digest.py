@@ -23,13 +23,10 @@ valley -x + 1e16 x^2 from 0 with bfgs, which ends
 The last two objectives are defined here, so that the script runs them
 on any source tree it is pointed at.
 
-The large cells split the update kernel into several balanced row
-panels (n=500 into 32-row panels, the last of 20 rows; n=193 into
-65/65/63 rows); rosen500/ssbfgs is the one run that takes the
-phi == 1 branch with tau != 1 there, and the m=64 cells run the
-network workspace at its benchmark size with phi in {0, 1, general}.  These cells and
-rosen100/ssbroyden (one 100 x 100 panel) form their panels with the
-minimum ufunc buffer; the n <= 25 cells with numpy's default one.
+Among the large cells, rosen500/ssbfgs is the one run that takes the
+update kernel's phi == 1 branch with tau != 1, and the m=64 cells
+(n=193) run the network workspace at its benchmark size with phi in
+{0, 1, general}.
 
 The bits depend on the numpy/BLAS build, so compare digests of two
 source trees made on one machine; do not keep them as golden values.

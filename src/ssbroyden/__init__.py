@@ -21,7 +21,6 @@ from .problems import (
     QuadraticProblem,
     RosenbrockProblem,
     default_start,
-    finite_difference_gradient,
     make_pinn1d,
     make_quadratic,
     make_rosenbrock,
@@ -54,7 +53,6 @@ __all__ = [
     "UpdateVariant",
     "VARIANT_ORDER",
     "default_start",
-    "finite_difference_gradient",
     "init_state",
     "make_pinn1d",
     "make_quadratic",

@@ -239,21 +239,6 @@ class PinnPoisson1D(ObjectiveFunction):
         return values
 
 
-def finite_difference_gradient(problem, x, h=1e-6):
-    """Central-difference gradient oracle: (f(x+h*e_i) - f(x-h*e_i)) / (2h)."""
-    if not h > 0.0:
-        raise ValueError(f"step must be positive, got {h:g}")
-    x = as_vector(x, problem.dimension)
-    g = np.empty_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (problem.value(xp) - problem.value(xm)) / (2.0 * h)
-    return g
-
-
 def default_start(problem):
     """Canonical start point for a benchmark problem."""
     return problem.default_start()

@@ -27,48 +27,25 @@ for what leaves ``solve``: ``DimensionMismatchError`` from an
 evaluation, ``EvaluationError`` from a non-finite start point and
 ``ValueError`` from ``SolverConfig``.
 
-The kernel writes H' over H and works in one panel of scratch, two
-for ``phi == 1``: it forms H' in row panels of at most ``PANEL_BYTES``
-(128 KiB) each, so that a panel's passes stay in cache and the scratch
-is small enough for the allocator to reuse without returning it to the
-OS.  :func:`panel_rows` balances the panels: it keeps the number of
-128 KiB panels but gives each the fewest rows that keep that number, so
-that no panel is a runt and the scratch is no larger than the panels
-need (at n = 193, three panels of 65/65/63 rows).  A panel's terms read
-only its own rows of H, so a solve holds one n x n matrix, not a
-second one for the result.  The kernel builds each term of a panel in
-place and keeps nothing between calls; for n <= 128 the one panel is
-the whole matrix.  If a floating-point error
-raised under ``np.errstate`` stops it, H is left partly updated.  It
-applies the terms in a fixed order, the order of the floating-point
-expressions the variants have always used, so every element rounds
-exactly as before and iteration counts and trajectories are bitwise
-unchanged; the ``phi == 1`` branch forms ``s s^T`` once per panel for
-both of its ``s s^T`` terms, which are the same products.  The order is
-part of the contract: a single compact form ``H/tau + [s, Hy] M [s,
-Hy]^T`` is algebraically equal but rounds differently, and in its place
-five of the six 8-D Rosenbrock golden iteration counts of the
-acceptance suite move by one to a few iterations.
-
-A panel's outer products broadcast both operands (one with stride 0),
-so numpy cannot fold their rows into one inner loop.  When such rows
-are shorter than numpy's ufunc buffer (8192 elements by default),
-numpy (2.4, the version measured) copies both operands through the
-buffer instead of reading them in place, which makes an outer product
-three to four times slower than an in-place pass over the same panel.
-The kernel therefore forms its panels with the buffer at numpy's
-minimum, ``MIN_UFUNC_BUFSIZE`` elements, whenever one panel holds more
-elements than the caller's buffer (n > 90 at the default), and
-restores the caller's size on the way out, also when a floating-point
-error is raised.  Below that size the save and restore would cost more
-than they save.  The buffer only decides where operands are copied:
-every element gets the same operations in the same order, so the
-results are bitwise the same.
+The kernel is one compiled loop, ``_kernel.c``, that writes H' over H
+in a single pass with no matrix-sized scratch, so a solve holds one
+n x n matrix.  It rounds every element as the variants' floating-point
+expressions do (see :func:`apply_update`).  It is compiled on first
+import, with sysconfig's ``CC`` (else ``cc``) and ``KERNEL_CFLAGS``, to
+the package's ``__pycache__`` and loaded through ``ctypes``; a C
+compiler is needed only while no library for the source is cached.
 """
 
+import ctypes
 import enum
+import hashlib
 import math
+import os
+import shlex
+import subprocess
+import sysconfig
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -84,14 +61,9 @@ PHI_DENOM_EPS = 1e-12
 TAU_MIN = 1e-8
 # Relative threshold of the curvature guard.
 CURVATURE_EPS = 1e-10
-# Most bytes of one row panel of the update kernel's scratch: small enough
-# that a panel's passes stay in L2 and that the scratch stays below glibc's
-# default mmap threshold (128 KiB), so freeing it never returns pages to
-# the OS that the next call would fault back in.
-PANEL_BYTES = 128 * 1024
-# numpy's smallest ufunc buffer, in elements; the kernel's panels are formed
-# with it (see the module docstring).
-MIN_UFUNC_BUFSIZE = 16
+# The C source of the update kernel and the flags it is built with.
+KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
+KERNEL_CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 
 class UpdateVariant(enum.Enum):
@@ -255,111 +227,78 @@ def compute_phi(theta, h, b):
     return (1.0 - theta) / denom
 
 
-def panel_rows(n):
-    """Rows of one row panel of :func:`apply_update` at dimension ``n``.
+def build_kernel(source=KERNEL_SOURCE):
+    """Path of the shared library built from the C file ``source``.
 
-    The panels are as many as ``PANEL_BYTES`` panels would be,
-    ``ceil(n / rows_max)`` with ``rows_max = PANEL_BYTES // (8 n)`` (at
-    least 1), and each gets the fewest rows that keep that count,
-    ``ceil(n / panels)``; the last panel is then short by fewer rows
-    than there are panels.  ``n`` itself when one panel holds the
-    matrix.
+    It is cached in the ``__pycache__`` next to ``source``, named by a hash
+    of the source bytes and ``KERNEL_CFLAGS``.  A missing one is compiled
+    to a temporary name and moved into place, so no process loads a half
+    written file; a failing compiler raises RuntimeError naming the command.
     """
-    rows_max = max(1, PANEL_BYTES // (8 * n))
-    panels = -(-n // rows_max)
-    return -(-n // panels)
+    code = Path(source).read_bytes()
+    key = hashlib.sha256(code + "\0".join(KERNEL_CFLAGS).encode()).hexdigest()[:16]
+    path = Path(source).parent / "__pycache__" / f"_kernel-{key}.so"
+    if path.exists():
+        return path
+    path.parent.mkdir(exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    command = [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *KERNEL_CFLAGS,
+               "-x", "c", "-o", str(tmp), "-"]
+    try:
+        done = subprocess.run(command, input=code, capture_output=True)
+        if done.returncode == 0:
+            return tmp.replace(path)
+        error = f"exited {done.returncode}:\n{done.stderr.decode(errors='replace')}"
+    except OSError as exc:
+        error = str(exc)
+    finally:
+        tmp.unlink(missing_ok=True)
+    raise RuntimeError(f"cannot build the update kernel: `{shlex.join(command)}` {error}")
+
+
+_rank_two_update = ctypes.CDLL(str(build_kernel())).rank_two_update
+_rank_two_update.restype = ctypes.c_int
+_rank_two_update.argtypes = ((ctypes.c_void_p, ctypes.c_ssize_t) + (ctypes.c_void_p,) * 3
+                             + (ctypes.c_double,) * 4)
+# np.divide operands that raise divide by zero, overflow, underflow and
+# invalid: the kernel's flag bits 1, 2, 4 and 8, in the order numpy reports them.
+_FLAG_OPERANDS = np.array([[1.0, 1e308, 1e-308, 0.0], [0.0, 1e-10, 1e10, 0.0]])
 
 
 def apply_update(H, s, coeffs, phi, tau):
     """Overwrite ``H`` with H' for the family member with weight ``phi``
     and scale ``tau``; returns ``H``.
 
-    ``s`` and the vectors of ``coeffs`` are only read.  The kernel forms
-    H' in row panels of ``rows = panel_rows(n)`` rows of n, the last
-    panel holding what is left.  A panel's terms read only its own
-    rows of ``H`` and the vectors ``s``, ``Hy`` and ``v``, which are all
-    formed before the loop, so each panel of ``H`` is overwritten in
-    place once its rows are read.  The scratch is one panel, two for
-    ``phi == 1``.  On rows ``[i, j)`` of ``o = H`` it applies every term
-    in this order:
+    ``H`` must be a C-contiguous, writeable float64 n x n array, else
+    ValueError; ``s`` and the vectors of ``coeffs`` are only read.  Each
+    element ``o = H[i, k]`` gets, in this order, each step rounded once:
 
     * ``phi == 1`` (the expanded BFGS product):
-      ``cross = s_i (Hy)^T + (Hy)_i s^T``, ``cross *= rho``,
-      ``o -= cross``, then ``ss = s_i s^T`` in the cross panel and
-      ``o += (rho^2 y^T H y) ss``;
-    * otherwise: ``tmp = (Hy)_i (Hy)^T``, ``tmp /= y^T H y``,
-      ``o -= tmp``, and ``o += (phi y^T H y) v_i v^T`` when
-      ``phi != 0``, with ``v = s / (y^T s) - Hy / (y^T H y)`` formed
-      only in that branch;
-    * then ``o /= tau`` (skipped for ``tau == 1``, where the division
-      is exact) and ``o += rho s_i s^T``, for ``phi == 1`` as
-      ``ss *= rho`` on the product formed above.
+      ``o -= (s_i Hy_k + Hy_i s_k) rho``, ``o += (s_i s_k) (rho^2 y^T H y)``;
+    * otherwise ``o -= (Hy_i Hy_k) / y^T H y``, then, if ``phi != 0``,
+      ``o += (v_i v_k) (phi y^T H y)``, ``v = s / y^T s - Hy / y^T H y``;
+    * then ``o /= tau`` unless ``tau == 1``, and ``o += (s_i s_k) rho``.
 
-    Each ``u u^T`` term is scaled as a whole panel and then added, so
-    every element sees the same roundings in the same order as the
-    expression ``(H - ... + ...) / tau + rho * outer(s, s)``; the cross
-    term of row i, column k is ``s_i Hy_k + Hy_i s_k``, the element of
-    ``C + C^T`` with ``C = s (Hy)^T``.  That order is part of the
-    contract: an algebraically equal reordering rounds differently and
-    moves the 8-D Rosenbrock golden iteration counts.  Every term is an
-    outer product ``u u^T`` or a symmetric pair sum, so the result is
-    exactly symmetric.  When a floating-point error raised under
-    ``np.errstate`` stops the kernel, ``H`` is left partly updated.
-
-    When a panel holds more than ``np.getbufsize()`` elements, the
-    panels are formed with numpy's ufunc buffer set to
-    ``MIN_UFUNC_BUFSIZE``, so that the outer products read their
-    operands in place instead of copying them through the buffer.  The
-    caller's size is saved by ``np.setbufsize`` and restored by it in a
-    ``finally``, not left to ``np.errstate``, which restores the buffer
-    size only from numpy 2.0 on.  The error state is not touched.
+    That order is the contract: a compact form ``H/tau + [s, Hy] M [s,
+    Hy]^T`` is algebraically equal but rounds differently, and moves five
+    of the six 8-D Rosenbrock golden iteration counts.  Every term is
+    symmetric in i and k, so the result is exactly symmetric.  The loop
+    returns the IEEE flags it raised, and one numpy operation raising the
+    same flags replays them under the caller's ``np.errstate``, after
+    ``H`` is fully written.
     """
     n = s.shape[0]
-    rho = coeffs.rho
-    Hy = coeffs.Hy
-    rows = panel_rows(n)
-    work = np.empty((rows, n))
-    if phi == 1.0:
-        cross_work = np.empty((rows, n))
-        ss_weight = rho * rho * coeffs.yHy
-    elif phi != 0.0:
-        v = s / coeffs.ys - Hy / coeffs.yHy
-        vv_weight = phi * coeffs.yHy
-    old_bufsize = (np.setbufsize(MIN_UFUNC_BUFSIZE) if rows * n > np.getbufsize()
-                   else None)
-    try:
-        for i in range(0, n, rows):
-            j = min(i + rows, n)
-            o = H[i:j]
-            tmp = work[:j - i]
-            s_i = s[i:j]
-            if phi == 1.0:
-                cross = cross_work[:j - i]
-                np.multiply.outer(s_i, Hy, out=cross)
-                np.multiply.outer(Hy[i:j], s, out=tmp)
-                cross += tmp
-                cross *= rho
-                o -= cross
-                ss = np.multiply.outer(s_i, s, out=cross)
-                np.multiply(ss, ss_weight, out=tmp)
-                o += tmp
-            else:
-                np.multiply.outer(Hy[i:j], Hy, out=tmp)
-                tmp /= coeffs.yHy
-                o -= tmp
-                if phi != 0.0:
-                    np.multiply.outer(v[i:j], v, out=tmp)
-                    tmp *= vv_weight
-                    o += tmp
-            if tau != 1.0:
-                o /= tau
-            if phi != 1.0:
-                ss = np.multiply.outer(s_i, s, out=tmp)
-            ss *= rho
-            o += ss
-    finally:
-        if old_bufsize is not None:
-            np.setbufsize(old_bufsize)
+    s = np.ascontiguousarray(s, dtype=np.float64)
+    Hy = np.ascontiguousarray(coeffs.Hy, dtype=np.float64)
+    if not (H.flags.carray and H.dtype == np.float64 and H.shape == (n, n)
+            and Hy.shape == (n,)):
+        raise ValueError("apply_update needs a C-contiguous, writeable float64 (n, n) H")
+    v = None if phi in (0.0, 1.0) else s / coeffs.ys - Hy / coeffs.yHy
+    raised = _rank_two_update(H.ctypes.data, n, s.ctypes.data, Hy.ctypes.data,
+                              None if v is None else v.ctypes.data, coeffs.rho,
+                              coeffs.yHy, phi, tau)
+    if raised:
+        np.divide(*_FLAG_OPERANDS[:, [bool(raised & 1 << bit) for bit in range(4)]])
     return H
 
 

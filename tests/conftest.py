@@ -164,12 +164,11 @@ def interior_theta_suite():
 
 
 @pytest.fixture(scope="session")
-def panel_suite():
-    """Update instances large enough that the kernel splits them into
-    several row panels: two each at n = 160 (80/80 rows) and n = 300
-    (six of 50), and n = 193, whose three panels (65/65/63) end short."""
+def sized_suite():
+    """Update instances outside ``instance_suite``'s sizes (2 to 12): two
+    each at n = 160 and n = 300, then n = 193, n = 1 and n = 500."""
     rng = np.random.default_rng(20261018)
-    return [quasi_newton_instance(rng, n) for n in (160, 160, 300, 300, 193)]
+    return [quasi_newton_instance(rng, n) for n in (160, 160, 300, 300, 193, 1, 500)]
 
 
 class CountingObjective(ObjectiveFunction):

@@ -1,20 +1,38 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is deliberately written with different algorithms or
-different algebra than the library code it checks: a double-loop
-matrix-vector product, a Gaussian-elimination linear solver, the
-dynamic-theta clamp interval from an explicitly solved ``b``, a cyclic
-Jacobi eigenvalue routine, a self-contained textbook BFGS
-minimizer (Woodbury-form update, its own bracketing/zoom search with
-the cubic solved through a normalized quadratic-formula root), the
-self-scaled Broyden class in its direct (B) form, and scipy's BFGS
-inverse-Hessian update.  None of these call into the package beyond
-plain numpy arrays in/out.
+different algebra than the library code it checks: a central
+finite-difference gradient, a double-loop matrix-vector product, a
+Gaussian-elimination linear solver and determinant, the dynamic-theta
+clamp interval from an explicitly solved ``b``, a cyclic Jacobi
+eigenvalue routine, a self-contained textbook BFGS minimizer
+(Woodbury-form update, its own bracketing/zoom search with the cubic
+solved through a normalized quadratic-formula root), the self-scaled
+Broyden class in its direct (B) form, the scaling term sigma from the
+determinants of that form, and scipy's BFGS inverse-Hessian update.
+None of these call into the package beyond plain numpy arrays in/out;
+the finite-difference gradient calls only the objective's ``value``.
 """
 
 import math
 
 import numpy as np
+
+
+def finite_difference_gradient(problem, x, h=1e-6):
+    """Central-difference gradient of ``problem.value``:
+    (f(x+h*e_i) - f(x-h*e_i)) / (2h)."""
+    if not h > 0.0:
+        raise ValueError(f"step must be positive, got {h:g}")
+    x = np.array(x, dtype=float)
+    g = np.empty_like(x)
+    for i in range(x.size):
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += h
+        xm[i] -= h
+        g[i] = (problem.value(xp) - problem.value(xm)) / (2.0 * h)
+    return g
 
 
 def naive_matvec(m, x):
@@ -57,29 +75,63 @@ def elimination_inverse(a):
     return gaussian_solve(a, np.eye(a.shape[0]))
 
 
+def elimination_determinant(a):
+    """Determinant of ``a`` by Gaussian elimination with partial pivoting:
+    the product of the pivots, its sign flipped by each row swap."""
+    a = np.array(a, dtype=float)
+    det = 1.0
+    for col in range(a.shape[0]):
+        pivot = col + int(np.argmax(np.abs(a[col:, col])))
+        if a[pivot, col] == 0.0:
+            return 0.0
+        if pivot != col:
+            a[[col, pivot]] = a[[pivot, col]]
+            det = -det
+        det *= a[col, col]
+        a[col + 1:, col:] -= np.outer(a[col + 1:, col] / a[col, col], a[col, col:])
+    return det
+
+
+def direct_form(B, s, y, theta):
+    """B' of the Broyden class in its direct (B) form, without scaling:
+
+        B' = B - (B s)(B s)^T / s^T B s + y y^T / y^T s + theta (s^T B s) w w^T,
+        w  = y / y^T s - B s / s^T B s,
+
+    where ``theta`` weighs the DFP-like term of the B side (0 is BFGS,
+    1 is DFP)."""
+    Bs = B @ s
+    sBs = float(s @ Bs)
+    ys = float(y @ s)
+    w = y / ys - Bs / sBs
+    return (B - np.outer(Bs, Bs) / sBs + np.outer(y, y) / ys
+            + theta * sBs * np.outer(w, w))
+
+
 def direct_broyden_update(H, s, y, theta, tau):
     """H' of the self-scaled Broyden class, from its direct (B) form.
 
     With ``B = H^-1`` (by elimination) the class updates the scaled
-    ``tau B`` as
-
-        B' = tau B - (tau B s)(tau B s)^T / (s^T tau B s) + y y^T / y^T s
-             + theta (s^T tau B s) w w^T,
-        w  = y / y^T s - tau B s / s^T tau B s,
-
-    where ``theta`` weighs the DFP-like term of the B side (0 is BFGS,
-    1 is DFP).  Returns ``B'^-1``, again by elimination.  The inverse
-    form weighs its ``v v^T`` term by the dual ``phi = (1 - theta) /
-    (1 + (h b - 1) theta)``, which this form never computes.
+    ``tau B`` by :func:`direct_form` and returns ``B'^-1``, again by
+    elimination.  The inverse form weighs its ``v v^T`` term by the dual
+    ``phi = (1 - theta) / (1 + (h b - 1) theta)``, which this form never
+    computes.
     """
-    tB = tau * elimination_inverse(H)
-    tBs = tB @ s
-    stBs = float(s @ tBs)
-    ys = float(y @ s)
-    w = y / ys - tBs / stBs
-    B_new = (tB - np.outer(tBs, tBs) / stBs + np.outer(y, y) / ys
-             + theta * stBs * np.outer(w, w))
-    return elimination_inverse(B_new)
+    return elimination_inverse(direct_form(tau * elimination_inverse(H), s, y, theta))
+
+
+def sigma_from_determinants(H, s, y, theta):
+    """``sigma = 1 + theta a`` of the self-scaled class, from determinants.
+
+    With ``B = H^-1`` by elimination, ``b = s^T B s / y^T s`` formed from
+    B and ``B'`` the unscaled :func:`direct_form`, the determinant of the
+    Broyden class update is ``det(B') = det(B) (1 + theta a) / b`` with
+    ``a = b h - 1``, so ``sigma = b det(B') / det(B)``: both determinants
+    by elimination, a quantity the library never computes.
+    """
+    B = elimination_inverse(H)
+    b = float(s @ B @ s) / float(y @ s)
+    return b * elimination_determinant(direct_form(B, s, y, theta)) / elimination_determinant(B)
 
 
 def scipy_bfgs_update(H, s, y, init_scale=1.0):

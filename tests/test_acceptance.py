@@ -16,7 +16,6 @@ import pytest
 from ssbroyden import (
     SolverConfig,
     VARIANT_ORDER,
-    finite_difference_gradient,
     make_pinn1d,
     make_quadratic,
     make_rosenbrock,
@@ -26,7 +25,7 @@ from ssbroyden.cli import main as cli_main
 from ssbroyden.updates import compute_theta
 
 from conftest import CountingObjective, base_coefficients, family_update, propose
-from oracles import jacobi_eigenvalues, theta_bounds
+from oracles import finite_difference_gradient, jacobi_eigenvalues, theta_bounds
 
 C1, C2 = 1e-4, 0.9
 

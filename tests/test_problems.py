@@ -10,7 +10,6 @@ from ssbroyden import (
     PinnPoisson1D,
     QuadraticProblem,
     RosenbrockProblem,
-    finite_difference_gradient,
     make_pinn1d,
     make_quadratic,
     make_rosenbrock,
@@ -23,6 +22,7 @@ from ssbroyden.problems import (
 )
 
 from conftest import expression_pinn_evaluation
+from oracles import finite_difference_gradient
 
 # frozen reproducible start for the width-4 network (13 parameters)
 GOLDEN_LCG_M4 = (

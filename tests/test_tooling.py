@@ -17,6 +17,8 @@ from pathlib import Path
 
 import pytest
 
+import ab
+
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("pinn-paper", "pinn-wide", "dense-ssbroyden", "dense-bfgs")
 
@@ -174,7 +176,35 @@ def test_ab_driver_alternates_pairs_and_writes_bench_file(tmp_path):
     assert [(row[1], row[-2], row[-1]) for row in table] == [
         ("iter_us", "True", "False"), ("f_evals", "False", "False"),
         ("peak_rss_mb", "False", "True")]
+    # the paired statistics: per-pair ratios change/parent, their quartiles
+    # and the one-sided sign-test p-value of the wins (ties dropped)
+    assert [(m["pair_ratios"], m["pair_ratio_q1"], m["pair_ratio_median"],
+             m["pair_ratio_q3"], m["losses"], m["sign_p"])
+            for m in (iter_us, f_evals, peak)] == [
+        ([0.8, 0.8], 0.8, 0.8, 0.8, 0, 0.25), ([1.0, 1.0], 1.0, 1.0, 1.0, 0, 1.0),
+        ([1.25, 1.25], 1.25, 1.25, 1.25, 2, 1.0)]
+    assert [row[-6:-2] for row in table] == [
+        ["0.800", "0.800", "0.800", "0.25"], ["1.000", "1.000", "1.000", "1"],
+        ["1.250", "1.250", "1.250", "1"]]
     assert bench["workloads"]["w1"]["failed"] == {"parent": [0, 0], "change": [0, 0]}
     assert bench["digests"] == {"run": {"equal": False, "first_difference": "c2"},
                                 "bytes": {"equal": True, "first_difference": None},
                                 "cells": 3}
+    # canned pairs beyond what two runs can show: nine wins and one loss,
+    # ties, a better-is-higher metric, a single pair and a zero parent
+    lower = {"unit": "us", "better": "lower", "bound": 0.25}
+    m = ab.summarize(lower, [10.0] * 10, [9.0] * 9 + [11.0])
+    assert (m["wins"], m["losses"], m["gain"], m["worse"]) == (9, 1, True, False)
+    assert (m["pair_ratio_q1"], m["pair_ratio_median"], m["pair_ratio_q3"]) == (0.9, 0.9, 0.9)
+    assert m["sign_p"] == 11 / 1024
+    m = ab.summarize(lower, [10.0] * 4, [10.0, 9.0, 11.0, 10.0])
+    assert (m["wins"], m["losses"], m["sign_p"]) == (1, 1, 0.75)
+    higher = dict(lower, better="higher")
+    m = ab.summarize(higher, [1.0, 2.0, 4.0], [2.0, 3.0, 6.0])
+    assert (m["wins"], m["losses"], m["sign_p"]) == (3, 0, 0.125)
+    assert (m["pair_ratio_q1"], m["pair_ratio_median"], m["pair_ratio_q3"]) == (1.5, 1.5, 2.0)
+    m = ab.summarize(lower, [5.0], [4.0])
+    assert (m["pair_ratio_q1"], m["pair_ratio_median"], m["pair_ratio_q3"], m["sign_p"]) == (
+        0.8, 0.8, 0.8, 0.5)
+    m = ab.summarize(lower, [0.0], [1.0])
+    assert (m["pair_ratios"], m["pair_ratio_median"], m["losses"]) == ([], None, 1)

@@ -1,6 +1,13 @@
+import ctypes
 import dataclasses
+import itertools
 import math
+import re
+import subprocess
+import sysconfig
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +30,7 @@ from ssbroyden.updates import (
 from conftest import (base_coefficients, expression_update, family_update, propose,
                       quasi_newton_instance)
 from oracles import (direct_broyden_update, gaussian_solve, jacobi_eigenvalues,
-                     scipy_bfgs_update, theta_bounds)
+                     scipy_bfgs_update, sigma_from_determinants, theta_bounds)
 
 ALL_VARIANTS = list(VARIANT_ORDER)
 DYNAMIC = [UpdateVariant.BROYDEN, UpdateVariant.SSBROYDEN]
@@ -226,6 +233,46 @@ def test_tau_tiny_positive_sigma_degenerates():
     assert compute_tau(UpdateVariant.SSBFGS, -1.0, coeffs, 4) is None
 
 
+SELF_SCALED = [v for v in ALL_VARIANTS if v.self_scaled]
+
+
+@pytest.mark.parametrize("variant", SELF_SCALED, ids=lambda v: v.value)
+def test_tau_matches_determinant_oracle(variant, instance_suite, interior_theta_suite):
+    # tau rebuilt from sigma = b det(B') / det(B), which the library never
+    # computes, and b = s^T B s / y^T s from B = H^-1, with the case logic
+    # of the self-scaled Broyden class as the literature states it
+    # (Al-Baali 1998; Urban, Stefanou & Pons 2025): rho+ = min(1, 1/b),
+    # sigma^(1/(1-n)) taken as 1 at n = 1 and as 0 at sigma = 0, then
+    # tau = min(rho+ sigma^(1/(1-n)), sigma) for theta <= 0 and
+    # tau = rho+ min(sigma^(1/(1-n)), 1/theta) for theta > 0.
+    branches = {"theta <= 0": 0, "theta > 0": 0, "tau < 1": 0}
+    for inst in instance_suite + interior_theta_suite:
+        H, s, y, n = inst["H"], inst["s"], inst["y"], inst["n"]
+        coeffs = base_coefficients(inst)
+        theta = compute_theta(variant, coeffs)
+        sigma = sigma_from_determinants(H, s, y, theta)
+        b = float(s @ gaussian_solve(H, s)) / float(y @ s)
+        rho_plus = min(1.0, 1.0 / b)
+        if n == 1:
+            sigma_pow = 1.0
+        elif sigma == 0.0:
+            sigma_pow = 0.0
+        else:
+            sigma_pow = abs(sigma) ** (1.0 / (1.0 - n))
+        if theta <= 0.0:
+            expected = min(rho_plus * sigma_pow, sigma)
+        else:
+            expected = rho_plus * min(sigma_pow, 1.0 / theta)
+        tau = compute_tau(variant, theta, coeffs, n)
+        assert tau is not None and expected > updates.TAU_MIN
+        assert abs(tau - expected) <= 1e-11 * expected, (theta, tau, expected)
+        branches["theta <= 0" if theta <= 0.0 else "theta > 0"] += 1
+        branches["tau < 1"] += tau < 1.0 - 1e-12
+    assert branches["tau < 1"] >= 90, branches
+    if variant is UpdateVariant.SSBROYDEN:
+        assert min(branches.values()) >= 50, branches
+
+
 # ------------------------------------------------------------------- phi
 
 def test_phi_limits():
@@ -329,16 +376,33 @@ def test_update_is_exactly_symmetric(variant, instance_suite, interior_theta_sui
         assert np.array_equal(H_new, H_new.T)
 
 
+def special_value_cases(inst):
+    """``(H, s, coeffs)`` from one instance with -0 and +0 entries in H
+    and s, H and the vectors scaled by every pair of 1, subnormal, tiny
+    and huge factors; the scalars of ``coeffs`` follow from the scaled
+    arrays and may be 0, subnormal or infinite."""
+    H0, s0 = inst["H"].copy(), inst["s"].copy()
+    H0[0, 1:] = H0[1:, 0] = -0.0
+    H0[0, 0] = 0.0
+    s0[:2] = (-0.0, 0.0)
+    for h_scale, v_scale in itertools.product((1.0, 1e-310, 1e-160, 1e160, 1e300),
+                                              repeat=2):
+        H, s, y = H0 * h_scale, s0 * v_scale, inst["y"] * v_scale
+        with np.errstate(all="ignore"):
+            Hy = H @ y
+            ys, yHy = np.dot(y, s), np.dot(y, Hy)
+            rho = 1.0 / ys
+        yield H, s, UpdateCoefficients(ys=float(ys), rho=float(rho), h=0.0, b=0.0,
+                                       a=0.0, c=0.0, Hy=Hy, yHy=float(yHy))
+
+
 @pytest.mark.parametrize("tau", [1.0, 0.7])
 @pytest.mark.parametrize("phi", [1.0, 0.0, 0.4, -0.3])
-def test_kernel_matches_expression_form_bitwise(phi, tau, instance_suite, panel_suite):
+def test_kernel_matches_expression_form_bitwise(phi, tau, instance_suite, sized_suite):
     # The kernel writes H' over its input matrix, must round exactly like
     # the expression form (the golden iteration counts depend on it) and
-    # must only read its vectors.  The panel instances split into several
-    # balanced row panels, at n = 193 with a short last one.
-    splits = {inst["n"]: panel_split(inst["n"]) for inst in panel_suite}
-    assert splits == {160: [80, 80], 300: [50] * 6, 193: [65, 65, 63]}
-    for i, inst in enumerate(instance_suite + panel_suite):
+    # must only read its vectors, from n = 1 to n = 500.
+    for i, inst in enumerate(instance_suite + sized_suite):
         H, s = inst["H"], inst["s"]
         coeffs = base_coefficients(inst)
         vectors = (s, coeffs.Hy)
@@ -351,37 +415,30 @@ def test_kernel_matches_expression_form_bitwise(phi, tau, instance_suite, panel_
         for name, a, b in zip(("s", "Hy"), vectors, before):
             assert a.tobytes() == b, f"instance {i}: kernel wrote into {name}"
         assert np.array_equal(got, got.T), f"instance {i}: result not symmetric"
-
-
-def panel_split(n):
-    """Rows of each row panel the kernel forms at dimension n."""
-    rows = updates.panel_rows(n)
-    return [min(rows, n - i) for i in range(0, n, rows)]
-
-
-@pytest.mark.parametrize("n", [1, 2, 25, 128, 129, 160, 193, 300, 500, 16384, 20000])
-def test_panels_are_balanced(n):
-    # as many panels as PANEL_BYTES-sized ones, each within the budget,
-    # and no runt: the last is short by fewer rows than there are panels
-    rows_max = max(1, updates.PANEL_BYTES // (8 * n))
-    split = panel_split(n)
-    assert sum(split) == n
-    assert len(split) == -(-n // rows_max)
-    assert split[0] == max(split) <= rows_max
-    assert split[0] - split[-1] < len(split)
+    # Signed zeros, subnormals, overflow to inf and the NaN it breeds:
+    # every entry that is not NaN has the expression form's bits, signs of
+    # zero and infinities included, and NaN sits in the same places.
+    cases = 0
+    for inst in instance_suite[1:12] + sized_suite[4:5]:
+        for H, s, coeffs in special_value_cases(inst):
+            with np.errstate(all="ignore"):
+                ref = expression_update(H, s, coeffs, phi, tau)
+                got = apply_update(H.copy(), s, coeffs, phi, tau)
+            nan = np.isnan(ref)
+            assert np.array_equal(np.isnan(got), nan), f"case {cases}: NaN moved"
+            assert got[~nan].tobytes() == ref[~nan].tobytes(), f"case {cases}"
+            cases += 1
+    assert cases == 12 * 25
 
 
 @pytest.mark.parametrize("phi", [1.0, 0.0, 0.4])
-def test_kernel_holds_result_plus_one_panel(phi, panel_suite):
-    # One call at n = 300 writes the result over its input and keeps one
-    # balanced row panel of scratch live (two for phi == 1), plus a few
-    # vectors: no n x n matrix, no scratch rows beyond the panel's 50,
-    # and not the two 64 KiB ufunc buffers numpy fills when it copies
-    # the operands of an outer product.
-    inst = panel_suite[3]  # n = 300
+def test_kernel_holds_no_matrix_sized_scratch(phi, sized_suite):
+    # One call at n = 300 (a 703 KiB matrix) writes the result over its
+    # input and holds no scratch beyond a few 2.4 KiB vectors (v and its
+    # two terms) and the small objects of the foreign call.
+    inst = sized_suite[3]  # n = 300
     H, s = inst["H"].copy(), inst["s"]
     n = inst["n"]
-    panel = updates.panel_rows(n) * n * 8
     coeffs = base_coefficients(inst)
     tracemalloc.start()
     try:
@@ -389,15 +446,14 @@ def test_kernel_holds_result_plus_one_panel(phi, panel_suite):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * panel + 16 * 1024
+    assert peak < 16 * 1024 + 3 * n * 8
 
 
 @pytest.mark.parametrize("n", [300, 25])
-def test_kernel_leaves_numpy_state_as_found(n, panel_suite):
-    # n = 300 forms its panels with the minimum ufunc buffer, n = 25 (one
-    # 625-element panel) with the caller's; either way the caller's buffer
-    # size and error state come back unchanged, also when the kernel raises.
-    inst = panel_suite[3] if n == 300 else quasi_newton_instance(
+def test_kernel_leaves_numpy_state_as_found(n, sized_suite):
+    # The kernel touches neither numpy's ufunc buffer size nor its error
+    # state, also when it raises.
+    inst = sized_suite[3] if n == 300 else quasi_newton_instance(
         np.random.default_rng(25), n)
     H, s = inst["H"], inst["s"]
     coeffs = base_coefficients(inst)
@@ -414,6 +470,127 @@ def test_kernel_leaves_numpy_state_as_found(n, panel_suite):
             assert (np.getbufsize(), np.geterr()) == state
     finally:
         np.setbufsize(caller_bufsize)
+
+
+def test_kernel_replays_its_flags_after_writing_h(instance_suite):
+    # The loop's IEEE flags reach np.errstate as numpy's own would: a
+    # raised error comes after H is fully written, a flag set to warn
+    # warns, and an ignored one is silent.
+    inst = instance_suite[5]
+    H, s = inst["H"], inst["s"]
+    coeffs = dataclasses.replace(base_coefficients(inst), yHy=0.0)
+    with np.errstate(all="ignore"):
+        ref = expression_update(H, s, coeffs, 0.0, 1.0)
+    assert np.isinf(ref).any()
+    work = H.copy()
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError, match="divide"):
+        apply_update(work, s, coeffs, 0.0, 1.0)
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(work), nan)
+    assert work[~nan].tobytes() == ref[~nan].tobytes()
+    with np.errstate(all="warn"), pytest.warns(RuntimeWarning, match="divide by zero"):
+        apply_update(H.copy(), s, coeffs, 0.0, 1.0)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        apply_update(H.copy(), s * 1e200, dataclasses.replace(coeffs, yHy=1.0), 0.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"):
+            apply_update(H.copy(), s, coeffs, 0.0, 1.0)
+        apply_update(H.copy(), s, base_coefficients(inst), 0.4, 0.7)
+
+
+def read_only(H):
+    H = H.copy()
+    H.flags.writeable = False
+    return H
+
+
+UNWRITABLE_H = {
+    "fortran": np.asfortranarray,
+    "float32": lambda H: H.astype(np.float32),
+    "read_only": read_only,
+    "short": lambda H: H[:-1].copy(),
+    "strided": lambda H: np.kron(H, np.ones((2, 2)))[::2, ::2],
+}
+
+
+@pytest.mark.parametrize("kind", UNWRITABLE_H)
+def test_kernel_rejects_h_it_cannot_write_in_place(kind, instance_suite):
+    # an H the loop cannot walk as a dense float64 n x n block is refused
+    # before anything is written
+    inst = instance_suite[5]
+    bad = UNWRITABLE_H[kind](inst["H"])
+    before = bad.tobytes()
+    with pytest.raises(ValueError, match="C-contiguous, writeable float64"):
+        apply_update(bad, inst["s"], base_coefficients(inst), 0.4, 0.7)
+    assert bad.tobytes() == before
+
+
+# ------------------------------------------------------- kernel build
+
+def test_kernel_build_reuses_the_cached_library(tmp_path, monkeypatch):
+    # A second build of the same source loads the cached file: no compiler
+    # runs, for the package's own library as for a fresh copy.
+    source = tmp_path / "_kernel.c"
+    source.write_bytes(updates.KERNEL_SOURCE.read_bytes())
+    built = updates.build_kernel(source)
+    assert built.parent == tmp_path / "__pycache__"
+    assert ctypes.CDLL(str(built)).rank_two_update
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("the compiler ran for a cached library")
+
+    monkeypatch.setattr(updates.subprocess, "run", no_compiler)
+    assert updates.build_kernel(source) == built
+    assert updates.build_kernel().is_file()
+    assert sorted(p.name for p in built.parent.iterdir()) == [built.name]
+
+
+def test_kernel_cache_name_follows_the_source_bytes(tmp_path, monkeypatch):
+    # Each source gets its own file, written under a temporary name and
+    # moved into place; a stub compiler copies the source to its output.
+    commands = []
+
+    def fake_compiler(command, input, capture_output):
+        commands.append(command)
+        Path(command[command.index("-o") + 1]).write_bytes(input)
+        return subprocess.CompletedProcess(command, 0, b"", b"")
+
+    monkeypatch.setattr(updates.subprocess, "run", fake_compiler)
+    source = tmp_path / "_kernel.c"
+    code = updates.KERNEL_SOURCE.read_bytes()
+    paths = []
+    for text in (code, code + b"\n", code):
+        source.write_bytes(text)
+        paths.append(updates.build_kernel(source))
+    assert paths[0] == paths[2] != paths[1]
+    assert len(commands) == 2
+    assert all(command[-1] == "-" and ".tmp" in command[command.index("-o") + 1]
+               and all(flag in command for flag in updates.KERNEL_CFLAGS)
+               for command in commands)
+    assert sorted(p.name for p in (tmp_path / "__pycache__").iterdir()) == sorted(
+        p.name for p in set(paths))
+    assert paths[1].read_bytes() == code + b"\n"
+
+
+def test_kernel_build_names_the_command_that_failed(tmp_path, monkeypatch):
+    # No compiler on the PATH, with sysconfig's CC and with cc when CC is
+    # unset, then a source that does not compile: each fails with the
+    # command in the message and leaves no partial file.
+    source = tmp_path / "_kernel.c"
+    source.write_bytes(updates.KERNEL_SOURCE.read_bytes() + b"/* fresh */\n")
+    flags = " ".join(updates.KERNEL_CFLAGS)
+    with monkeypatch.context() as patch:
+        patch.setenv("PATH", str(tmp_path / "no-such-dir"))
+        for compiler in (sysconfig.get_config_var("CC"), None):
+            patch.setattr(updates.sysconfig, "get_config_var", lambda name: compiler)
+            command = re.escape(f"`{compiler or 'cc'} {flags} -x c -o ")
+            with pytest.raises(RuntimeError, match=command):
+                updates.build_kernel(source)
+    source.write_bytes(b"this is not C\n")
+    with pytest.raises(RuntimeError, match=re.escape(f"{flags} -x c -o ") + ".* exited"):
+        updates.build_kernel(source)
+    assert list((tmp_path / "__pycache__").iterdir()) == []
 
 
 def test_jacobi_oracle_agrees_with_lapack(instance_suite):
