@@ -431,11 +431,30 @@ def test_kernel_matches_expression_form_bitwise(phi, tau, instance_suite, sized_
     assert cases == 12 * 25
 
 
+@pytest.mark.parametrize("n", [1, 2, 25, 128, 129, 160, 193, 300, 500])
+def test_panels_are_balanced(n):
+    # The single pass is one panel of all n rows, balanced in that every
+    # row gets the same operations wherever it falls: permuting the rows
+    # and columns of H and the entries of s and Hy permutes H' bit for
+    # bit, at the sizes where row panels once split H (193 with a short
+    # last one) and across the scaled and unscaled loops of each phi case.
+    inst = quasi_newton_instance(np.random.default_rng(n), n)
+    H, s = inst["H"], inst["s"]
+    coeffs = base_coefficients(inst)
+    p = np.random.default_rng(n + 1).permutation(n)
+    moved = dataclasses.replace(coeffs, Hy=coeffs.Hy[p])
+    for phi, tau in itertools.product((1.0, 0.0, 0.4), (1.0, 0.7)):
+        got = apply_update(H.copy(), s, coeffs, phi, tau)
+        got_moved = apply_update(H[np.ix_(p, p)], s[p], moved, phi, tau)
+        assert got_moved.tobytes() == got[np.ix_(p, p)].tobytes(), (phi, tau)
+
+
 @pytest.mark.parametrize("phi", [1.0, 0.0, 0.4])
-def test_kernel_holds_no_matrix_sized_scratch(phi, sized_suite):
+def test_kernel_holds_result_plus_one_panel(phi, sized_suite):
     # One call at n = 300 (a 703 KiB matrix) writes the result over its
-    # input and holds no scratch beyond a few 2.4 KiB vectors (v and its
-    # two terms) and the small objects of the foreign call.
+    # input, and the one panel of scratch it may hold is empty: nothing
+    # beyond a few 2.4 KiB vectors (v and its two terms) and the small
+    # objects of the foreign call.
     inst = sized_suite[3]  # n = 300
     H, s = inst["H"].copy(), inst["s"]
     n = inst["n"]
