@@ -4,12 +4,13 @@ Each cell is one ``solve`` from the problem's default start.  Its
 ``run`` hash covers every field of every iteration record (floats as
 ``float.hex``), the counters, the terminal status and the bytes of the
 final x, g and H.  Its ``bytes`` hash covers the run's CSV and JSON
-traces as ``cli.emit_trace`` writes them (the JSON one with a run
-summary built as ``bench`` builds it, with the cell's problem label as
-``problem``).  Two builds that print the same ``run`` hash for a cell
-followed the same trajectory to the last bit; the same ``bytes`` hash
-says they also report it in the same bytes, so a deliberate change of
-the trace format moves only the ``bytes`` hashes.  The cells
+traces as ``cli.emit_trace`` writes them, the JSON one with the summary
+``cli.run_summary`` builds for ``bench`` (the cell's problem label as
+``problem``), so the script needs a tree that has ``run_summary``.
+Two builds that print the same ``run`` hash for a cell followed the
+same trajectory to the last bit; the same ``bytes`` hash says they
+also report it in the same bytes, so a deliberate change of the trace
+format moves only the ``bytes`` hashes.  The cells
 are quad10, rosen2, rosen8 and pinn1d (m=8, N=32) x the six variants x
 {identity, scaled_identity}, Rosenbrock n=500 with bfgs, ssbfgs and
 ssbroyden, Rosenbrock n=100 with ssbroyden, two runs with c2=0.4,
@@ -136,7 +137,6 @@ def run_digest(name, make, kwargs, out_dir):
     written into ``out_dir``."""
     import ssbroyden
     from ssbroyden import cli
-    from ssbroyden.core import norm_inf
     problem = make()
     config = ssbroyden.SolverConfig(**kwargs)
     trace, state, counters = ssbroyden.solve(problem, problem.default_start(), config)
@@ -148,9 +148,8 @@ def run_digest(name, make, kwargs, out_dir):
     run.update(trace.status.encode())
     for array in (state.x, state.g, state.H):
         run.update(array.tobytes())
-    summary = {"solver": config.variant.value, "problem": name.split("/")[0],
-               "status": trace.status, **dataclasses.asdict(counters),
-               "final_f": state.f, "final_gnorm_inf": norm_inf(state.g)}
+    summary = cli.run_summary(config.variant.value, name.split("/")[0],
+                              trace.status, counters, state)
     emitted = hashlib.sha256()
     for fmt in ("csv", "json"):
         path = Path(out_dir) / f"trace.{fmt}"

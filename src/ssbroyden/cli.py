@@ -12,7 +12,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from operator import attrgetter
 from pathlib import Path
 
@@ -68,12 +68,15 @@ _JSON_RECORD = ("    {{\n"
                              for column, _, _ in _JSON_FIELDS)
                 + "\n    }}")
 
-#: The run summary of a JSON trace: (key, JSON type).
-_SUMMARY_FIELDS = (
-    ("solver", "string"), ("problem", "string"), ("status", "string"),
-    *((f.name, "integer") for f in fields(Counters)),
-    ("final_f", "number"), ("final_gnorm_inf", "number"),
-)
+
+def run_summary(solver, problem, status, counters=Counters(), state=None):
+    """The run-summary object ``bench`` writes next to a JSON trace, whose
+    keys ``TRACE_SCHEMA`` lists; ``final_f`` and ``final_gnorm_inf`` are
+    NaN without a ``state``, as for a solve that raised."""
+    return {"solver": solver, "problem": problem, "status": status,
+            **asdict(counters),
+            "final_f": math.nan if state is None else state.f,
+            "final_gnorm_inf": math.nan if state is None else norm_inf(state.g)}
 
 
 def _object_schema(typed):
@@ -92,7 +95,9 @@ TRACE_SCHEMA = {
             "items": _object_schema([(column, kind)
                                      for column, _, kind in RECORD_FIELDS]),
         },
-        "summary": _object_schema(_SUMMARY_FIELDS),
+        "summary": _object_schema(
+            [(key, {str: "string", int: "integer", float: "number"}[type(value)])
+             for key, value in run_summary("", "", "").items()]),
     },
 }
 
@@ -175,16 +180,12 @@ def run_benchmark(args, solvers):
             trace, state, counters = solve(problem, problem.default_start(), config)
         except Exception as exc:  # surfaced per row, run the rest
             print(f"error: {name}: {type(exc).__name__}: {exc}", file=sys.stderr)
-            trace, counters = None, Counters()
-            status = f"error({type(exc).__name__})"
-            final_f = final_gnorm_inf = float("nan")
+            trace = None
+            summary = run_summary(name, args.problem, f"error({type(exc).__name__})")
         else:
-            status, final_f, final_gnorm_inf = trace.status, state.f, norm_inf(state.g)
+            summary = run_summary(name, args.problem, trace.status, counters, state)
         wall = time.perf_counter() - t0
 
-        summary = {"solver": name, "problem": args.problem, "status": status,
-                   **asdict(counters),
-                   "final_f": final_f, "final_gnorm_inf": final_gnorm_inf}
         if trace is not None:
             trace_path = out_dir / f"{args.problem}_{name}.{args.format}"
             try:
@@ -195,7 +196,7 @@ def run_benchmark(args, solvers):
         pinn = trace is not None and isinstance(problem, PinnPoisson1D)
         rows.append(dict(summary, wall_time_s=wall,
                          l2_error=problem.l2_error(state.x) if pinn else ""))
-        if status != "converged":
+        if summary["status"] != "converged":
             exit_code = 1
 
     _write_summary(rows, out_dir / "summary.csv")

@@ -3,14 +3,7 @@ the solver's one door to the objective.
 
 Vectors are 1-D float64 ndarrays, symmetric matrices are 2-D float64
 ndarrays that are exactly symmetric (``M[i, j] == M[j, i]`` bitwise);
-the update kernel (``updates.apply_update``) keeps them so by
-assembling every term from outer products ``u u^T`` and symmetric pair
-sums, never from generic matrix-matrix products.  It is one compiled
-loop (``_kernel.c``, built on first import with a C compiler and cached
-in the package's ``__pycache__``) that forms each element in a single
-pass over the matrix, with no matrix-sized scratch, and writes the
-result over its input matrix: an applied update consumes the caller's
-``H``.
+the update kernel, ``updates.apply_update``, keeps them so.
 
 Inputs are checked once, where they enter: ``as_vector`` at the start
 point and :func:`evaluate` on every objective evaluation, which marks a

@@ -11,8 +11,10 @@ passes phi(0) and phi'(0) = g0^T d, which it has already computed for
 its own descent test, and guarantees phi'(0) < 0 (``solver.step``
 resets any non-descent direction to -g); the search does not re-test
 it.  The only settings are the Wolfe constants c1 and c2, which the
-caller passes from its ``SolverConfig``; the first trial, the expansion
-cap and the two trial budgets are the module constants below.
+caller passes from its ``SolverConfig``; the first trial and the two
+trial budgets are the module constants below.  The bracketing phase
+doubles the step at most ``MAX_BRACKET_ITERS - 1`` times, so no trial
+exceeds ``ALPHA_INIT * 2**19``.
 
 Every trial evaluates the objective value and gradient together, through
 ``core.evaluate``, the one door to the objective, so the per-search
@@ -37,8 +39,6 @@ from .core import evaluate
 
 # First trial step: the unit quasi-Newton step is tried first.
 ALPHA_INIT = 1.0
-# Cap on the doubling expansion of the bracketing phase.
-ALPHA_MAX = 1e10
 # Trial budgets of the bracketing and zoom phases.
 MAX_BRACKET_ITERS = 20
 MAX_ZOOM_ITERS = 30
@@ -181,8 +181,5 @@ def search(problem, x, d, f0, dphi0, c1, c2):
         if trial.dphi >= 0.0:
             return zoom(trial, prev)
         prev = trial
-        next_alpha = min(2.0 * alpha, ALPHA_MAX)
-        if next_alpha <= alpha:
-            break  # pinned at ALPHA_MAX, cannot expand further
-        alpha = next_alpha
+        alpha *= 2.0
     return outcome(best_armijo, LineSearchStatus.MAX_ITERS_REACHED)

@@ -233,18 +233,19 @@ def build_kernel(source=KERNEL_SOURCE):
     It is cached in the ``__pycache__`` next to ``source``, named by a hash
     of the source bytes and ``KERNEL_CFLAGS``.  A missing one is compiled
     to a temporary name and moved into place, so no process loads a half
-    written file; a failing compiler raises RuntimeError naming the command.
+    written file; a cache directory that cannot be made or a failing
+    compiler raises RuntimeError naming the command.
     """
     code = Path(source).read_bytes()
     key = hashlib.sha256(code + "\0".join(KERNEL_CFLAGS).encode()).hexdigest()[:16]
     path = Path(source).parent / "__pycache__" / f"_kernel-{key}.so"
     if path.exists():
         return path
-    path.parent.mkdir(exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     command = [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *KERNEL_CFLAGS,
                "-x", "c", "-o", str(tmp), "-"]
     try:
+        path.parent.mkdir(exist_ok=True)
         done = subprocess.run(command, input=code, capture_output=True)
         if done.returncode == 0:
             return tmp.replace(path)

@@ -128,6 +128,15 @@ def test_trace_schema_matches_reference():
     assert json.dumps(TRACE_SCHEMA) == json.dumps(REFERENCE_SCHEMA)
 
 
+def test_run_summary_of_a_failed_solve():
+    # no state: zero counters and NaN final values, under the schema's keys
+    summary = cli.run_summary("dfp", "quadratic", "error(EvaluationError)")
+    assert list(summary) == TRACE_SCHEMA["properties"]["summary"]["required"]
+    jsonschema.validate(summary, TRACE_SCHEMA["properties"]["summary"])
+    assert [summary[f.name] for f in dataclasses.fields(Counters)] == [0] * 6
+    assert math.isnan(summary["final_f"]) and math.isnan(summary["final_gnorm_inf"])
+
+
 def test_emit_json_requires_summary(tmp_path):
     # a summary-less JSON trace would fail TRACE_SCHEMA
     out = tmp_path / "t.json"

@@ -21,7 +21,6 @@ def test_params_defaults():
     cfg = SolverConfig(variant="bfgs")
     assert (cfg.c1, cfg.c2) == (C1, C2)
     assert linesearch.ALPHA_INIT == 1.0
-    assert linesearch.ALPHA_MAX == 1e10
     assert (linesearch.MAX_BRACKET_ITERS, linesearch.MAX_ZOOM_ITERS) == (20, 30)
 
 
@@ -222,8 +221,7 @@ class _LinearDrop:
         return float(-np.sum(x)), -np.ones_like(x)
 
 
-def test_search_expansion_pins_at_alpha_max(monkeypatch):
-    monkeypatch.setattr(linesearch, "ALPHA_MAX", 2.0 ** 19)
+def test_search_expansion_stops_at_bracket_budget():
     prob = _LinearDrop()
     x = np.zeros(4)
     f0, g0 = prob.value_and_gradient(x)

@@ -14,6 +14,7 @@ from ssbroyden import (
     make_quadratic,
     make_rosenbrock,
 )
+from ssbroyden.core import evaluate
 from ssbroyden.problems import (
     LCG_INCREMENT,
     LCG_MULTIPLIER,
@@ -224,6 +225,21 @@ def test_pinn_nonfinite_and_huge_parameters_match_expression_form(m, n_int):
             f_ref, g_ref = expression_pinn_evaluation(pinn, x)
         assert f == f_ref or (math.isnan(f) and math.isnan(f_ref))
         assert np.array_equal(g, g_ref, equal_nan=True)
+
+
+def test_pinn_width_one_nan_point_is_rejected_by_evaluate():
+    # The m = 1 case left out above: np.dot with the +-0 weight w2 drops
+    # the NaN bias from f, so f is finite where the expressions give NaN,
+    # but g still holds NaN, so core.evaluate rejects the point (f = inf)
+    # and no solve sees the finite f.
+    pinn = PinnPoisson1D(m=1, n_interior=4)
+    x = np.array([0.5, np.nan, 0.0, 0.1])
+    with np.errstate(all="ignore"):
+        f, g = pinn.value_and_gradient(x)
+        f_ref, _ = expression_pinn_evaluation(pinn, x)
+    assert math.isfinite(f) and math.isnan(f_ref)
+    assert np.isnan(g).any()
+    assert evaluate(pinn, x)[0] == math.inf
 
 
 def test_pinn_gradient_does_not_alias_workspace():

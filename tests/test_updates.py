@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssbroyden import VARIANT_ORDER, UpdateVariant
+from ssbroyden import SolverConfig, VARIANT_ORDER, UpdateVariant, make_pinn1d
 from ssbroyden import updates
+from ssbroyden.solver import init_state, step
 from ssbroyden.updates import (
     UpdateCoefficients,
     apply_update,
@@ -236,33 +237,37 @@ def test_tau_tiny_positive_sigma_degenerates():
 SELF_SCALED = [v for v in ALL_VARIANTS if v.self_scaled]
 
 
+def determinant_tau(H, s, y, theta):
+    """tau rebuilt from sigma = b det(B') / det(B), which the library never
+    computes, and b = s^T B s / y^T s from B = H^-1, with the case logic
+    of the self-scaled Broyden class as the literature states it
+    (Al-Baali 1998; Urban, Stefanou & Pons 2025): rho+ = min(1, 1/b),
+    sigma^(1/(1-n)) taken as 1 at n = 1 and as 0 at sigma = 0, then
+    tau = min(rho+ sigma^(1/(1-n)), sigma) for theta <= 0 and
+    tau = rho+ min(sigma^(1/(1-n)), 1/theta) for theta > 0."""
+    n = s.size
+    sigma = sigma_from_determinants(H, s, y, theta)
+    b = float(s @ gaussian_solve(H, s)) / float(y @ s)
+    rho_plus = min(1.0, 1.0 / b)
+    if n == 1:
+        sigma_pow = 1.0
+    elif sigma == 0.0:
+        sigma_pow = 0.0
+    else:
+        sigma_pow = abs(sigma) ** (1.0 / (1.0 - n))
+    if theta <= 0.0:
+        return min(rho_plus * sigma_pow, sigma)
+    return rho_plus * min(sigma_pow, 1.0 / theta)
+
+
 @pytest.mark.parametrize("variant", SELF_SCALED, ids=lambda v: v.value)
 def test_tau_matches_determinant_oracle(variant, instance_suite, interior_theta_suite):
-    # tau rebuilt from sigma = b det(B') / det(B), which the library never
-    # computes, and b = s^T B s / y^T s from B = H^-1, with the case logic
-    # of the self-scaled Broyden class as the literature states it
-    # (Al-Baali 1998; Urban, Stefanou & Pons 2025): rho+ = min(1, 1/b),
-    # sigma^(1/(1-n)) taken as 1 at n = 1 and as 0 at sigma = 0, then
-    # tau = min(rho+ sigma^(1/(1-n)), sigma) for theta <= 0 and
-    # tau = rho+ min(sigma^(1/(1-n)), 1/theta) for theta > 0.
     branches = {"theta <= 0": 0, "theta > 0": 0, "tau < 1": 0}
     for inst in instance_suite + interior_theta_suite:
         H, s, y, n = inst["H"], inst["s"], inst["y"], inst["n"]
         coeffs = base_coefficients(inst)
         theta = compute_theta(variant, coeffs)
-        sigma = sigma_from_determinants(H, s, y, theta)
-        b = float(s @ gaussian_solve(H, s)) / float(y @ s)
-        rho_plus = min(1.0, 1.0 / b)
-        if n == 1:
-            sigma_pow = 1.0
-        elif sigma == 0.0:
-            sigma_pow = 0.0
-        else:
-            sigma_pow = abs(sigma) ** (1.0 / (1.0 - n))
-        if theta <= 0.0:
-            expected = min(rho_plus * sigma_pow, sigma)
-        else:
-            expected = rho_plus * min(sigma_pow, 1.0 / theta)
+        expected = determinant_tau(H, s, y, theta)
         tau = compute_tau(variant, theta, coeffs, n)
         assert tau is not None and expected > updates.TAU_MIN
         assert abs(tau - expected) <= 1e-11 * expected, (theta, tau, expected)
@@ -271,6 +276,28 @@ def test_tau_matches_determinant_oracle(variant, instance_suite, interior_theta_
     assert branches["tau < 1"] >= 90, branches
     if variant is UpdateVariant.SSBROYDEN:
         assert min(branches.values()) >= 50, branches
+
+
+@pytest.mark.parametrize("m, n_interior", [(4, 16), (8, 32)])
+@pytest.mark.parametrize("variant", SELF_SCALED, ids=lambda v: v.value)
+def test_run_tau_matches_determinant_oracle(variant, m, n_interior):
+    # along 20 iterations of a pinn1d run, each recorded tau against the
+    # determinant oracle at the H the step started from (copied, since
+    # the step overwrites it) and the step's own s and y
+    problem = make_pinn1d(m=m, n_interior=n_interior)
+    config = SolverConfig(variant=variant, max_iters=20)
+    state = init_state(problem, problem.default_start(), config)
+    taus = []
+    for _ in range(20):
+        H = state.H.copy()
+        outcome, new_state, record = step(state, problem, config)
+        assert not (record.skipped or record.reset or record.tau_fallback)
+        s = outcome.alpha * -(H @ state.g)
+        expected = determinant_tau(H, s, new_state.g - state.g, record.theta)
+        assert abs(record.tau - expected) <= 1e-11 * expected, (record.k, record.tau, expected)
+        taus.append(record.tau)
+        state = new_state
+    assert any(tau < 1.0 - 1e-12 for tau in taus), taus  # ssbfgs: 2 or 3 of 20
 
 
 # ------------------------------------------------------------------- phi
@@ -610,6 +637,21 @@ def test_kernel_build_names_the_command_that_failed(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match=re.escape(f"{flags} -x c -o ") + ".* exited"):
         updates.build_kernel(source)
     assert list((tmp_path / "__pycache__").iterdir()) == []
+
+
+def test_kernel_build_reports_an_uncreatable_cache_directory(tmp_path, monkeypatch):
+    # The cache directory cannot be made: RuntimeError, as for a failing
+    # compiler, not the bare OSError, and no file is left behind.
+    source = tmp_path / "_kernel.c"
+    source.write_bytes(updates.KERNEL_SOURCE.read_bytes() + b"/* uncached */\n")
+
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "mkdir", denied)
+    with pytest.raises(RuntimeError, match="cannot build the update kernel: .*Permission denied"):
+        updates.build_kernel(source)
+    assert list(tmp_path.iterdir()) == [source]
 
 
 def test_jacobi_oracle_agrees_with_lapack(instance_suite):
