@@ -30,11 +30,15 @@ trajectories of both sides' ``src`` and compares them with
 ``--compare``; ``digests`` records, for each kind of hash the script
 reports (``run``: the trajectory, ``bytes``: the emitted traces),
 whether every cell is equal and the first cell that differs, plus the
-number of cells (None when the change has no digest script).  Everything, every value of every run included,
-goes to ``BENCH_<slug>.json`` at the root of the repository, with both
-commits, the git tree of each side's ``src`` and the environment.
-``--repo`` names another repository than the one holding this script.
-Exits 1 when a run fails or reports failed solves; differing digests
+number of cells (None when the change has no digest script).  A side
+the script cannot run (say, it calls a function new in the change)
+leaves ``digests`` as that side's name under ``failed``, its exit code
+and the last line of its stderr, and the pairs run as before.
+Everything, every value of every run included, goes to
+``BENCH_<slug>.json`` at the root of the repository, with both commits,
+the git tree of each side's ``src`` and the environment.  ``--repo``
+names another repository than the one holding this script.  Exits 1
+when a run fails or reports failed solves; differing or failed digests
 are recorded, not failed, since a change may move trajectories on
 purpose.
 """
@@ -90,7 +94,8 @@ def run_perfbench(tree, workload, seed, seconds):
 
 
 def run_digests(trees, tmp):
-    """The change's digest script run on both sides' ``src``, compared."""
+    """The change's digest script run on both sides' ``src``, compared;
+    the first side it fails on, when there is one."""
     script = trees["change"] / "scripts" / "digest.py"
     if not script.exists():
         return None
@@ -102,8 +107,11 @@ def run_digests(trees, tmp):
                               env=dict(os.environ, PYTHONPATH=path),
                               capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
         if done.returncode != 0:
-            raise RuntimeError(f"digests of {trees[side]} exited "
-                               f"{done.returncode}:\n{done.stderr[-2000:]}")
+            stderr = done.stderr.strip().splitlines()
+            failed = {"failed": side, "returncode": done.returncode,
+                      "stderr": stderr[-1] if stderr else ""}
+            print(f"digests: {side} exited {done.returncode}: {failed['stderr']}", flush=True)
+            return failed
         files[side] = Path(tmp) / f"digests_{side}.txt"
         files[side].write_text(done.stdout)
     done = subprocess.run([sys.executable, str(script), "--compare",

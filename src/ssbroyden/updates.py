@@ -27,13 +27,16 @@ for what leaves ``solve``: ``DimensionMismatchError`` from an
 evaluation, ``EvaluationError`` from a non-finite start point and
 ``ValueError`` from ``SolverConfig``.
 
-The kernel is one compiled loop, ``_kernel.c``, that writes H' over H
-in a single pass with no matrix-sized scratch, so a solve holds one
-n x n matrix.  It rounds every element as the variants' floating-point
+The kernel is one compiled loop nest, ``_kernel.c``, that writes H' over
+H in a single pass with no matrix-sized scratch, so a solve holds one
+n x n matrix.  Whether ``phi`` is 1, 0 or neither and whether ``tau`` is
+1 are loop-invariant flags, on which ``-O3`` splits the loop into one
+copy per case.  It rounds every element as the variants' floating-point
 expressions do (see :func:`apply_update`).  It is compiled on first
 import, with sysconfig's ``CC`` (else ``cc``) and ``KERNEL_CFLAGS``, to
 the package's ``__pycache__`` and loaded through ``ctypes``; a C
-compiler is needed only while no library for the source is cached.
+compiler, and the modules that run it, are needed only while no library
+for the source is cached.
 """
 
 import ctypes
@@ -41,9 +44,6 @@ import enum
 import hashlib
 import math
 import os
-import shlex
-import subprocess
-import sysconfig
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -241,6 +241,11 @@ def build_kernel(source=KERNEL_SOURCE):
     path = Path(source).parent / "__pycache__" / f"_kernel-{key}.so"
     if path.exists():
         return path
+    # Imported here: only a compile needs them.
+    import shlex
+    import subprocess
+    import sysconfig
+
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     command = [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *KERNEL_CFLAGS,
                "-x", "c", "-o", str(tmp), "-"]

@@ -88,18 +88,20 @@ def expression_update(H, s, coeffs, phi, tau):
     """The update kernel written as whole-array expressions.
 
     Bitwise reference for ``apply_update``: each term is a fresh array
-    and the operations run in the order the kernel's contract fixes.
+    and the operations run in the order the kernel's contract fixes.  The
+    scalars are numpy float64, so numpy reports the IEEE flags that the
+    scalar products raise, as it does for the array operations.
     """
-    rho = coeffs.rho
+    rho, ys, yHy, phi, tau = map(np.float64, (coeffs.rho, coeffs.ys, coeffs.yHy, phi, tau))
     if phi == 1.0:
         cross = np.outer(s, coeffs.Hy)
         cross = cross + cross.T
-        core = H - rho * cross + (rho * rho * coeffs.yHy) * np.outer(s, s)
+        core = H - rho * cross + (rho * rho * yHy) * np.outer(s, s)
     else:
-        core = H - np.outer(coeffs.Hy, coeffs.Hy) / coeffs.yHy
+        core = H - np.outer(coeffs.Hy, coeffs.Hy) / yHy
         if phi != 0.0:
-            v = s / coeffs.ys - coeffs.Hy / coeffs.yHy
-            core = core + (phi * coeffs.yHy) * np.outer(v, v)
+            v = s / ys - coeffs.Hy / yHy
+            core = core + (phi * yHy) * np.outer(v, v)
     return core / tau + rho * np.outer(s, s)
 
 

@@ -124,8 +124,12 @@ CANNED_SPEC = {
 }
 
 
-@pytest.mark.skipif(shutil.which("git") is None, reason="the A/B driver needs git")
-def test_ab_driver_alternates_pairs_and_writes_bench_file(tmp_path):
+def canned_repo(tmp_path, digest_script):
+    """A two-commit repository whose canned benchmark reads iter_us 100 at
+    the parent and 80 at the change, and whose ``src/cells.py`` digests
+    differ in cell c2.  Only the change has ``digest_script`` (the driver
+    runs the change's script on both sides' src) and only its cells
+    define ``NEW``.  Returns the repository and both commits."""
     repo = tmp_path / "repo"
     (repo / "perfbench").mkdir(parents=True)
     (repo / "perfbench" / "run.py").write_text(CANNED_RUN)
@@ -139,25 +143,33 @@ def test_ab_driver_alternates_pairs_and_writes_bench_file(tmp_path):
     (repo / "src").mkdir()
     git("init", "-q")
     commits = []
-    # Only the change has the digest script: the driver runs the change's
-    # script on both sides' src.
-    for value, digests in (("100", "bb"), ("80", "cc")):
+    for value, digests, new in (("100", "bb", ""), ("80", "cc", "NEW = True\n")):
         (repo / "perfbench" / "iter_us.txt").write_text(value)
         (repo / "src" / "cells.py").write_text(
-            f"DIGESTS = {{'c1': 'aa', 'c2': '{digests}', 'c3': 'dd'}}\n")
+            f"DIGESTS = {{'c1': 'aa', 'c2': '{digests}', 'c3': 'dd'}}\n{new}")
         if value == "80":
             (repo / "scripts").mkdir()
-            (repo / "scripts" / "digest.py").write_text(CANNED_DIGEST)
+            (repo / "scripts" / "digest.py").write_text(digest_script)
         git("add", "-A")
         git("commit", "-q", "-m", f"iter_us {value}")
         commits.append(git("rev-parse", "HEAD"))
+    return repo, commits
 
+
+def run_ab(repo, tmp_path):
     proc = run([str(ROOT / "scripts" / "ab.py"), "HEAD~1", "HEAD", "--slug", "smoke",
                 "--pairs", "2", "--seconds", "1", "--repo", str(repo)], tmp_path)
     assert proc.returncode == 0, proc.stderr
     order = [line.split(":")[0] for line in proc.stdout.splitlines() if " pair " in line]
     assert order == ["w1 pair 1/2 parent", "w1 pair 1/2 change",
                      "w1 pair 2/2 change", "w1 pair 2/2 parent"]
+    return proc
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="the A/B driver needs git")
+def test_ab_driver_alternates_pairs_and_writes_bench_file(tmp_path):
+    repo, commits = canned_repo(tmp_path, CANNED_DIGEST)
+    proc = run_ab(repo, tmp_path)
     bench = json.loads((repo / "BENCH_smoke.json").read_text())
     assert [bench["commits"][side]["commit"] for side in ("parent", "change")] == commits
     iter_us = bench["workloads"]["w1"]["metrics"]["iter_us"]
@@ -208,3 +220,19 @@ def test_ab_driver_alternates_pairs_and_writes_bench_file(tmp_path):
         0.8, 0.8, 0.8, 0.5)
     m = ab.summarize(lower, [0.0], [1.0])
     assert (m["pair_ratios"], m["pair_ratio_median"], m["losses"]) == ([], None, 1)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="the A/B driver needs git")
+def test_ab_driver_records_a_digest_script_one_side_cannot_run(tmp_path):
+    # The change's digest script imports a name only the change's src
+    # has: the parent side's failure is recorded and the pairs still run.
+    script = CANNED_DIGEST.replace("import cells\n", "from cells import NEW\nimport cells\n")
+    repo, _ = canned_repo(tmp_path, script)
+    proc = run_ab(repo, tmp_path)
+    assert "digests: parent exited 1: ImportError: cannot import name 'NEW'" in proc.stdout
+    bench = json.loads((repo / "BENCH_smoke.json").read_text())
+    digests = bench["digests"]
+    assert (digests["failed"], digests["returncode"]) == ("parent", 1)
+    assert digests["stderr"].startswith("ImportError: cannot import name 'NEW' from 'cells'")
+    iter_us = bench["workloads"]["w1"]["metrics"]["iter_us"]
+    assert (iter_us["parent"], iter_us["change"]) == ([100.0, 100.0], [80.0, 80.0])

@@ -2,8 +2,10 @@ import ctypes
 import dataclasses
 import itertools
 import math
+import os
 import re
 import subprocess
+import sys
 import sysconfig
 import tracemalloc
 import warnings
@@ -458,6 +460,43 @@ def test_kernel_matches_expression_form_bitwise(phi, tau, instance_suite, sized_
     assert cases == 12 * 25
 
 
+def numpy_flags(function, *args):
+    """Names of the IEEE flags numpy reports while ``function(*args)`` runs."""
+    seen = set()
+    with np.errstate(all="call", call=lambda kind, flag: seen.add(kind)):
+        function(*args)
+    return seen
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.7])
+@pytest.mark.parametrize("phi", [1.0, 0.0, 0.4, -0.3])
+def test_kernel_raises_the_expression_forms_flags(phi, tau, instance_suite, sized_suite):
+    # The flags apply_update replays are the ones the expression form
+    # raises, on the signed zeros, subnormals and infinities of the
+    # special-value grid: no path forms a term the expression form does
+    # not, and none drops one it forms.
+    cases = 0
+    for inst in instance_suite[1:12] + sized_suite[4:5]:
+        for H, s, coeffs in special_value_cases(inst):
+            ref = numpy_flags(expression_update, H, s, coeffs, phi, tau)
+            got = numpy_flags(apply_update, H.copy(), s, coeffs, phi, tau)
+            assert got == ref, f"case {cases}"
+            cases += 1
+    assert cases == 12 * 25
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.7])
+def test_kernel_forms_only_the_weights_its_path_uses(tau, instance_suite):
+    # rho^2 y^T H y = 1e400 overflows, but only the phi = 1 path uses it:
+    # the phi = 0 path, whose s s^T rho term is ~1, raises nothing.
+    inst = instance_suite[5]
+    s = inst["s"] * (1e-100 / np.linalg.norm(inst["s"]))
+    coeffs = dataclasses.replace(base_coefficients(inst), ys=1e-200, rho=1e200, yHy=1.0)
+    for phi, flags in ((1.0, {"overflow"}), (0.0, set())):
+        assert numpy_flags(expression_update, inst["H"], s, coeffs, phi, tau) == flags
+        assert numpy_flags(apply_update, inst["H"].copy(), s, coeffs, phi, tau) == flags
+
+
 @pytest.mark.parametrize("n", [1, 2, 25, 128, 129, 160, 193, 300, 500])
 def test_panels_are_balanced(n):
     # The single pass is one panel of all n rows, balanced in that every
@@ -586,7 +625,7 @@ def test_kernel_build_reuses_the_cached_library(tmp_path, monkeypatch):
     def no_compiler(*args, **kwargs):
         raise AssertionError("the compiler ran for a cached library")
 
-    monkeypatch.setattr(updates.subprocess, "run", no_compiler)
+    monkeypatch.setattr(subprocess, "run", no_compiler)
     assert updates.build_kernel(source) == built
     assert updates.build_kernel().is_file()
     assert sorted(p.name for p in built.parent.iterdir()) == [built.name]
@@ -602,7 +641,7 @@ def test_kernel_cache_name_follows_the_source_bytes(tmp_path, monkeypatch):
         Path(command[command.index("-o") + 1]).write_bytes(input)
         return subprocess.CompletedProcess(command, 0, b"", b"")
 
-    monkeypatch.setattr(updates.subprocess, "run", fake_compiler)
+    monkeypatch.setattr(subprocess, "run", fake_compiler)
     source = tmp_path / "_kernel.c"
     code = updates.KERNEL_SOURCE.read_bytes()
     paths = []
@@ -629,7 +668,7 @@ def test_kernel_build_names_the_command_that_failed(tmp_path, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setenv("PATH", str(tmp_path / "no-such-dir"))
         for compiler in (sysconfig.get_config_var("CC"), None):
-            patch.setattr(updates.sysconfig, "get_config_var", lambda name: compiler)
+            patch.setattr(sysconfig, "get_config_var", lambda name: compiler)
             command = re.escape(f"`{compiler or 'cc'} {flags} -x c -o ")
             with pytest.raises(RuntimeError, match=command):
                 updates.build_kernel(source)
@@ -653,6 +692,17 @@ def test_kernel_build_reports_an_uncreatable_cache_directory(tmp_path, monkeypat
         updates.build_kernel(source)
     assert list(tmp_path.iterdir()) == [source]
 
+
+
+def test_import_with_a_cached_kernel_runs_no_compiler_modules():
+    # Only a compile needs subprocess, shlex and sysconfig: with the library
+    # cached (this process has built it), a fresh interpreter imports the
+    # package without loading any of them.
+    code = ("import sys; before = set(sys.modules); import ssbroyden; print(sorted("
+            "{'subprocess', 'shlex', 'sysconfig'} & (set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(updates.__file__).parents[1])})
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 def test_jacobi_oracle_agrees_with_lapack(instance_suite):
     # validate the rotation-based eigen oracle before leaning on eigvalsh
