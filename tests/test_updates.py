@@ -693,16 +693,17 @@ def test_kernel_build_reports_an_uncreatable_cache_directory(tmp_path, monkeypat
     assert list(tmp_path.iterdir()) == [source]
 
 
-
 def test_import_with_a_cached_kernel_runs_no_compiler_modules():
     # Only a compile needs subprocess, shlex and sysconfig: with the library
     # cached (this process has built it), a fresh interpreter imports the
     # package without loading any of them.
     code = ("import sys; before = set(sys.modules); import ssbroyden; print(sorted("
             "{'subprocess', 'shlex', 'sysconfig'} & (set(sys.modules) - before)))")
+    src = str(Path(updates.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(Path(updates.__file__).parents[1])})
+                          env={**os.environ, "PYTHONPATH": src})
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
 
 def test_jacobi_oracle_agrees_with_lapack(instance_suite):
     # validate the rotation-based eigen oracle before leaning on eigvalsh
