@@ -37,10 +37,11 @@ and the last line of its stderr, and the pairs run as before.
 Everything, every value of every run included, goes to
 ``BENCH_<slug>.json`` at the root of the repository, with both commits,
 the git tree of each side's ``src`` and the environment.  ``--repo``
-names another repository than the one holding this script.  Exits 1
-when a run fails or reports failed solves; differing or failed digests
-are recorded, not failed, since a change may move trajectories on
-purpose.
+names another repository than the one holding this script.  Exits 2,
+before any digest or run, when ``--workloads`` names a workload the
+change's ``BENCHMARK.json`` does not list.  Exits 1 when a run fails
+or reports failed solves; differing or failed digests are recorded,
+not failed, since a change may move trajectories on purpose.
 """
 
 import argparse
@@ -211,9 +212,14 @@ def main(argv=None):
         trees = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             extract(args.repo, commits[side]["commit"], trees[side])
-        digests = run_digests(trees, tmp)
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-        names = args.workloads or [w["name"] for w in spec["workloads"]]
+        known = [w["name"] for w in spec["workloads"]]
+        names = args.workloads or known
+        unknown = [name for name in names if name not in known]
+        if unknown:
+            parser.error(f"unknown workloads: {', '.join(unknown)} "
+                         f"(the change's BENCHMARK.json has {', '.join(known)})")
+        digests = run_digests(trees, tmp)
         runs = {name: {side: [] for side in SIDES} for name in names}
         for name in names:
             for pair in range(args.pairs):

@@ -18,11 +18,13 @@ pinn1d (m=4, N=16) with ssdfp for 200 iterations, the one cell whose
 run skips updates (at the curvature guard), pinn1d (m=64, N=512)
 with bfgs and ssbroyden for 60 iterations, the log barrier
 sum(10 x - log x) (n=4, from 2 * ones) x the six variants, whose unit
-steps are non-finite trials the line search rejects, and the steep
-valley -x + 1e16 x^2 from 0 with bfgs, which ends
-``line_search_failure`` with no trial of sufficient decrease: 64 cells.
-The last two objectives are defined here, so that the script runs them
-on any source tree it is pointed at.
+steps are non-finite trials the line search rejects, the coupled
+quadratic x^T A x / 2 (n=10, A tridiagonal, from ones) x the six
+variants, six distinct trajectories where the quad10 identity cells
+pair the variants up, and the steep valley -x + 1e16 x^2 from 0 with bfgs,
+which ends ``line_search_failure`` with no trial of sufficient
+decrease: 70 cells.  The last three objectives are defined here, so
+that the script runs them on any source tree it is pointed at.
 
 Among the large cells, rosen500/ssbfgs is the one run that takes the
 update kernel's phi == 1 branch with tau != 1, and the m=64 cells
@@ -38,7 +40,7 @@ source trees made on one machine; do not keep them as golden values.
 
 Each output line is ``<cell> <run hash> <bytes hash>``.  ``--cells``
 restricts a run to the named cells.  ``--compare`` prints one line per
-hash, ``run: 64 cells identical`` or ``run: first difference: <cell>
+hash, ``run: 70 cells identical`` or ``run: first difference: <cell>
 (<a> vs <b>)`` and the same for ``bytes``; it exits 0 when both files
 list the same cells with the same hashes of both kinds, else 1.
 """
@@ -73,6 +75,27 @@ class LogBarrier:
     def value_and_gradient(self, x):
         with np.errstate(invalid="ignore", divide="ignore"):
             return float(np.sum(10.0 * x - np.log(x))), 10.0 - 1.0 / x
+
+
+class TridiagQuadratic:
+    """f(x) = x^T A x / 2, A = diag(linspace(0.05, 1, n)) with 0.02 on
+    both off-diagonals, from ones(n).
+
+    The spectrum of A lies below that of H0 = I, so theta and tau leave
+    their trivial values and the six variants follow six trajectories.
+    """
+
+    def __init__(self, n=10):
+        self.dimension = n
+        self.a = (np.diag(np.linspace(0.05, 1.0, n))
+                  + np.diag(np.full(n - 1, 0.02), 1) + np.diag(np.full(n - 1, 0.02), -1))
+
+    def default_start(self):
+        return np.ones(self.dimension)
+
+    def value_and_gradient(self, x):
+        g = self.a @ x
+        return 0.5 * float(x @ g), g
 
 
 class SteepValley:
@@ -123,6 +146,8 @@ def cell_specs():
                {"variant": variant, "max_iters": 60})
               for variant in ("bfgs", "ssbroyden")]
     specs += [(f"logbarrier4/{variant}/identity", LogBarrier,
+               {"variant": variant}) for variant in VARIANTS]
+    specs += [(f"tridiag10/{variant}/identity", TridiagQuadratic,
                {"variant": variant}) for variant in VARIANTS]
     specs += [("steepvalley/bfgs/identity", SteepValley, {"variant": "bfgs"})]
     return specs

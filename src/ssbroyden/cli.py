@@ -43,30 +43,9 @@ def _fmt(value):
 
 _CSV_CELL = {"integer": str, "number": _fmt, "boolean": lambda v: str(int(v))}
 _CSV_CELLS = tuple(_CSV_CELL[kind] for _, _, kind in RECORD_FIELDS)
-
-
-def _json_number(value):
-    """A float as ``json.dumps`` writes it, non-finite values included."""
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-_JSON_CELL = {"integer": int.__repr__, "number": _json_number,
-              "boolean": lambda v: "true" if v else "false"}
-# A JSON record as json.dumps(indent=2, sort_keys=True) nests it in the
-# trace: keys sorted, one per line, at depth two.
-_JSON_FIELDS = sorted(RECORD_FIELDS)
-_JSON_CELLS = tuple(_JSON_CELL[kind] for _, _, kind in _JSON_FIELDS)
-_json_values = attrgetter(*(attr for _, attr, _ in _JSON_FIELDS))
-_JSON_RECORD = ("    {{\n"
-                + ",\n".join(f"      {json.dumps(column)}: {{}}"
-                             for column, _, _ in _JSON_FIELDS)
-                + "\n    }}")
+# A flat record's members as json.dumps(indent=2, sort_keys=True) nests
+# them in the trace: keys sorted, one per line, at depth two.
+_json_record = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).encode
 
 
 def run_summary(solver, problem, status, counters=Counters(), state=None):
@@ -123,8 +102,11 @@ def emit_trace(trace, fmt, path, summary=None):
     The JSON file holds the bytes of ``json.dumps(payload, indent=2,
     sort_keys=True)`` and a newline, ``payload`` being ``{"records":
     [...], "summary": summary}``.  Both formats are written to the open
-    file record by record, with formatters built from ``RECORD_FIELDS``,
-    so no string of the whole trace is built.
+    file record by record, so no string of the whole trace is built: a
+    CSV row through per-column formatters built from ``RECORD_FIELDS``,
+    a JSON record through ``json``'s own encoder, which alone decides
+    how its numbers, non-finite values, booleans and key order are
+    written.
     """
     path = Path(path)
     if fmt == "csv":
@@ -143,9 +125,8 @@ def emit_trace(trace, fmt, path, summary=None):
             fh.write('{\n  "records": [')
             separator = "\n"
             for r in trace.records:
-                fh.write(separator)
-                fh.write(_JSON_RECORD.format(*[cell(value) for cell, value
-                                               in zip(_JSON_CELLS, _json_values(r))]))
+                encoded = _json_record(dict(zip(TRACE_COLUMNS, _record_values(r))))
+                fh.write(f"{separator}    {{\n      {encoded[1:-1]}\n    }}")
                 separator = ",\n"
             close = "\n  ]" if trace.records else "]"
             fh.write(f'{close},\n  "summary": {tail}\n}}\n')

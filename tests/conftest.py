@@ -20,14 +20,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 from digest import LogBarrier, SteepValley  # noqa: E402,F401
 
 
-def random_spd(rng, n, shift=0.5):
-    """Exactly symmetric positive-definite matrix with a spread spectrum."""
-    m = rng.standard_normal((n, n))
-    c = m @ m.T
-    c = 0.5 * (c + c.T)  # enforce bitwise symmetry
-    return c + shift * np.eye(n)
-
-
 def bounded_spectrum_spd(rng, n, lo=0.5, hi=2.5):
     """SPD matrix with eigenvalues drawn uniformly from [lo, hi]."""
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))

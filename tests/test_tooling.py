@@ -18,6 +18,8 @@ from pathlib import Path
 import pytest
 
 import ab
+import digest
+from ssbroyden.updates import VARIANT_ORDER
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("pinn-paper", "pinn-wide", "dense-ssbroyden", "dense-bfgs")
@@ -90,6 +92,18 @@ def test_digest_script_runs_and_compares(tmp_path):
     run_line, bytes_line = differ.stdout.splitlines()
     assert run_line == "run: 3 cells identical"
     assert bytes_line.startswith(f"bytes: first difference: {cells[2]} ")
+
+
+def test_digest_tridiag_cells_separate_the_six_variants(tmp_path):
+    # Unlike the quad10 identity cells, which pair the variants up, the
+    # coupled quadratic gives each variant its own trajectory.
+    assert digest.VARIANTS == tuple(v.value for v in VARIANT_ORDER)
+    cells = [f"tridiag10/{variant}/identity" for variant in digest.VARIANTS]
+    proc = run([str(ROOT / "scripts" / "digest.py"), "--cells", *cells], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert [fields[0] for fields in lines] == cells
+    assert len({fields[1] for fields in lines}) == 6
 
 
 CANNED_RUN = """import json, sys
@@ -236,3 +250,15 @@ def test_ab_driver_records_a_digest_script_one_side_cannot_run(tmp_path):
     assert digests["stderr"].startswith("ImportError: cannot import name 'NEW' from 'cells'")
     iter_us = bench["workloads"]["w1"]["metrics"]["iter_us"]
     assert (iter_us["parent"], iter_us["change"]) == ([100.0, 100.0], [80.0, 80.0])
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="the A/B driver needs git")
+def test_ab_driver_rejects_an_unknown_workload_before_any_run(tmp_path):
+    repo, _ = canned_repo(tmp_path, CANNED_DIGEST)
+    proc = run([str(ROOT / "scripts" / "ab.py"), "HEAD~1", "HEAD", "--slug", "smoke",
+                "--pairs", "2", "--seconds", "1", "--repo", str(repo),
+                "--workloads", "nosuch"], tmp_path)
+    assert proc.returncode == 2
+    assert "unknown workloads: nosuch" in proc.stderr and "w1" in proc.stderr
+    assert proc.stdout == ""  # no digest line and no pair line
+    assert not (repo / "BENCH_smoke.json").exists()
