@@ -132,11 +132,12 @@ def run_digests(trees, tmp):
     return digests
 
 
-def quartile_range(values):
+def quartiles(values):
+    """Q1, median and Q3 of ``values``: one value three times, or None
+    three times without any."""
     if len(values) < 2:
-        return 0.0
-    q1, _, q3 = statistics.quantiles(values, n=4)
-    return q3 - q1
+        return [values[0]] * 3 if values else [None] * 3
+    return statistics.quantiles(values, n=4)
 
 
 def sign_test_p(wins, losses):
@@ -146,29 +147,23 @@ def sign_test_p(wins, losses):
     return sum(math.comb(flips, k) for k in range(wins, flips + 1)) / 2 ** flips
 
 
-def ratio_quartiles(ratios):
-    """Q1, median and Q3 of the per-pair ratios; all None without any."""
-    if len(ratios) < 2:
-        return [ratios[0]] * 3 if ratios else [None] * 3
-    return statistics.quantiles(ratios, n=4)
-
-
 def summarize(entry, parent, change):
     """Medians, IQRs, wins, paired statistics and verdicts of one metric
     over paired runs."""
     sign = 1.0 if entry["better"] == "lower" else -1.0
-    p_med, c_med = statistics.median(parent), statistics.median(change)
-    p_iqr = quartile_range(parent)
+    p_q1, p_med, p_q3 = quartiles(parent)
+    c_q1, c_med, c_q3 = quartiles(change)
+    p_iqr = p_q3 - p_q1
     wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     losses = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     ratios = [c / p for p, c in zip(parent, change) if p]
-    q1, r_med, q3 = ratio_quartiles(ratios)
+    q1, r_med, q3 = quartiles(ratios)
     return {
         "unit": entry["unit"], "better": entry["better"],
         "parent": parent, "change": change,
         "parent_median": p_med, "change_median": c_med,
         "ratio": c_med / p_med if p_med else None,
-        "parent_iqr": p_iqr, "change_iqr": quartile_range(change),
+        "parent_iqr": p_iqr, "change_iqr": c_q3 - c_q1,
         "wins": wins, "losses": losses, "pairs": len(parent),
         "pair_ratios": ratios, "pair_ratio_q1": q1, "pair_ratio_median": r_med,
         "pair_ratio_q3": q3, "sign_p": sign_test_p(wins, losses),

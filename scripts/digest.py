@@ -23,8 +23,10 @@ quadratic x^T A x / 2 (n=10, A tridiagonal, from ones) x the six
 variants, six distinct trajectories where the quad10 identity cells
 pair the variants up, and the steep valley -x + 1e16 x^2 from 0 with bfgs,
 which ends ``line_search_failure`` with no trial of sufficient
-decrease: 70 cells.  The last three objectives are defined here, so
-that the script runs them on any source tree it is pointed at.
+decrease: 70 cells.  The variants and scalings are the library's own
+``VARIANT_ORDER`` and ``solver.H0_SCALINGS``.  The last three
+objectives are defined here, so that the script runs them on any
+source tree it is pointed at.
 
 Among the large cells, rosen500/ssbfgs is the one run that takes the
 update kernel's phi == 1 branch with tau != 1, and the m=64 cells
@@ -54,8 +56,6 @@ from pathlib import Path
 
 import numpy as np
 
-VARIANTS = ("bfgs", "ssbfgs", "dfp", "ssdfp", "broyden", "ssbroyden")
-SCALINGS = ("identity", "scaled_identity")
 KINDS = ("run", "bytes")
 
 
@@ -119,6 +119,8 @@ def cell_specs():
     """(name, problem factory, SolverConfig keyword arguments) per cell."""
     # Imported on use, so that --compare runs without the package.
     import ssbroyden
+    from ssbroyden.solver import H0_SCALINGS
+    variants = [variant.value for variant in ssbroyden.VARIANT_ORDER]
     problems = {
         "quad10": lambda: ssbroyden.make_quadratic(10),
         "rosen2": lambda: ssbroyden.make_rosenbrock(2),
@@ -128,7 +130,7 @@ def cell_specs():
     specs = [(f"{label}/{variant}/{scaling}", make,
               {"variant": variant, "h0_scaling": scaling})
              for label, make in problems.items()
-             for variant in VARIANTS for scaling in SCALINGS]
+             for variant in variants for scaling in H0_SCALINGS]
     specs += [(f"rosen500/{variant}/identity",
                lambda: ssbroyden.make_rosenbrock(500), {"variant": variant})
               for variant in ("bfgs", "ssbfgs", "ssbroyden")]
@@ -146,9 +148,9 @@ def cell_specs():
                {"variant": variant, "max_iters": 60})
               for variant in ("bfgs", "ssbroyden")]
     specs += [(f"logbarrier4/{variant}/identity", LogBarrier,
-               {"variant": variant}) for variant in VARIANTS]
+               {"variant": variant}) for variant in variants]
     specs += [(f"tridiag10/{variant}/identity", TridiagQuadratic,
-               {"variant": variant}) for variant in VARIANTS]
+               {"variant": variant}) for variant in variants]
     specs += [("steepvalley/bfgs/identity", SteepValley, {"variant": "bfgs"})]
     return specs
 

@@ -5,8 +5,9 @@ Vectors are 1-D float64 ndarrays, symmetric matrices are 2-D float64
 ndarrays that are exactly symmetric (``M[i, j] == M[j, i]`` bitwise);
 the update kernel, ``updates.apply_update``, keeps them so.
 
-Inputs are checked once, where they enter: ``as_vector`` at the start
-point and :func:`evaluate` on every objective evaluation, which marks a
+Inputs are checked once, where they enter: ``require_integer`` on the
+problems' sizes and the iteration cap, ``as_vector`` at the start point
+and :func:`evaluate` on every objective evaluation, which marks a
 non-finite result as a rejected evaluation, f = inf.  The kernels the
 solver calls on the hot path (``matvec``) trust their operands.
 """
@@ -22,6 +23,12 @@ class DimensionMismatchError(ValueError):
 
 class EvaluationError(RuntimeError):
     """An objective evaluation produced a non-finite value or gradient."""
+
+
+def require_integer(name, value):
+    """Reject a count that int() would truncate: bools and non-integers."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def as_vector(x, n=None):

@@ -9,10 +9,11 @@ the strong Wolfe conditions is found.
 The search works on the ray phi(alpha) = f(x + alpha*d).  The caller
 passes phi(0) and phi'(0) = g0^T d, which it has already computed for
 its own descent test, and guarantees phi'(0) < 0 (``solver.step``
-resets any non-descent direction to -g); the search does not re-test
-it.  The only settings are the Wolfe constants c1 and c2, which the
-caller passes from its ``SolverConfig``; the first trial and the two
-trial budgets are the module constants below.  The bracketing phase
+resets to -g a direction whose slope is non-negative or not finite,
+NaN included); the search does not re-test it.  The only settings
+are the Wolfe constants c1 and c2, which the caller passes from its
+``SolverConfig``; the first trial and the two trial budgets are the
+module constants below.  The bracketing phase
 doubles the step at most ``MAX_BRACKET_ITERS - 1`` times, so no trial
 exceeds ``ALPHA_INIT * 2**19``.
 

@@ -1,4 +1,4 @@
-"""Benchmark objectives with analytic gradients plus a difference oracle.
+"""Benchmark objectives with analytic gradients.
 
 Three problems at desk scale: a separable convex quadratic, the
 pairwise extended Rosenbrock function, and a collocation least-squares
@@ -18,7 +18,7 @@ tanh'' = -2 t (1 - t^2), tanh''' = -2 (1 - t^2)(1 - 3 t^2).
 
 import numpy as np
 
-from .core import ObjectiveFunction, as_vector
+from .core import ObjectiveFunction, as_vector, require_integer
 
 # 64-bit linear congruential generator constants for the deterministic
 # network initializer (reproducible without a platform RNG).
@@ -26,12 +26,6 @@ LCG_MULTIPLIER = 6364136223846793005
 LCG_INCREMENT = 1442695040888963407
 LCG_SEED = 42
 _LCG_MOD = 1 << 64
-
-
-def _require_integer(name, value):
-    """Reject a size that int() would truncate: bools and non-integers."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class QuadraticProblem(ObjectiveFunction):
@@ -46,8 +40,8 @@ class QuadraticProblem(ObjectiveFunction):
 
     def value_and_gradient(self, x):
         x = self._validated(x)
-        f = 0.5 * float(np.dot(self.diag * x, x))
         g = self.diag * x
+        f = 0.5 * float(np.dot(g, x))
         return f, g
 
     def default_start(self):
@@ -62,7 +56,7 @@ class RosenbrockProblem(ObjectiveFunction):
     """
 
     def __init__(self, n=2):
-        _require_integer("dimension", n)
+        require_integer("dimension", n)
         if n < 2 or n % 2 != 0:
             raise ValueError(f"dimension must be even and >= 2, got {n}")
         self.dimension = int(n)
@@ -110,8 +104,8 @@ class PinnPoisson1D(ObjectiveFunction):
     """
 
     def __init__(self, m=8, n_interior=32):
-        _require_integer("m", m)
-        _require_integer("n_interior", n_interior)
+        require_integer("m", m)
+        require_integer("n_interior", n_interior)
         if m < 1 or n_interior < 1:
             raise ValueError("need m >= 1 hidden units and n_interior >= 1 points")
         self.m = int(m)
@@ -249,9 +243,7 @@ def make_quadratic(n=10):
     return QuadraticProblem(np.arange(1, n + 1, dtype=float))
 
 
-def make_rosenbrock(n=2):
-    return RosenbrockProblem(n)
-
-
-def make_pinn1d(m=8, n_interior=32):
-    return PinnPoisson1D(m=m, n_interior=n_interior)
+# The problem classes under their factory names: one signature and one
+# set of defaults each.
+make_rosenbrock = RosenbrockProblem
+make_pinn1d = PinnPoisson1D

@@ -7,12 +7,13 @@ account of a run: ``solve`` derives ``Counters`` from them, separating
 outer quasi-Newton iterations from inner line-search trials, so cost
 comparisons between variants are meaningful.
 
-Robustness policy: a non-descent direction resets H to the identity; a
-pair failing the curvature guard, a lost positive-definiteness
-diagnosis, a pair too small for the update's terms to stay finite, or
-a singular mixing weight skips the update; a degenerate scale factor
-falls back to tau = 1 but still applies the update.  All of these
-events are flagged in the iteration records and counted from them.
+Robustness policy: a direction whose slope g^T d is not negative and
+finite (non-descent, NaN or -inf) resets H to the identity; a pair
+failing the curvature guard, a lost positive-definiteness diagnosis, a
+pair too small for the update's terms to stay finite, or a singular
+mixing weight skips the update; a degenerate scale factor falls back
+to tau = 1 but still applies the update.  All of these events are
+flagged in the iteration records and counted from them.
 
 Checks happen where a fact enters, once: ``SolverConfig`` validates
 the run settings, ``solve``/``init_state`` coerce the start point with
@@ -38,11 +39,12 @@ the one ``solve`` tests for convergence.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Union
+from typing import List, Union
 
 import numpy as np
 
-from .core import EvaluationError, as_vector, evaluate, matvec, norm_2, norm_inf
+from .core import (EvaluationError, as_vector, evaluate, matvec, norm_2, norm_inf,
+                   require_integer)
 from .linesearch import search
 from .updates import UpdateVariant, propose_update
 
@@ -72,9 +74,7 @@ class SolverConfig:
         object.__setattr__(self, "variant", UpdateVariant(self.variant))
         if not 0.0 < self.grad_tol < np.inf:
             raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol:g}")
-        if (isinstance(self.max_iters, bool)
-                or not isinstance(self.max_iters, (int, np.integer))):
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
+        require_integer("max_iters", self.max_iters)
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if not 0.0 < self.c1 < self.c2 < 1.0:
@@ -159,12 +159,6 @@ class ConvergenceTrace:
     status: str = "incomplete"
 
 
-# Called by ``step`` as observer(state, d, outcome, new_state, record)
-# after the update; ``state.H`` is then already the updated matrix when
-# the update was applied in place (see ``SolverState``).
-Observer = Callable[[SolverState, np.ndarray, object, SolverState, IterationRecord], None]
-
-
 def init_state(problem, x0, config):
     """Evaluate the start point and set H to the identity.
 
@@ -193,10 +187,11 @@ def step(state, problem, config, observer=None):
     account of the failed search's evaluations.
 
     The step consumes ``state.H``.  An applied update that needs no
-    rescale writes H' over it, so ``new_state.H is state.H`` and an
-    observer sees the updated matrix as ``state.H`` too.  After a reset,
-    a skipped update or a rescaled fresh identity, ``state.H`` is left
-    as it was.
+    rescale writes H' over it, so ``new_state.H is state.H`` and
+    ``observer(state, d, outcome, new_state, record)``, called after
+    the update, sees the updated matrix as ``state.H`` too.  After a
+    reset, a skipped update or a rescaled fresh identity, ``state.H``
+    is left as it was.
     """
     n = state.x.shape[0]
     H = state.H
@@ -204,8 +199,9 @@ def step(state, problem, config, observer=None):
     d = -matvec(H, state.g)
     dphi0 = float(np.dot(state.g, d))
     reset = False
-    if dphi0 >= 0.0:
-        # H no longer maps the gradient to a descent direction: restart
+    if not -np.inf < dphi0 < 0.0:
+        # H no longer maps the gradient to a descent direction with a
+        # finite slope (a NaN in H, or an H g that overflows): restart
         # the curvature model from scratch.  The search relies on this
         # and does not re-test descent.
         H = np.eye(n)

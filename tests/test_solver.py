@@ -322,6 +322,32 @@ def test_indefinite_model_triggers_reset():
     assert np.allclose(new_state.H, np.eye(2), atol=1e-12)
 
 
+@pytest.mark.parametrize("case", ["nan", "overflow"])
+def test_nonfinite_slope_resets_like_an_ascent_direction(case):
+    # A NaN in H makes the slope g^T d NaN; H = 1e308 I makes -H g
+    # overflow and the slope -inf.  Either way the step resets, exactly
+    # as it does for the ascent direction of H = -I.
+    quad = make_quadratic(10)
+    cfg = SolverConfig(variant="bfgs")
+    bad = 1e308 * np.eye(10)
+    if case == "nan":
+        bad = np.eye(10)
+        bad[3, 3] = np.nan
+
+    def step_from(H):
+        state = init_state(quad, quad.default_start(), cfg)
+        state.H = H
+        return step(state, quad, cfg)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, new_state, record = step_from(bad)
+    _, ref_state, ref_record = step_from(-np.eye(10))
+    assert ref_record.reset
+    assert record == ref_record
+    for name in ("x", "g", "H"):
+        assert np.array_equal(getattr(new_state, name), getattr(ref_state, name))
+
+
 @pytest.mark.parametrize("variant", VARIANT_ORDER, ids=lambda v: v.value)
 def test_scaled_identity_rescales_identity_after_reset(variant):
     # mid-run, after an applied update, an indefinite H forces a reset;

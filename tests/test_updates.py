@@ -498,12 +498,11 @@ def test_kernel_forms_only_the_weights_its_path_uses(tau, instance_suite):
 
 
 @pytest.mark.parametrize("n", [1, 2, 25, 128, 129, 160, 193, 300, 500])
-def test_panels_are_balanced(n):
-    # The single pass is one panel of all n rows, balanced in that every
-    # row gets the same operations wherever it falls: permuting the rows
-    # and columns of H and the entries of s and Hy permutes H' bit for
-    # bit, at the sizes where row panels once split H (193 with a short
-    # last one) and across the scaled and unscaled loops of each phi case.
+def test_permuting_rows_and_columns_permutes_the_update_bitwise(n):
+    # Every element of H gets the same operations wherever it falls:
+    # permuting the rows and columns of H and the entries of s and Hy
+    # permutes H' bit for bit, at sizes from 1 to 500 and across the
+    # scaled and unscaled loops of each phi case.
     inst = quasi_newton_instance(np.random.default_rng(n), n)
     H, s = inst["H"], inst["s"]
     coeffs = base_coefficients(inst)
@@ -516,11 +515,10 @@ def test_panels_are_balanced(n):
 
 
 @pytest.mark.parametrize("phi", [1.0, 0.0, 0.4])
-def test_kernel_holds_result_plus_one_panel(phi, sized_suite):
+def test_kernel_holds_no_matrix_sized_scratch(phi, sized_suite):
     # One call at n = 300 (a 703 KiB matrix) writes the result over its
-    # input, and the one panel of scratch it may hold is empty: nothing
-    # beyond a few 2.4 KiB vectors (v and its two terms) and the small
-    # objects of the foreign call.
+    # input and allocates nothing beyond a few 2.4 KiB vectors (v and
+    # its two terms) and the small objects of the foreign call.
     inst = sized_suite[3]  # n = 300
     H, s = inst["H"].copy(), inst["s"]
     n = inst["n"]
