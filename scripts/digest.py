@@ -43,8 +43,10 @@ source trees made on one machine; do not keep them as golden values.
 Each output line is ``<cell> <run hash> <bytes hash>``.  ``--cells``
 restricts a run to the named cells.  ``--compare`` prints one line per
 hash, ``run: 70 cells identical`` or ``run: first difference: <cell>
-(<a> vs <b>)`` and the same for ``bytes``; it exits 0 when both files
-list the same cells with the same hashes of both kinds, else 1.
+(<a> vs <b>); <k> of <N> cells differ`` (N counts the cells of both
+files, a cell missing from one of them differs) and the same for
+``bytes``; it exits 0 when both files list the same cells with the
+same hashes of both kinds, else 1.
 """
 
 import argparse
@@ -202,12 +204,13 @@ def compare(path_a, path_b):
     status = 0
     for kind in KINDS:
         ka, kb = a[kind], b[kind]
-        differ = [name for name in list(ka) + [n for n in kb if n not in ka]
-                  if ka.get(name) != kb.get(name)]
+        names = list(ka) + [n for n in kb if n not in ka]
+        differ = [name for name in names if ka.get(name) != kb.get(name)]
         if differ:
             name = differ[0]
             print(f"{kind}: first difference: {name} "
-                  f"({ka.get(name, 'missing')} vs {kb.get(name, 'missing')})")
+                  f"({ka.get(name, 'missing')} vs {kb.get(name, 'missing')}); "
+                  f"{len(differ)} of {len(names)} cells differ")
             status = 1
         else:
             print(f"{kind}: {len(ka)} cells identical")

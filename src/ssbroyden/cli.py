@@ -36,13 +36,16 @@ TRACE_COLUMNS = tuple(column for column, _, _ in RECORD_FIELDS)
 _record_values = attrgetter(*(attr for _, attr, _ in RECORD_FIELDS))
 
 
-def _fmt(value):
-    """17 significant digits: enough to round-trip a double exactly."""
-    return f"{float(value):.17g}"
+def _cell(value):
+    """Every CSV cell, of a trace or summary.csv: a float round-trips
+    (17 significant digits), a bool is 0/1, the rest goes through str."""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, bool):
+        return str(int(value))
+    return str(value)
 
 
-_CSV_CELL = {"integer": str, "number": _fmt, "boolean": lambda v: str(int(v))}
-_CSV_CELLS = tuple(_CSV_CELL[kind] for _, _, kind in RECORD_FIELDS)
 # A flat record's members as json.dumps(indent=2, sort_keys=True) nests
 # them in the trace: keys sorted, one per line, at depth two.
 _json_record = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).encode
@@ -103,18 +106,16 @@ def emit_trace(trace, fmt, path, summary=None):
     sort_keys=True)`` and a newline, ``payload`` being ``{"records":
     [...], "summary": summary}``.  Both formats are written to the open
     file record by record, so no string of the whole trace is built: a
-    CSV row through per-column formatters built from ``RECORD_FIELDS``,
-    a JSON record through ``json``'s own encoder, which alone decides
-    how its numbers, non-finite values, booleans and key order are
-    written.
+    CSV row cell by cell through ``_cell``, a JSON record through
+    ``json``'s own encoder, which alone decides how its numbers,
+    non-finite values, booleans and key order are written.
     """
     path = Path(path)
     if fmt == "csv":
         with path.open("w") as fh:
             fh.write(",".join(TRACE_COLUMNS) + "\n")
             for r in trace.records:
-                fh.write(",".join([cell(value) for cell, value
-                                   in zip(_CSV_CELLS, _record_values(r))]) + "\n")
+                fh.write(",".join([_cell(value) for value in _record_values(r)]) + "\n")
     elif fmt == "json":
         if summary is None:
             raise ValueError("a JSON trace needs the run summary")
@@ -190,20 +191,14 @@ SUMMARY_COLUMNS = ("solver", "status", "qn_iters", "ls_steps", "f_evals",
                    "update_skips", "tau_fallbacks")
 
 
-def _summary_cell(column, value):
-    """Floats round-trip (17 digits) except the wall time; the rest as is."""
-    if column == "wall_time_s":
-        return f"{value:.6f}"
-    return _fmt(value) if isinstance(value, float) else value
-
-
 def _write_summary(rows, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SUMMARY_COLUMNS)
         for row in rows:
-            writer.writerow([_summary_cell(column, row[column])
-                             for column in SUMMARY_COLUMNS])
+            # the wall time is a measurement, not a double to round-trip
+            row = dict(row, wall_time_s=f"{row['wall_time_s']:.6f}")
+            writer.writerow([_cell(row[column]) for column in SUMMARY_COLUMNS])
 
 
 def _print_summary(args, rows):

@@ -217,9 +217,6 @@ class PinnPoisson1D(ObjectiveFunction):
         return float(np.sqrt(np.mean(diff * diff)))
 
     def default_start(self):
-        return self.initial_parameters()
-
-    def initial_parameters(self):
         """Deterministic uniform(-0.5, 0.5) init from a 64-bit LCG.
 
         The state advances before each draw and each draw maps to

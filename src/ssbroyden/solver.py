@@ -34,8 +34,9 @@ a non-finite start point, which leaves nothing to back off to, and
 
 Each derived number of an iteration is computed once: ``step`` forms
 the slope g^T d for its descent test and hands it to the search as
-phi'(0), and the gradient's infinity norm in the iteration record is
-the one ``solve`` tests for convergence.
+phi'(0), the update chain's y^T s serves both its curvature guard and
+the scaled_identity rescale, and the gradient's infinity norm in the
+iteration record is the one ``solve`` tests for convergence.
 """
 
 from dataclasses import dataclass, field
@@ -90,8 +91,8 @@ class SolverState:
 
     ``h_fresh`` is True while ``H`` is an identity the solver (re)started
     from and no update has been applied to it since: at the start point
-    and after a reset.  Under ``scaled_identity`` such an ``H`` is
-    rescaled before it is updated.
+    and after a reset.  Under ``scaled_identity`` ``step`` asks the
+    update chain to rescale such an ``H`` before updating it.
 
     ``step`` consumes the state's ``H``: an applied unscaled update
     overwrites it, so the next state shares it (``new_state.H is
@@ -167,8 +168,8 @@ def init_state(problem, x0, config):
     EvaluationError when the value or gradient is not finite.
 
     The scaled_identity strategy does not change H here; the scale
-    factor needs a (s, y) pair, so ``step`` applies it to the fresh H
-    when it first updates it.
+    factor needs a (s, y) pair, so ``propose_update`` forms and applies
+    it when ``step`` first updates the fresh H.
     """
     x = as_vector(x0, problem.dimension)
     f, g = evaluate(problem, x)
@@ -219,16 +220,8 @@ def step(state, problem, config, observer=None):
     y = outcome.g_new - state.g
     x_new = state.x + s
 
-    scale = 1.0
-    if config.h0_scaling == "scaled_identity" and h_fresh:
-        # H is the identity the run (re)started from: rescale it to
-        # match the observed curvature before updating it (Nocedal &
-        # Wright, eq. 6.20).  If the update ends up skipped the scaling
-        # is discarded with it.
-        yy = float(np.dot(y, y))
-        if yy > 0.0:
-            scale = float(np.dot(y, s)) / yy
-    update = propose_update(config.variant, H, s, y, state.g, alpha, scale=scale)
+    update = propose_update(config.variant, H, s, y, state.g, alpha,
+                            rescale=config.h0_scaling == "scaled_identity" and h_fresh)
     skipped = update.skip_reason is not None
     new_state = SolverState(x=x_new, f=outcome.f_new, g=outcome.g_new,
                             H=update.H, k=state.k + 1,

@@ -145,9 +145,9 @@ def compute_base_coefficients(H, s, y, ys, g_prev, alpha, scale=1.0):
     ``b`` is computed without forming the direct Hessian approximation:
     because ``s = alpha * d`` with ``d = -H_d g_prev``, the identity
     ``B_d s = -alpha * g_prev`` gives ``s^T B_d s = -alpha * s^T g_prev``.
-    ``H`` may be ``scale * H_d``, a rescaled copy of the matrix ``H_d``
-    that produced the direction; its inverse is ``B_d / scale``, so ``b``
-    is divided by ``scale``.
+    ``H`` may be ``scale * H_d``, the copy :func:`propose_update` makes
+    under ``rescale``; its inverse is ``B_d / scale``, so ``b`` is
+    divided by ``scale``.
 
     ``ys`` is ``float(np.dot(y, s))``, computed once by the caller.
     Requires ``y^T s > 0``, which :func:`curvature_guard` establishes
@@ -308,24 +308,29 @@ def apply_update(H, s, coeffs, phi, tau):
     return H
 
 
-def propose_update(variant, H, s, y, g_prev, alpha, scale=1.0):
+def propose_update(variant, H, s, y, g_prev, alpha, rescale=False):
     """Run curvature guard -> coefficients -> theta -> tau -> phi -> apply.
 
-    ``H`` is the matrix that produced the step ``s = alpha * (-H g_prev)``;
-    the update is applied to ``scale * H``.  An applied update consumes
-    ``H``: with ``scale == 1`` the kernel overwrites ``H`` itself and
-    returns it, otherwise it overwrites the scaled copy ``H * scale``
-    and leaves ``H`` as it was.  A pair that fails the guard, a lost
-    positive definiteness, a pair so small that ``rho^2 y^T H y``
-    overflows (where the guard's bound underflows to 0) or a singular
-    ``phi`` yields ``skip_reason`` ``"curvature_guard"``, ``"not_spd"``,
+    ``H`` is the matrix that produced the step ``s = alpha * (-H g_prev)``.
+    ``rescale`` applies the update to ``gamma * H``, ``gamma = y^T s /
+    y^T y`` (Nocedal & Wright, eq. 6.20) from the guard's ``y^T s``, or
+    to ``H`` when ``y^T y`` underflows to 0.  An applied update consumes
+    ``H``: with ``gamma == 1`` the kernel overwrites ``H`` itself and
+    returns it, otherwise the copy ``gamma * H``, leaving ``H`` as it was.  A pair that fails the guard, a lost positive
+    definiteness, a pair so small that ``rho^2 y^T H y`` overflows
+    (where the guard's bound underflows to 0) or a singular ``phi``
+    yields ``skip_reason`` ``"curvature_guard"``, ``"not_spd"``,
     ``"overflow"`` or ``"singular_phi"`` with ``H`` returned unchanged
-    (a scaling is discarded with the skip); an unusable ``tau`` falls
+    (a rescale is discarded with the skip); an unusable ``tau`` falls
     back to 1 with ``tau_fallback=True``.
     """
     ys = float(np.dot(y, s))
     if not curvature_guard(s, y, ys):
         return UpdateResult(H=H, skip_reason="curvature_guard")
+    scale = 1.0
+    if rescale:
+        yy = float(np.dot(y, y))
+        scale = ys / yy if yy > 0.0 else 1.0
     H_work = H if scale == 1.0 else H * scale
     coeffs = compute_base_coefficients(H_work, s, y, ys, g_prev, alpha, scale)
     if coeffs is None:

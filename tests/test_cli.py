@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 
 import jsonschema
@@ -300,6 +301,28 @@ def test_main_solver_error_keeps_message(tmp_path, capsys, monkeypatch):
     assert len(status) == len(SOLVER_NAMES) - 1
 
 
+def test_main_out_naming_a_file_exits_one(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    code = main(["--solver", "bfgs", "--problem", "quadratic", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: cannot create output directory: ")
+    assert out.read_text() == ""
+
+
+def test_main_unwritable_trace_exits_one_before_summary(tmp_path, capsys):
+    # a directory where the first solver's trace goes: bench stops there,
+    # with no further trace and no summary.csv
+    blocked = tmp_path / "quadratic_bfgs.csv"
+    blocked.mkdir()
+    code = main(["--solver", "all", "--problem", "quadratic", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {blocked}: ")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["quadratic_bfgs.csv"]
+    assert blocked.is_dir() and not any(blocked.iterdir())
+
+
 # --------------------------------------------------------- determinism
 
 def test_trace_files_byte_deterministic(tmp_path):
@@ -344,6 +367,7 @@ def test_summary_layout_and_counters(tmp_path):
     assert int(row[3]) == counters.ls_steps
     assert int(row[4]) == counters.f_evals
     assert float(row[5]) == state.f
+    assert re.fullmatch(r"\d+\.\d{6}", row[7])  # the wall time, to the microsecond
     assert row[8] == ""  # l2 error only applies to the pinn problem
 
 

@@ -81,6 +81,13 @@ def test_interpolate_respects_interval_orientation():
     assert out == 0.1
 
 
+def test_interpolate_zero_width_bracket_returns_midpoint():
+    # lo.alpha == hi.alpha: the cubic fit would divide by a_lo - a_hi = 0
+    lo = _Trial(0.5, 1.0, -1.0, None)
+    hi = _Trial(0.5, 0.9, 1.0, None)
+    assert interpolate_trial(lo, hi) == 0.5
+
+
 # ---------------------------------------------------------------- search
 
 def test_search_quadratic_accepts_unit_step():

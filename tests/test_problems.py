@@ -292,9 +292,7 @@ def test_pinn_grid_tile_is_read_only():
 def test_pinn_initial_parameters_frozen_vector():
     pinn = PinnPoisson1D(m=4)
     assert pinn.dimension == 13
-    start = pinn.initial_parameters()
-    assert np.array_equal(start, GOLDEN_LCG_M4)
-    assert np.array_equal(pinn.default_start(), start)
+    assert np.array_equal(pinn.default_start(), GOLDEN_LCG_M4)
 
 
 def test_pinn_initial_parameters_integer_recurrence():
@@ -305,7 +303,7 @@ def test_pinn_initial_parameters_integer_recurrence():
     for _ in range(pinn.dimension):
         state = (LCG_MULTIPLIER * state + LCG_INCREMENT) % (1 << 64)
         expected.append(state / 2.0 ** 64 - 0.5)
-    assert np.array_equal(pinn.initial_parameters(), expected)
+    assert np.array_equal(pinn.default_start(), expected)
 
 
 def test_default_start_helper_dispatches():
@@ -333,7 +331,7 @@ def test_gradient_rosenbrock_finite_difference():
 
 def test_gradient_pinn_finite_difference():
     pinn = PinnPoisson1D(m=4, n_interior=16)
-    x = pinn.initial_parameters()
+    x = pinn.default_start()
     fd = finite_difference_gradient(pinn, x, h=1e-6)
     _, g = pinn.value_and_gradient(x)
     assert rel_err(fd, g) <= 1e-5

@@ -362,7 +362,7 @@ def test_scaled_identity_rescales_identity_after_reset(variant):
     s = record.alpha * -state.g
     y = new_state.g - state.g
     expected = propose_update(variant, np.eye(10), s, y, state.g, record.alpha,
-                              scale=float(y @ s) / float(y @ y))
+                              rescale=True)
     assert np.array_equal(new_state.H, expected.H)
     assert not new_state.h_fresh
 
@@ -396,7 +396,9 @@ def test_scaled_identity_first_step_matches_manual_rescale():
         state, new_state, record, gamma, s, y = first_scaled_step(variant)
         assert not record.skipped
         expected = propose_update(variant, np.eye(10), s, y, state.g,
-                                  record.alpha, scale=gamma)
+                                  record.alpha, rescale=True)
+        # with the hand-computed gamma, y^T (gamma I) y / y^T s = 1
+        assert abs(expected.coeffs.h - 1.0) <= 1e-12
         assert np.max(np.abs(new_state.H - expected.H)) <= 1e-12
         assert (record.theta, record.tau) == (expected.theta, expected.tau)
 
@@ -409,7 +411,7 @@ def test_scaled_identity_first_update_uses_scaled_b():
         assert abs(gamma - 1.0) > 0.5
         H_work = gamma * np.eye(10)
         result = propose_update(variant, np.eye(10), s, y, state.g,
-                                record.alpha, scale=gamma)
+                                record.alpha, rescale=True)
         b_oracle = float(s @ gaussian_solve(H_work, s)) / float(y @ s)
         assert abs(result.coeffs.b - b_oracle) <= 1e-10 * b_oracle
 

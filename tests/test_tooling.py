@@ -84,6 +84,7 @@ def test_digest_script_runs_and_compares(tmp_path):
     assert differ.returncode == 1
     run_line, bytes_line = differ.stdout.splitlines()
     assert run_line.startswith(f"run: first difference: {cells[0]} ")
+    assert run_line.endswith("; 1 of 3 cells differ")
     assert bytes_line == "bytes: 3 cells identical"
     (tmp_path / "1.txt").write_text(runs[1].stdout.rstrip("\n") + "0\n")
     differ = run([digest, "--compare", "0.txt", "1.txt"], tmp_path)
@@ -91,6 +92,19 @@ def test_digest_script_runs_and_compares(tmp_path):
     run_line, bytes_line = differ.stdout.splitlines()
     assert run_line == "run: 3 cells identical"
     assert bytes_line.startswith(f"bytes: first difference: {cells[2]} ")
+    assert bytes_line.endswith("; 1 of 3 cells differ")
+    # Two changed run hashes, and a cell only the second file lists.
+    lines = [line.split() for line in runs[1].stdout.splitlines()]
+    for fields in lines[:2]:
+        fields[1] += "0"
+    lines.append(["extra/bfgs/identity", "0", "0"])
+    (tmp_path / "1.txt").write_text("".join(" ".join(f) + "\n" for f in lines))
+    differ = run([digest, "--compare", "0.txt", "1.txt"], tmp_path)
+    assert differ.returncode == 1
+    run_line, bytes_line = differ.stdout.splitlines()
+    assert run_line.startswith(f"run: first difference: {cells[0]} ")
+    assert run_line.endswith("; 3 of 4 cells differ")
+    assert bytes_line.endswith("; 1 of 4 cells differ")
 
 
 def test_digest_tridiag_cells_separate_the_six_variants(tmp_path):

@@ -779,6 +779,21 @@ def test_propose_update_skips_pair_too_small_to_update():
         assert result.coeffs.b == 1.0
 
 
+def test_propose_update_rescale_keeps_gamma_one_when_yy_underflows():
+    # y^T s ~ 1e-13 passes the guard (1e-10 ||s|| ||y|| ~ 1e-23), but
+    # y^T y = 1e-326 underflows to 0: gamma stays 1 instead of dividing
+    # by zero, and the chain skips exactly as without the rescale
+    s, y, g_prev = np.array([1e150]), np.array([1e-163]), np.array([-1e150])
+    assert curvature_guard(s, y, float(y @ s)) and float(y @ y) == 0.0
+    H = np.eye(1)
+    for rescale in (False, True):
+        result = propose_update(UpdateVariant.BFGS, H, s, y, g_prev, 1.0,
+                                rescale=rescale)
+        assert result.skip_reason == "not_spd"
+        assert result.H is H
+        assert np.array_equal(H, np.eye(1))
+
+
 # The update suites reach neither a vanishing phi denominator nor an
 # unusable tau, so the two tests below stub the step that reports it.
 
@@ -814,15 +829,15 @@ def test_propose_update_tau_fallback_applies_unscaled_update(monkeypatch, instan
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.value)
 def test_propose_update_overwrites_h_only_when_unscaled(variant, instance_suite):
-    # scale == 1 consumes H; a scaled update works on the copy H * scale
-    # and leaves H as it was, so a skip can discard the scaling
+    # an unscaled update consumes H; a rescaled one works on the copy
+    # gamma * H and leaves H as it was, so a skip can discard the scaling
     inst = instance_suite[3]
     args = (inst["s"], inst["y"], inst["g_prev"], inst["alpha"])
     work = inst["H"].copy()
     result = propose_update(variant, work, *args)
     assert result.skip_reason is None and result.H is work
     work = inst["H"].copy()
-    result = propose_update(variant, work, *args, scale=0.5)
+    result = propose_update(variant, work, *args, rescale=True)
     assert result.skip_reason is None and result.H is not work
     assert np.array_equal(work, inst["H"])
 
