@@ -85,14 +85,14 @@ TRACE_SCHEMA = {
 
 
 def build_problem(args):
-    """The problem named by the parsed ``bench`` arguments."""
-    if args.problem == "quadratic":
-        return make_quadratic(args.n if args.n is not None else 10)
-    if args.problem == "rosenbrock":
-        return make_rosenbrock(args.n if args.n is not None else 2)
+    """The problem named by the parsed ``bench`` arguments; a size not
+    given takes the problem's own default."""
     if args.problem == "pinn1d":
-        return make_pinn1d(m=args.m, n_interior=args.npoints)
-    raise ValueError(f"unknown problem {args.problem!r}")
+        make, sizes = make_pinn1d, {"m": args.m, "n_interior": args.npoints}
+    else:
+        make = make_quadratic if args.problem == "quadratic" else make_rosenbrock
+        sizes = {"n": args.n}
+    return make(**{key: value for key, value in sizes.items() if value is not None})
 
 
 def emit_trace(trace, fmt, path, summary=None):
@@ -135,9 +135,17 @@ def emit_trace(trace, fmt, path, summary=None):
         raise ValueError(f"unknown trace format {fmt!r}")
 
 
+SUMMARY_COLUMNS = ("solver", "status", "qn_iters", "ls_steps", "f_evals",
+                   "final_f", "final_gnorm_inf", "wall_time_s", "l2_error",
+                   "update_skips", "tau_fallbacks")
+
+
 def run_benchmark(args, solvers):
     """Run each named solver on the problem of the parsed ``bench``
-    arguments; returns the process exit code."""
+    arguments, one pass each: solve, then write its trace, its
+    ``summary.csv`` row and its printed row; returns the exit code.  An
+    unwritable trace prints ``error: cannot write <path>: ...`` and sets
+    exit 1, as does an unwritable ``summary.csv``, before any solve."""
     try:
         problem = build_problem(args)
         configs = [SolverConfig(variant=name, grad_tol=args.tol,
@@ -153,67 +161,53 @@ def run_benchmark(args, solvers):
     except OSError as exc:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return 1
+    summary_path = out_dir / "summary.csv"
+    try:
+        summary_file = summary_path.open("w", newline="")
+    except OSError as exc:
+        print(f"error: cannot write {summary_path}: {exc}", file=sys.stderr)
+        return 1
 
-    rows = []
-    exit_code = 0
-    for name, config in zip(solvers, configs):
-        t0 = time.perf_counter()
-        try:
-            trace, state, counters = solve(problem, problem.default_start(), config)
-        except Exception as exc:  # surfaced per row, run the rest
-            print(f"error: {name}: {type(exc).__name__}: {exc}", file=sys.stderr)
-            trace = None
-            summary = run_summary(name, args.problem, f"error({type(exc).__name__})")
-        else:
-            summary = run_summary(name, args.problem, trace.status, counters, state)
-        wall = time.perf_counter() - t0
-
-        if trace is not None:
-            trace_path = out_dir / f"{args.problem}_{name}.{args.format}"
-            try:
-                emit_trace(trace, args.format, trace_path, summary=summary)
-            except OSError as exc:
-                print(f"error: cannot write {trace_path}: {exc}", file=sys.stderr)
-                return 1
-        pinn = trace is not None and isinstance(problem, PinnPoisson1D)
-        rows.append(dict(summary, wall_time_s=wall,
-                         l2_error=problem.l2_error(state.x) if pinn else ""))
-        if summary["status"] != "converged":
-            exit_code = 1
-
-    _write_summary(rows, out_dir / "summary.csv")
-    _print_summary(args, rows)
-    return exit_code
-
-
-SUMMARY_COLUMNS = ("solver", "status", "qn_iters", "ls_steps", "f_evals",
-                   "final_f", "final_gnorm_inf", "wall_time_s", "l2_error",
-                   "update_skips", "tau_fallbacks")
-
-
-def _write_summary(rows, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in rows:
-            # the wall time is a measurement, not a double to round-trip
-            row = dict(row, wall_time_s=f"{row['wall_time_s']:.6f}")
-            writer.writerow([_cell(row[column]) for column in SUMMARY_COLUMNS])
-
-
-def _print_summary(args, rows):
     print(f"problem: {args.problem}  tol: {args.tol:g}  max_iters: {args.max_iters}")
-    header = (f"{'solver':<10} {'status':<20} {'iters':>6} {'ls':>6} "
-              f"{'fevals':>7} {'skips':>6} {'taufb':>6} {'final_f':>13} "
-              f"{'gnorm_inf':>13} {'time_s':>9}")
-    print(header)
-    for row in rows:
-        print(f"{row['solver']:<10} {row['status']:<20} {row['qn_iters']:>6} "
-              f"{row['ls_steps']:>6} {row['f_evals']:>7} "
-              f"{row['update_skips']:>6} {row['tau_fallbacks']:>6} "
-              f"{row['final_f']:>13.4e} {row['final_gnorm_inf']:>13.4e} "
-              f"{row['wall_time_s']:>9.3f}"
-              + (f"  l2_err={row['l2_error']:.3e}" if row["l2_error"] != "" else ""))
+    print(f"{'solver':<10} {'status':<20} {'iters':>6} {'ls':>6} "
+          f"{'fevals':>7} {'skips':>6} {'taufb':>6} {'final_f':>13} "
+          f"{'gnorm_inf':>13} {'time_s':>9}")
+    exit_code = 0
+    with summary_file:
+        writer = csv.writer(summary_file, lineterminator="\n")
+        writer.writerow(SUMMARY_COLUMNS)
+        for name, config in zip(solvers, configs):
+            t0 = time.perf_counter()
+            try:
+                trace, state, counters = solve(problem, problem.default_start(), config)
+            except Exception as exc:  # surfaced per row, run the rest
+                print(f"error: {name}: {type(exc).__name__}: {exc}", file=sys.stderr)
+                trace = None
+                summary = run_summary(name, args.problem, f"error({type(exc).__name__})")
+            else:
+                summary = run_summary(name, args.problem, trace.status, counters, state)
+            wall = time.perf_counter() - t0
+
+            if trace is not None:
+                trace_path = out_dir / f"{args.problem}_{name}.{args.format}"
+                try:
+                    emit_trace(trace, args.format, trace_path, summary=summary)
+                except OSError as exc:
+                    print(f"error: cannot write {trace_path}: {exc}", file=sys.stderr)
+                    exit_code = 1
+            pinn = trace is not None and isinstance(problem, PinnPoisson1D)
+            l2_error = problem.l2_error(state.x) if pinn else ""
+            # the wall time is a measurement, not a double to round-trip
+            row = dict(summary, wall_time_s=f"{wall:.6f}", l2_error=l2_error)
+            writer.writerow([_cell(row[column]) for column in SUMMARY_COLUMNS])
+            print(f"{name:<10} {row['status']:<20} {row['qn_iters']:>6} "
+                  f"{row['ls_steps']:>6} {row['f_evals']:>7} "
+                  f"{row['update_skips']:>6} {row['tau_fallbacks']:>6} "
+                  f"{row['final_f']:>13.4e} {row['final_gnorm_inf']:>13.4e} "
+                  f"{wall:>9.3f}" + (f"  l2_err={l2_error:.3e}" if pinn else ""))
+            if summary["status"] != "converged":
+                exit_code = 1
+    return exit_code
 
 
 def build_parser():
@@ -227,9 +221,8 @@ def build_parser():
     parser.add_argument("--problem", required=True, choices=PROBLEM_NAMES)
     parser.add_argument("--n", type=int, default=None,
                         help="problem dimension (quadratic, rosenbrock)")
-    parser.add_argument("--m", type=int, default=8,
-                        help="hidden width of the pinn1d network")
-    parser.add_argument("--npoints", type=int, default=32,
+    parser.add_argument("--m", type=int, help="hidden width of the pinn1d network")
+    parser.add_argument("--npoints", type=int,
                         help="number of interior collocation points (pinn1d)")
     parser.add_argument("--tol", type=float, default=SolverConfig.grad_tol,
                         help="gradient infinity-norm stopping tolerance")

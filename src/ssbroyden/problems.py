@@ -237,6 +237,7 @@ def default_start(problem):
 
 def make_quadratic(n=10):
     """Quadratic with curvatures 1..n (condition number n)."""
+    require_integer("n", n)
     return QuadraticProblem(np.arange(1, n + 1, dtype=float))
 
 

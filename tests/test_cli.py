@@ -1,15 +1,21 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
 import pytest
 
+import ssbroyden
 from ssbroyden import (EvaluationError, SolverConfig, UpdateVariant, make_pinn1d,
-                       make_quadratic, solve)
+                       make_quadratic, make_rosenbrock, solve)
 from ssbroyden import cli
 from ssbroyden.cli import (
     SOLVER_NAMES,
@@ -17,6 +23,7 @@ from ssbroyden.cli import (
     TRACE_COLUMNS,
     TRACE_SCHEMA,
     build_parser,
+    build_problem,
     emit_trace,
     main,
 )
@@ -152,9 +159,10 @@ def test_emit_rejects_unknown_format(tmp_path):
 
 
 def run_summary(trace, final_f, final_gnorm_inf):
-    return {"solver": "ssbroyden", "problem": "pinn1d", "status": trace.status,
-            **dataclasses.asdict(Counters.of(trace.records, 0)),
-            "final_f": final_f, "final_gnorm_inf": final_gnorm_inf}
+    # a stand-in for the solver state: run_summary reads only f and g
+    state = SimpleNamespace(f=final_f, g=np.array([final_gnorm_inf]))
+    return cli.run_summary("ssbroyden", "pinn1d", trace.status,
+                           Counters.of(trace.records, 0), state)
 
 
 def dumps_oracle(trace, summary):
@@ -311,16 +319,59 @@ def test_main_out_naming_a_file_exits_one(tmp_path, capsys):
     assert out.read_text() == ""
 
 
-def test_main_unwritable_trace_exits_one_before_summary(tmp_path, capsys):
-    # a directory where the first solver's trace goes: bench stops there,
-    # with no further trace and no summary.csv
+def test_main_unwritable_trace_exits_one_and_runs_the_rest(tmp_path, capsys):
+    # a directory where the first solver's trace goes: that trace is
+    # reported, the other solvers still run and every row is written
     blocked = tmp_path / "quadratic_bfgs.csv"
     blocked.mkdir()
     code = main(["--solver", "all", "--problem", "quadratic", "--out", str(tmp_path)])
     assert code == 1
-    assert capsys.readouterr().err.startswith(f"error: cannot write {blocked}: ")
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["quadratic_bfgs.csv"]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {blocked}: ")
     assert blocked.is_dir() and not any(blocked.iterdir())
+    for name in SOLVER_NAMES[1:]:
+        assert (tmp_path / f"quadratic_{name}.csv").is_file()
+    lines = (tmp_path / "summary.csv").read_text().strip().split("\n")
+    status = {row.split(",")[0]: row.split(",")[1] for row in lines[1:]}
+    assert status == {name: "converged" for name in SOLVER_NAMES}
+
+
+def test_main_unwritable_summary_exits_one_before_any_solve(tmp_path, capsys,
+                                                            monkeypatch):
+    blocked = tmp_path / "summary.csv"
+    blocked.mkdir()
+
+    def no_solve(problem, x0, config):
+        raise AssertionError("solved before summary.csv was opened")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    code = main(["--solver", "all", "--problem", "quadratic", "--out", str(tmp_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {blocked}: ")
+    assert captured.out == ""
+    assert [path.name for path in tmp_path.iterdir()] == ["summary.csv"]
+    assert blocked.is_dir() and not any(blocked.iterdir())
+
+
+def test_cli_module_prints_the_summary_rows(tmp_path):
+    # the module entry point, end to end: the table printed to stdout
+    # carries each solver's summary.csv row
+    src = str(Path(ssbroyden.__file__).resolve().parent.parent)
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-m", "ssbroyden.cli", "--solver", "all",
+                           "--problem", "quadratic", "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    printed = [line.split() for line in proc.stdout.splitlines()[2:]]
+    lines = (tmp_path / "summary.csv").read_text().strip().split("\n")
+    rows = [dict(zip(SUMMARY_COLUMNS, line.split(","))) for line in lines[1:]]
+    assert [cells[0] for cells in printed] == list(SOLVER_NAMES)
+    for cells, row in zip(printed, rows, strict=True):
+        assert cells[:7] == [row[column] for column in (
+            "solver", "status", "qn_iters", "ls_steps", "f_evals",
+            "update_skips", "tau_fallbacks")]
 
 
 # --------------------------------------------------------- determinism
@@ -398,8 +449,8 @@ def test_parser_defaults():
     args = build_parser().parse_args(
         ["--solver", "bfgs", "--problem", "quadratic", "--out", "x"])
     assert args.n is None
-    assert args.m == 8
-    assert args.npoints == 32
+    assert args.m is None
+    assert args.npoints is None
     assert args.tol == 1e-8
     assert args.max_iters == 1000
     assert (args.c1, args.c2) == (1e-4, 0.9)
@@ -408,3 +459,13 @@ def test_parser_defaults():
     assert (args.tol, args.max_iters, args.c1, args.c2) == (
         lib.grad_tol, lib.max_iters, lib.c1, lib.c2)
     assert args.format == "csv"
+
+
+def test_parsed_defaults_build_the_problems_defaults():
+    # bench restates no size: each problem takes its constructor's defaults
+    for name, make, dimension in (("quadratic", make_quadratic, 10),
+                                  ("rosenbrock", make_rosenbrock, 2),
+                                  ("pinn1d", make_pinn1d, 25)):
+        args = build_parser().parse_args(
+            ["--solver", "bfgs", "--problem", name, "--out", "x"])
+        assert build_problem(args).dimension == make().dimension == dimension

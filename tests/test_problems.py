@@ -62,6 +62,14 @@ def test_make_quadratic_spectrum():
     assert np.array_equal(quad.default_start(), np.ones(10))
 
 
+def test_quadratic_rejects_bad_sizes():
+    # Sizes int() would truncate are rejected; numpy integers pass.
+    for n in (2.5, True, 4.0, np.float64(2.0)):
+        with pytest.raises(ValueError):
+            make_quadratic(n)
+    assert make_quadratic(np.int64(3)).dimension == 3
+
+
 @settings(deadline=None, max_examples=50)
 @given(st.integers(0, 10**6))
 def test_quadratic_nonnegative_with_exact_gradient(seed):
