@@ -21,11 +21,15 @@ sum(10 x - log x) (n=4, from 2 * ones) x the six variants, whose unit
 steps are non-finite trials the line search rejects, the coupled
 quadratic x^T A x / 2 (n=10, A tridiagonal, from ones) x the six
 variants, six distinct trajectories where the quad10 identity cells
-pair the variants up, and the steep valley -x + 1e16 x^2 from 0 with bfgs,
+pair the variants up, the steep valley -x + 1e16 x^2 from 0 with bfgs,
 which ends ``line_search_failure`` with no trial of sufficient
-decrease: 70 cells.  The variants and scalings are the library's own
-``VARIANT_ORDER`` and ``solver.H0_SCALINGS``.  The last three
-objectives are defined here, so that the script runs them on any
+decrease, and the quadratic with all four curvatures 1e155, from ones,
+with bfgs, whose g^T g overflows, so the slope of the reset direction
+-g is -inf and the run ends ``line_search_failure`` at its start point
+(it prints overflow warnings on stderr): 71 cells.  The variants and
+scalings are the library's own ``VARIANT_ORDER`` and
+``solver.H0_SCALINGS``.  The log barrier, the coupled quadratic and the
+steep valley are defined here, so that the script runs them on any
 source tree it is pointed at.
 
 Among the large cells, rosen500/ssbfgs is the one run that takes the
@@ -42,7 +46,7 @@ source trees made on one machine; do not keep them as golden values.
 
 Each output line is ``<cell> <run hash> <bytes hash>``.  ``--cells``
 restricts a run to the named cells.  ``--compare`` prints one line per
-hash, ``run: 70 cells identical`` or ``run: first difference: <cell>
+hash, ``run: 71 cells identical`` or ``run: first difference: <cell>
 (<a> vs <b>); <k> of <N> cells differ`` (N counts the cells of both
 files, a cell missing from one of them differs) and the same for
 ``bytes``; it exits 0 when both files list the same cells with the
@@ -153,7 +157,9 @@ def cell_specs():
                {"variant": variant}) for variant in variants]
     specs += [(f"tridiag10/{variant}/identity", TridiagQuadratic,
                {"variant": variant}) for variant in variants]
-    specs += [("steepvalley/bfgs/identity", SteepValley, {"variant": "bfgs"})]
+    specs += [("steepvalley/bfgs/identity", SteepValley, {"variant": "bfgs"}),
+              ("overflow4/bfgs/identity",
+               lambda: ssbroyden.QuadraticProblem(np.full(4, 1e155)), {"variant": "bfgs"})]
     return specs
 
 

@@ -12,26 +12,25 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from operator import attrgetter
 from pathlib import Path
 
 from .core import norm_inf
 from .problems import PinnPoisson1D, make_pinn1d, make_quadratic, make_rosenbrock
-from .solver import Counters, SolverConfig, solve
+from .solver import Counters, IterationRecord, SolverConfig, solve
 from .updates import VARIANT_ORDER
 
 PROBLEM_NAMES = ("quadratic", "rosenbrock", "pinn1d")
 SOLVER_NAMES = tuple(v.value for v in VARIANT_ORDER)
 
-#: The trace columns: (column, IterationRecord attribute, JSON type).
-RECORD_FIELDS = (
-    ("iter", "k", "integer"), ("f", "f", "number"),
-    ("gnorm_inf", "gnorm_inf", "number"), ("gnorm_2", "gnorm_2", "number"),
-    ("alpha", "alpha", "number"), ("theta", "theta", "number"),
-    ("tau", "tau", "number"), ("ls_evals", "ls_evals", "integer"),
-    ("skipped", "skipped", "boolean"), ("tau_fallback", "tau_fallback", "boolean"),
-)
+# The JSON type of a record field's or summary value's Python type.
+_JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string"}
+
+#: The trace columns, one per IterationRecord field in field order:
+#: (column, attribute, JSON type); only ``k`` is renamed, to ``iter``.
+RECORD_FIELDS = tuple(("iter" if f.name == "k" else f.name, f.name, _JSON_TYPES[f.type])
+                      for f in fields(IterationRecord))
 TRACE_COLUMNS = tuple(column for column, _, _ in RECORD_FIELDS)
 _record_values = attrgetter(*(attr for _, attr, _ in RECORD_FIELDS))
 
@@ -77,9 +76,8 @@ TRACE_SCHEMA = {
             "items": _object_schema([(column, kind)
                                      for column, _, kind in RECORD_FIELDS]),
         },
-        "summary": _object_schema(
-            [(key, {str: "string", int: "integer", float: "number"}[type(value)])
-             for key, value in run_summary("", "", "").items()]),
+        "summary": _object_schema([(key, _JSON_TYPES[type(value)])
+                                   for key, value in run_summary("", "", "").items()]),
     },
 }
 

@@ -10,12 +10,14 @@ The search works on the ray phi(alpha) = f(x + alpha*d).  The caller
 passes phi(0) and phi'(0) = g0^T d, which it has already computed for
 its own descent test, and guarantees phi'(0) < 0 (``solver.step``
 resets to -g a direction whose slope is non-negative or not finite,
-NaN included); the search does not re-test it.  The only settings
-are the Wolfe constants c1 and c2, which the caller passes from its
-``SolverConfig``; the first trial and the two trial budgets are the
-module constants below.  The bracketing phase
-doubles the step at most ``MAX_BRACKET_ITERS - 1`` times, so no trial
-exceeds ``ALPHA_INIT * 2**19``.
+NaN included); the search does not re-test it.  A slope of -inf, as
+-g has when g^T g overflows, leaves no step of sufficient decrease, so
+the search returns the start of the ray without a trial.  The only
+settings are the Wolfe constants c1 and c2, which the caller passes
+from its ``SolverConfig``; the first trial and the two trial budgets
+are the module constants below.  The bracketing phase doubles the step
+at most ``MAX_BRACKET_ITERS - 1`` times, so no trial exceeds
+``ALPHA_INIT * 2**19``.
 
 Every trial evaluates the objective value and gradient together, through
 ``core.evaluate``, the one door to the objective, so the per-search
@@ -129,7 +131,10 @@ def search(problem, x, d, f0, dphi0, c1, c2):
     If the iteration budget runs out or the zoom bracket collapses, the
     sufficient-decrease trial with the lowest phi is returned, else the
     start of the ray (alpha = 0, ``f0``, ``g_new=None``), with a status
-    describing why the search stopped.
+    describing why the search stopped.  At ``dphi0 = -inf`` the bound
+    phi(0) + c1*alpha*phi'(0) is -inf for every step, which no trial
+    meets (a trial at f = -inf is rejected as f = inf), so the start of
+    the ray comes back at once: no evaluation, DEGENERATE_INTERVAL.
     """
     n_evals = 0
     start = _Trial(0.0, f0, dphi0, None)
@@ -152,6 +157,9 @@ def search(problem, x, d, f0, dphi0, c1, c2):
     def outcome(trial, status):
         return LineSearchOutcome(alpha=trial.alpha, f_new=trial.phi,
                                  g_new=trial.g, n_evals=n_evals, status=status)
+
+    if dphi0 == -math.inf:
+        return outcome(start, LineSearchStatus.DEGENERATE_INTERVAL)
 
     def zoom(lo, hi):
         # Invariants: lo satisfies sufficient decrease with the lowest

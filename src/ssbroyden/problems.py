@@ -114,9 +114,6 @@ class PinnPoisson1D(ObjectiveFunction):
         self.xs = np.arange(1, self.n_interior + 1) / (self.n_interior + 1)
         self.forcing = np.pi ** 2 * np.sin(np.pi * self.xs)
         self.x_boundary = np.array([0.0, 1.0])
-        # sin(pi*0) and sin(pi*1) are exactly zero; using the analytic
-        # values keeps the boundary term exactly zero for the zero network.
-        self.u_boundary = np.array([0.0, 0.0])
         n_int, m = self.n_interior, self.m
         # The workspace rows: the interior points, then the boundary
         # points, each repeated across the m columns.
@@ -183,10 +180,10 @@ class PinnPoisson1D(ObjectiveFunction):
         np.multiply(w1sq, rT2, out=g_w2)
         interior /= n_int
 
-        # Boundary: value mismatch at the two endpoints, the last two rows.
+        # Boundary: value mismatch at the two endpoints, the last two
+        # rows; u* vanishes at both, so the mismatch is u itself.
         e = np.dot(tb, w2)
         e += b2
-        e -= self.u_boundary
         loss += 0.5 * float(np.dot(e, e)) / 2
         np.dot(e * self.x_boundary, tb1, out=gb_w1)
         gb_w1 *= w2
@@ -238,6 +235,8 @@ def default_start(problem):
 def make_quadratic(n=10):
     """Quadratic with curvatures 1..n (condition number n)."""
     require_integer("n", n)
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
     return QuadraticProblem(np.arange(1, n + 1, dtype=float))
 
 

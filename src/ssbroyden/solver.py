@@ -110,7 +110,11 @@ class SolverState:
 @dataclass
 class IterationRecord:
     """Post-step snapshot: new iterate's value/gradient norms plus the
-    step size, family scalars, and event flags for this iteration."""
+    step size, family scalars, and event flags for this iteration.
+
+    The fields, in order, are the trace columns ``cli`` writes (``k`` as
+    ``iter``), each column's JSON type read off its annotation, so a new
+    field is a new column."""
 
     k: int
     f: float

@@ -122,7 +122,7 @@ def expression_pinn_evaluation(pinn, x):
     g_w2 = (w1sq * rT2) / n_int
     g_b2 = 0.0
     tb = np.tanh(np.outer(pinn.x_boundary, w1) + b1)
-    e = tb @ w2 + b2 - pinn.u_boundary
+    e = tb @ w2 + b2
     n_bnd = e.size
     loss += 0.5 * float(np.dot(e, e)) / n_bnd
     tb1 = 1.0 - tb * tb

@@ -29,7 +29,7 @@ from ssbroyden.cli import (
 )
 from ssbroyden.solver import ConvergenceTrace, Counters, IterationRecord
 
-CSV_HEADER = "iter,f,gnorm_inf,gnorm_2,alpha,theta,tau,ls_evals,skipped,tau_fallback"
+CSV_HEADER = "iter,f,gnorm_inf,gnorm_2,alpha,theta,tau,ls_evals,skipped,tau_fallback,reset"
 
 # The JSON trace format, written out: cli.TRACE_SCHEMA is built from the
 # record and counter fields and must stay equal to it.
@@ -42,7 +42,7 @@ REFERENCE_SCHEMA = {
             "items": {
                 "type": "object",
                 "required": ["iter", "f", "gnorm_inf", "gnorm_2", "alpha", "theta",
-                             "tau", "ls_evals", "skipped", "tau_fallback"],
+                             "tau", "ls_evals", "skipped", "tau_fallback", "reset"],
                 "properties": {
                     "iter": {"type": "integer"},
                     "f": {"type": "number"},
@@ -54,6 +54,7 @@ REFERENCE_SCHEMA = {
                     "ls_evals": {"type": "integer"},
                     "skipped": {"type": "boolean"},
                     "tau_fallback": {"type": "boolean"},
+                    "reset": {"type": "boolean"},
                 },
             },
         },
@@ -101,7 +102,7 @@ def test_emit_csv_header_and_shape(tmp_path):
     row = lines[1].split(",")
     assert len(row) == len(TRACE_COLUMNS)
     assert row[0] == "1"
-    assert row[8] in ("0", "1") and row[9] in ("0", "1")
+    assert all(cell in ("0", "1") for cell in row[8:])
 
 
 def test_emit_csv_floats_round_trip_bitwise(tmp_path):
@@ -134,6 +135,29 @@ def test_emit_json_validates_schema(tmp_path):
 def test_trace_schema_matches_reference():
     assert TRACE_SCHEMA == REFERENCE_SCHEMA
     assert json.dumps(TRACE_SCHEMA) == json.dumps(REFERENCE_SCHEMA)
+
+
+def test_record_fields_are_the_iteration_record():
+    # one column per record field, in field order, k written as iter,
+    # each JSON type the one its annotation maps to
+    kinds = {bool: "boolean", int: "integer", float: "number"}
+    assert cli.RECORD_FIELDS == tuple(
+        ("iter" if f.name == "k" else f.name, f.name, kinds[f.type])
+        for f in dataclasses.fields(IterationRecord))
+    assert TRACE_COLUMNS[0] == "iter" and TRACE_COLUMNS[-1] == "reset"
+
+
+def test_reset_is_written_as_one_and_true(tmp_path):
+    record = dataclasses.replace(one_iteration_trace().records[0], reset=True)
+    trace = ConvergenceTrace(records=[record], status="max_iters")
+    emit_trace(trace, "csv", tmp_path / "t.csv")
+    header, row = tmp_path.joinpath("t.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["reset"] == "1"
+    summary = cli.run_summary("bfgs", "quadratic", trace.status)
+    emit_trace(trace, "json", tmp_path / "t.json", summary=summary)
+    payload = json.loads(tmp_path.joinpath("t.json").read_text())
+    assert payload["records"][0]["reset"] is True
+    jsonschema.validate(payload, TRACE_SCHEMA)
 
 
 def test_run_summary_of_a_failed_solve():

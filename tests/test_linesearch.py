@@ -191,6 +191,17 @@ def test_search_without_sufficient_decrease_says_so():
         assert alpha > 0.0 and phi > f0 + C1 * alpha * dphi0
 
 
+def test_search_along_a_slope_of_minus_inf_makes_no_trial():
+    # phi(0) + c1 alpha phi'(0) is -inf for every alpha > 0, a bound no
+    # trial meets, so the start of the ray comes back unevaluated
+    prob = CountingObjective(RosenbrockProblem(2))
+    x = prob.inner.default_start()
+    f0, g0 = prob.inner.value_and_gradient(x)
+    out = search(prob, x, -g0, f0, -np.inf, C1, C2)
+    assert_returns_start(out, f0, LineSearchStatus.DEGENERATE_INTERVAL, 0)
+    assert prob.calls == 0
+
+
 class _FlatValley:
     """f(x) = 1e16 + 100 x^2: near its minimum f rounds to 1e16 exactly."""
 

@@ -67,6 +67,10 @@ def test_quadratic_rejects_bad_sizes():
     for n in (2.5, True, 4.0, np.float64(2.0)):
         with pytest.raises(ValueError):
             make_quadratic(n)
+    # and the message names the size, not the shape it would make
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=rf"^dimension must be >= 1, got {n}$"):
+            make_quadratic(n)
     assert make_quadratic(np.int64(3)).dimension == 3
 
 
@@ -142,9 +146,10 @@ def naive_pinn_loss(pinn, x):
         r = upp + math.pi ** 2 * math.sin(math.pi * xi)
         total += r * r
     total /= 2.0 * pinn.n_interior
-    for xb, ub in zip(pinn.x_boundary, pinn.u_boundary):
+    # u* = sin(pi x) vanishes at both ends
+    for xb in pinn.x_boundary:
         u = sum(w2[j] * math.tanh(w1[j] * xb + b1[j]) for j in range(pinn.m)) + b2
-        total += (u - ub) ** 2 / 4.0
+        total += u ** 2 / 4.0
     return total
 
 

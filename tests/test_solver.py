@@ -348,6 +348,21 @@ def test_nonfinite_slope_resets_like_an_ascent_direction(case):
         assert np.array_equal(getattr(new_state, name), getattr(ref_state, name))
 
 
+def test_overflowing_reset_slope_fails_without_a_trial():
+    # |g|_2 = 2e155 from ones(4): g^T g overflows, so the slope of the
+    # reset direction -g is -inf too, and no step can pass sufficient
+    # decrease; the run ends at its start point after one evaluation
+    quad = QuadraticProblem(np.full(4, 1e155))
+    with np.errstate(over="ignore"):
+        trace, state, counters = solve(quad, quad.default_start(),
+                                       SolverConfig(variant="bfgs"))
+    assert trace.status == "line_search_failure"
+    assert trace.records == []
+    assert counters == Counters(qn_iters=0, f_evals=1, g_evals=1, ls_steps=0,
+                                update_skips=0, tau_fallbacks=0)
+    assert np.array_equal(state.x, np.ones(4)) and state.k == 0
+
+
 @pytest.mark.parametrize("variant", VARIANT_ORDER, ids=lambda v: v.value)
 def test_scaled_identity_rescales_identity_after_reset(variant):
     # mid-run, after an applied update, an indefinite H forces a reset;
