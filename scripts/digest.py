@@ -14,8 +14,9 @@ format moves only the ``bytes`` hashes.  The cells
 are quad10, rosen2, rosen8 and pinn1d (m=8, N=32) x the six variants x
 {identity, scaled_identity}, Rosenbrock n=500 with bfgs, ssbfgs and
 ssbroyden, Rosenbrock n=100 with ssbroyden, two runs with c2=0.4,
-pinn1d (m=4, N=16) with ssdfp for 200 iterations, the one cell whose
-run skips updates (at the curvature guard), pinn1d (m=64, N=512)
+pinn1d (m=4, N=16) with ssdfp for at most 200 iterations, whose run
+skips updates at the curvature guard and ends ``stalled`` when its
+accepted step no longer moves x, pinn1d (m=64, N=512)
 with bfgs and ssbroyden for 60 iterations, the log barrier
 sum(10 x - log x) (n=4, from 2 * ones) x the six variants, whose unit
 steps are non-finite trials the line search rejects, the coupled
@@ -26,8 +27,12 @@ which ends ``line_search_failure`` with no trial of sufficient
 decrease, and the quadratic with all four curvatures 1e155, from ones,
 with bfgs, whose g^T g overflows, so the slope of the reset direction
 -g is -inf and the run ends ``line_search_failure`` at its start point
-(it prints overflow warnings on stderr): 71 cells.  The variants and
-scalings are the library's own ``VARIANT_ORDER`` and
+(it prints overflow warnings on stderr), and quad10 with bfgs to
+grad_tol=1e-300 for at most 40 iterations, whose pairs grow too small
+for the update's terms to stay finite (five ``overflow`` skips) and
+whose f and then g^T g underflow, so the slope of the reset direction
+-g is -0 and the run ends ``line_search_failure``: 72 cells.  The
+variants and scalings are the library's own ``VARIANT_ORDER`` and
 ``solver.H0_SCALINGS``.  The log barrier, the coupled quadratic and the
 steep valley are defined here, so that the script runs them on any
 source tree it is pointed at.
@@ -46,7 +51,7 @@ source trees made on one machine; do not keep them as golden values.
 
 Each output line is ``<cell> <run hash> <bytes hash>``.  ``--cells``
 restricts a run to the named cells.  ``--compare`` prints one line per
-hash, ``run: 71 cells identical`` or ``run: first difference: <cell>
+hash, ``run: 72 cells identical`` or ``run: first difference: <cell>
 (<a> vs <b>); <k> of <N> cells differ`` (N counts the cells of both
 files, a cell missing from one of them differs) and the same for
 ``bytes``; it exits 0 when both files list the same cells with the
@@ -159,7 +164,9 @@ def cell_specs():
                {"variant": variant}) for variant in variants]
     specs += [("steepvalley/bfgs/identity", SteepValley, {"variant": "bfgs"}),
               ("overflow4/bfgs/identity",
-               lambda: ssbroyden.QuadraticProblem(np.full(4, 1e155)), {"variant": "bfgs"})]
+               lambda: ssbroyden.QuadraticProblem(np.full(4, 1e155)), {"variant": "bfgs"}),
+              ("quad10/bfgs/tol=1e-300", problems["quad10"],
+               {"variant": "bfgs", "grad_tol": 1e-300, "max_iters": 40})]
     return specs
 
 

@@ -143,7 +143,8 @@ def run_benchmark(args, solvers):
     arguments, one pass each: solve, then write its trace, its
     ``summary.csv`` row and its printed row; returns the exit code.  An
     unwritable trace prints ``error: cannot write <path>: ...`` and sets
-    exit 1, as does an unwritable ``summary.csv``, before any solve."""
+    exit 1, as does an ``--out`` or ``summary.csv`` that cannot be
+    made, before any solve."""
     try:
         problem = build_problem(args)
         configs = [SolverConfig(variant=name, grad_tol=args.tol,
@@ -154,13 +155,9 @@ def run_benchmark(args, solvers):
         return 2
 
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
-        return 1
     summary_path = out_dir / "summary.csv"
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         summary_file = summary_path.open("w", newline="")
     except OSError as exc:
         print(f"error: cannot write {summary_path}: {exc}", file=sys.stderr)

@@ -8,16 +8,15 @@ the strong Wolfe conditions is found.
 
 The search works on the ray phi(alpha) = f(x + alpha*d).  The caller
 passes phi(0) and phi'(0) = g0^T d, which it has already computed for
-its own descent test, and guarantees phi'(0) < 0 (``solver.step``
-resets to -g a direction whose slope is non-negative or not finite,
-NaN included); the search does not re-test it.  A slope of -inf, as
--g has when g^T g overflows, leaves no step of sufficient decrease, so
-the search returns the start of the ray without a trial.  The only
-settings are the Wolfe constants c1 and c2, which the caller passes
-from its ``SolverConfig``; the first trial and the two trial budgets
-are the module constants below.  The bracketing phase doubles the step
-at most ``MAX_BRACKET_ITERS - 1`` times, so no trial exceeds
-``ALPHA_INIT * 2**19``.
+its own descent test (``solver.step`` resets to -g a direction whose
+slope is not negative and finite).  The search applies the same test:
+along a slope that is not negative and finite, as -g has when g^T g
+overflows (-inf) or underflows (-0), it returns the start of the ray
+without a trial.  The only settings are the Wolfe constants c1 and c2,
+which the caller passes from its ``SolverConfig``; the first trial and
+the two trial budgets are the module constants below.  The bracketing
+phase doubles the step at most ``MAX_BRACKET_ITERS - 1`` times, so no
+trial exceeds ``ALPHA_INIT * 2**19``.
 
 Every trial evaluates the objective value and gradient together, through
 ``core.evaluate``, the one door to the objective, so the per-search
@@ -58,7 +57,8 @@ class LineSearchOutcome:
     """Result of one search: the chosen step and its evaluation data.
 
     A search with no trial of sufficient decrease returns the start of
-    the ray: ``alpha = 0``, ``f_new = phi(0)`` and ``g_new = None``.
+    the ray: ``alpha = 0``, ``f_new = phi(0)`` and ``g_new = None``;
+    ``alpha > 0`` says a step was accepted.
     """
 
     alpha: float
@@ -66,11 +66,6 @@ class LineSearchOutcome:
     g_new: Optional[np.ndarray]
     n_evals: int
     status: LineSearchStatus
-
-    @property
-    def sufficient_decrease(self):
-        """Whether the search accepted a step (True with WOLFE_SATISFIED)."""
-        return self.alpha > 0.0
 
 
 class _Trial(NamedTuple):
@@ -126,15 +121,17 @@ def search(problem, x, d, f0, dphi0, c1, c2):
     """Find a step satisfying the strong Wolfe conditions along x + alpha*d.
 
     ``f0`` is the value at ``x`` and ``dphi0 = g0^T d`` the slope of the
-    ray there, both of which the caller already paid for; ``dphi0``
-    must be negative.  On success the outcome status is WOLFE_SATISFIED.
-    If the iteration budget runs out or the zoom bracket collapses, the
-    sufficient-decrease trial with the lowest phi is returned, else the
-    start of the ray (alpha = 0, ``f0``, ``g_new=None``), with a status
-    describing why the search stopped.  At ``dphi0 = -inf`` the bound
-    phi(0) + c1*alpha*phi'(0) is -inf for every step, which no trial
-    meets (a trial at f = -inf is rejected as f = inf), so the start of
-    the ray comes back at once: no evaluation, DEGENERATE_INTERVAL.
+    ray there, both of which the caller already paid for.  On success
+    the outcome status is WOLFE_SATISFIED.  If the iteration budget runs
+    out or the zoom bracket collapses, the sufficient-decrease trial
+    with the lowest phi is returned, else the start of the ray (alpha =
+    0, ``f0``, ``g_new=None``), with a status describing why the search
+    stopped.  A ``dphi0`` that is not negative and finite is no descent
+    slope, so the start of the ray comes back at once: no evaluation,
+    DEGENERATE_INTERVAL.  At -inf the bound phi(0) + c1*alpha*phi'(0)
+    is -inf for every step, which no trial meets; at -0, as when g^T g
+    underflows, both Wolfe conditions hold with equality at a flat
+    step, which would be accepted without descent.
     """
     n_evals = 0
     start = _Trial(0.0, f0, dphi0, None)
@@ -158,7 +155,7 @@ def search(problem, x, d, f0, dphi0, c1, c2):
         return LineSearchOutcome(alpha=trial.alpha, f_new=trial.phi,
                                  g_new=trial.g, n_evals=n_evals, status=status)
 
-    if dphi0 == -math.inf:
+    if not -math.inf < dphi0 < 0.0:
         return outcome(start, LineSearchStatus.DEGENERATE_INTERVAL)
 
     def zoom(lo, hi):

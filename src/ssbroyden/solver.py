@@ -24,9 +24,11 @@ hands back only a step it accepted.
 
 Events inside an iteration are values, not exceptions: the line search
 rejects a trial with f = inf like any trial that fails sufficient
-decrease, ``step`` returns no new state for a search that returns the
-start of its ray (alpha = 0), which ends the run as
-``line_search_failure``, and the update chain reports a skip reason.
+decrease, ``step`` returns no new state for a step that leaves x
+unchanged, which ends the run as ``line_search_failure`` when the
+search returned the start of its ray (alpha = 0) and as ``stalled``
+when it accepted a step too short to move x, and the update chain
+reports a skip reason.
 Exceptions are kept for what leaves ``solve``:
 ``DimensionMismatchError`` from an evaluation, ``EvaluationError`` from
 a non-finite start point, which leaves nothing to back off to, and
@@ -148,7 +150,8 @@ class Counters:
 
     @classmethod
     def of(cls, records, failed_evals):
-        """Counters of ``records`` plus a final failed search's evaluations."""
+        """Counters of ``records`` plus the evaluations of a final search
+        that wrote no record."""
         ls_steps = sum(r.ls_evals for r in records) + failed_evals
         return cls(qn_iters=len(records), f_evals=ls_steps + 1,
                    g_evals=ls_steps + 1, ls_steps=ls_steps,
@@ -186,10 +189,11 @@ def init_state(problem, x0, config):
 def step(state, problem, config, observer=None):
     """One outer iteration; returns (outcome, new_state, record).
 
-    ``new_state`` and ``record`` are None when the line search finds no
-    sufficient-decrease point and returns the start of its ray
-    (``outcome.alpha == 0``); its ``outcome.n_evals`` is then the one
-    account of the failed search's evaluations.
+    ``new_state`` and ``record`` are None when x + alpha*d equals x
+    bitwise: the search returned the start of its ray
+    (``outcome.alpha == 0``), or accepted a step too short to change
+    any coordinate of x.  ``outcome.n_evals`` is then the one account
+    of that search's evaluations.
 
     The step consumes ``state.H``.  An applied update that needs no
     rescale writes H' over it, so ``new_state.H is state.H`` and
@@ -207,8 +211,8 @@ def step(state, problem, config, observer=None):
     if not -np.inf < dphi0 < 0.0:
         # H no longer maps the gradient to a descent direction with a
         # finite slope (a NaN in H, or an H g that overflows): restart
-        # the curvature model from scratch.  The search relies on this
-        # and does not re-test descent.
+        # the curvature model from scratch.  If -g has no such slope
+        # either, the search returns the start of its ray untried.
         H = np.eye(n)
         h_fresh = True
         d = -state.g
@@ -216,13 +220,13 @@ def step(state, problem, config, observer=None):
         reset = True
 
     outcome = search(problem, state.x, d, state.f, dphi0, config.c1, config.c2)
-    if not outcome.sufficient_decrease:
-        return outcome, None, None
-
     alpha = outcome.alpha
     s = alpha * d
-    y = outcome.g_new - state.g
     x_new = state.x + s
+    if (x_new == state.x).all():
+        return outcome, None, None
+
+    y = outcome.g_new - state.g
 
     update = propose_update(config.variant, H, s, y, state.g, alpha,
                             rescale=config.h0_scaling == "scaled_identity" and h_fresh)
@@ -242,15 +246,18 @@ def step(state, problem, config, observer=None):
 
 
 def solve(problem, x0, config, observer=None):
-    """Run to convergence, the iteration cap, or a line-search stall.
+    """Run to convergence, the iteration cap, or a step that goes nowhere.
 
     Returns (trace, final_state, counters); trace.status is one of
-    "converged", "max_iters", "line_search_failure".  Raises
+    "converged", "max_iters", "line_search_failure", "stalled".  Raises
     DimensionMismatchError for a start point or a gradient of the wrong
     shape and EvaluationError for a non-finite value or gradient at the
     start point.  A non-finite trial of the line search is rejected and
     counted like any other trial; a search whose trials leave no point
-    of sufficient decrease ends the run as "line_search_failure".
+    of sufficient decrease ends the run as "line_search_failure", and
+    an accepted step that leaves x bitwise unchanged ends it as
+    "stalled".  Either last search writes no record; its evaluations
+    are counted in ``f_evals``.
     """
     state = init_state(problem, x0, config)
     trace = ConvergenceTrace()
@@ -265,7 +272,7 @@ def solve(problem, x0, config, observer=None):
             break
         outcome, new_state, record = step(state, problem, config, observer=observer)
         if record is None:
-            trace.status = "line_search_failure"
+            trace.status = "stalled" if outcome.alpha > 0.0 else "line_search_failure"
             failed_evals = outcome.n_evals
             break
         state = new_state

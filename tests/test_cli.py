@@ -339,7 +339,7 @@ def test_main_out_naming_a_file_exits_one(tmp_path, capsys):
     code = main(["--solver", "bfgs", "--problem", "quadratic", "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err.startswith(
-        "error: cannot create output directory: ")
+        f"error: cannot write {out / 'summary.csv'}: ")
     assert out.read_text() == ""
 
 

@@ -363,6 +363,37 @@ def test_overflowing_reset_slope_fails_without_a_trial():
     assert np.array_equal(state.x, np.ones(4)) and state.k == 0
 
 
+def test_underflowing_reset_slope_fails_without_a_trial():
+    # at k = 20 f has underflowed to 0 and g^T g underflows too, so the
+    # reset direction -g has slope -0: no descent slope, so the search
+    # makes no trial and the run ends instead of accepting a flat step
+    quad = make_quadratic(10)
+    trace, state, counters = solve(quad, quad.default_start(),
+                                   SolverConfig(variant="bfgs", grad_tol=1e-300,
+                                                max_iters=40))
+    assert trace.status == "line_search_failure"
+    assert counters == Counters(qn_iters=20, f_evals=31, g_evals=31, ls_steps=30,
+                                update_skips=5, tau_fallbacks=0)
+    assert not any(record.reset for record in trace.records)
+    assert state.f == 0.0 and float(state.g @ state.g) == 0.0
+
+
+def test_step_that_leaves_x_unchanged_ends_the_run_stalled():
+    # from k = 136 the accepted steps are too short to change any
+    # coordinate of x; the run stops there, with no record for that step
+    # and its search's evaluations counted, instead of repeating itself
+    pinn = make_pinn1d(m=4, n_interior=16)
+    trace, state, counters = solve(pinn, pinn.default_start(),
+                                   SolverConfig(variant="ssdfp", max_iters=200))
+    assert trace.status == "stalled"
+    assert counters == Counters(qn_iters=135, f_evals=335, g_evals=335, ls_steps=334,
+                                update_skips=4, tau_fallbacks=0)
+    assert state.k == 135 == trace.records[-1].k
+    outcome, new_state, record = step(state, pinn, SolverConfig(variant="ssdfp"))
+    assert outcome.alpha > 0.0 and new_state is None and record is None
+    assert counters.ls_steps == sum(r.ls_evals for r in trace.records) + outcome.n_evals
+
+
 @pytest.mark.parametrize("variant", VARIANT_ORDER, ids=lambda v: v.value)
 def test_scaled_identity_rescales_identity_after_reset(variant):
     # mid-run, after an applied update, an indefinite H forces a reset;
