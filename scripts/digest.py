@@ -31,7 +31,11 @@ with bfgs, whose g^T g overflows, so the slope of the reset direction
 grad_tol=1e-300 for at most 40 iterations, whose pairs grow too small
 for the update's terms to stay finite (five ``overflow`` skips) and
 whose f and then g^T g underflow, so the slope of the reset direction
--g is -0 and the run ends ``line_search_failure``: 72 cells.  The
+-g is -0 and the run ends ``line_search_failure``, and quad10 with
+ssdfp under scaled_identity to grad_tol=1e-300 for at most 120
+iterations, whose step k = 89 resets H and then skips its update at
+the curvature guard, the one cell that writes ``reset = 1``, and which
+ends ``line_search_failure``: 73 cells.  The
 variants and scalings are the library's own ``VARIANT_ORDER`` and
 ``solver.H0_SCALINGS``.  The log barrier, the coupled quadratic and the
 steep valley are defined here, so that the script runs them on any
@@ -51,7 +55,7 @@ source trees made on one machine; do not keep them as golden values.
 
 Each output line is ``<cell> <run hash> <bytes hash>``.  ``--cells``
 restricts a run to the named cells.  ``--compare`` prints one line per
-hash, ``run: 72 cells identical`` or ``run: first difference: <cell>
+hash, ``run: 73 cells identical`` or ``run: first difference: <cell>
 (<a> vs <b>); <k> of <N> cells differ`` (N counts the cells of both
 files, a cell missing from one of them differs) and the same for
 ``bytes``; it exits 0 when both files list the same cells with the
@@ -166,7 +170,10 @@ def cell_specs():
               ("overflow4/bfgs/identity",
                lambda: ssbroyden.QuadraticProblem(np.full(4, 1e155)), {"variant": "bfgs"}),
               ("quad10/bfgs/tol=1e-300", problems["quad10"],
-               {"variant": "bfgs", "grad_tol": 1e-300, "max_iters": 40})]
+               {"variant": "bfgs", "grad_tol": 1e-300, "max_iters": 40}),
+              ("quad10/ssdfp/scaled_identity/tol=1e-300", problems["quad10"],
+               {"variant": "ssdfp", "h0_scaling": "scaled_identity",
+                "grad_tol": 1e-300, "max_iters": 120})]
     return specs
 
 

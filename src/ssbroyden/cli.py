@@ -168,40 +168,44 @@ def run_benchmark(args, solvers):
           f"{'fevals':>7} {'skips':>6} {'taufb':>6} {'final_f':>13} "
           f"{'gnorm_inf':>13} {'time_s':>9}")
     exit_code = 0
-    with summary_file:
-        writer = csv.writer(summary_file, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        for name, config in zip(solvers, configs):
-            t0 = time.perf_counter()
-            try:
-                trace, state, counters = solve(problem, problem.default_start(), config)
-            except Exception as exc:  # surfaced per row, run the rest
-                print(f"error: {name}: {type(exc).__name__}: {exc}", file=sys.stderr)
-                trace = None
-                summary = run_summary(name, args.problem, f"error({type(exc).__name__})")
-            else:
-                summary = run_summary(name, args.problem, trace.status, counters, state)
-            wall = time.perf_counter() - t0
-
-            if trace is not None:
-                trace_path = out_dir / f"{args.problem}_{name}.{args.format}"
+    try:
+        with summary_file:
+            writer = csv.writer(summary_file, lineterminator="\n")
+            writer.writerow(SUMMARY_COLUMNS)
+            for name, config in zip(solvers, configs):
+                t0 = time.perf_counter()
                 try:
-                    emit_trace(trace, args.format, trace_path, summary=summary)
-                except OSError as exc:
-                    print(f"error: cannot write {trace_path}: {exc}", file=sys.stderr)
+                    trace, state, counters = solve(problem, problem.default_start(), config)
+                except Exception as exc:  # surfaced per row, run the rest
+                    print(f"error: {name}: {type(exc).__name__}: {exc}", file=sys.stderr)
+                    trace = None
+                    summary = run_summary(name, args.problem, f"error({type(exc).__name__})")
+                else:
+                    summary = run_summary(name, args.problem, trace.status, counters, state)
+                wall = time.perf_counter() - t0
+
+                if trace is not None:
+                    trace_path = out_dir / f"{args.problem}_{name}.{args.format}"
+                    try:
+                        emit_trace(trace, args.format, trace_path, summary=summary)
+                    except OSError as exc:
+                        print(f"error: cannot write {trace_path}: {exc}", file=sys.stderr)
+                        exit_code = 1
+                pinn = trace is not None and isinstance(problem, PinnPoisson1D)
+                l2_error = problem.l2_error(state.x) if pinn else ""
+                # the wall time is a measurement, not a double to round-trip
+                row = dict(summary, wall_time_s=f"{wall:.6f}", l2_error=l2_error)
+                writer.writerow([_cell(row[column]) for column in SUMMARY_COLUMNS])
+                print(f"{name:<10} {row['status']:<20} {row['qn_iters']:>6} "
+                      f"{row['ls_steps']:>6} {row['f_evals']:>7} "
+                      f"{row['update_skips']:>6} {row['tau_fallbacks']:>6} "
+                      f"{row['final_f']:>13.4e} {row['final_gnorm_inf']:>13.4e} "
+                      f"{wall:>9.3f}" + (f"  l2_err={l2_error:.3e}" if pinn else ""))
+                if summary["status"] != "converged":
                     exit_code = 1
-            pinn = trace is not None and isinstance(problem, PinnPoisson1D)
-            l2_error = problem.l2_error(state.x) if pinn else ""
-            # the wall time is a measurement, not a double to round-trip
-            row = dict(summary, wall_time_s=f"{wall:.6f}", l2_error=l2_error)
-            writer.writerow([_cell(row[column]) for column in SUMMARY_COLUMNS])
-            print(f"{name:<10} {row['status']:<20} {row['qn_iters']:>6} "
-                  f"{row['ls_steps']:>6} {row['f_evals']:>7} "
-                  f"{row['update_skips']:>6} {row['tau_fallbacks']:>6} "
-                  f"{row['final_f']:>13.4e} {row['final_gnorm_inf']:>13.4e} "
-                  f"{wall:>9.3f}" + (f"  l2_err={l2_error:.3e}" if pinn else ""))
-            if summary["status"] != "converged":
-                exit_code = 1
+    except OSError as exc:
+        print(f"error: cannot write {summary_path}: {exc}", file=sys.stderr)
+        return 1
     return exit_code
 
 

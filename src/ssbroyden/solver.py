@@ -96,9 +96,10 @@ class SolverState:
     and after a reset.  Under ``scaled_identity`` ``step`` asks the
     update chain to rescale such an ``H`` before updating it.
 
-    ``step`` consumes the state's ``H``: an applied unscaled update
-    overwrites it, so the next state shares it (``new_state.H is
-    state.H``).  Copy ``H`` to keep the matrix of an earlier iterate.
+    ``H`` has one owner: ``step`` writes the next iterate's matrix over
+    it, so the next state shares it (``new_state.H is state.H``), and a
+    step that goes nowhere leaves it as it was.  Copy ``H`` to keep the
+    matrix of an earlier iterate.
     """
 
     x: np.ndarray
@@ -195,29 +196,24 @@ def step(state, problem, config, observer=None):
     any coordinate of x.  ``outcome.n_evals`` is then the one account
     of that search's evaluations.
 
-    The step consumes ``state.H``.  An applied update that needs no
-    rescale writes H' over it, so ``new_state.H is state.H`` and
-    ``observer(state, d, outcome, new_state, record)``, called after
-    the update, sees the updated matrix as ``state.H`` too.  After a
-    reset, a skipped update or a rescaled fresh identity, ``state.H``
-    is left as it was.
+    The step writes the next H over ``state.H``: a reset writes the
+    identity, an applied update H', a skipped one nothing.  So
+    ``new_state.H is state.H``, and ``observer(state, d, outcome,
+    new_state, record)``, called after the update, sees the next matrix
+    as ``state.H`` too.  A step that goes nowhere leaves ``state.H`` as
+    it was.
     """
-    n = state.x.shape[0]
     H = state.H
-    h_fresh = state.h_fresh
     d = -matvec(H, state.g)
     dphi0 = float(np.dot(state.g, d))
-    reset = False
-    if not -np.inf < dphi0 < 0.0:
+    reset = not -np.inf < dphi0 < 0.0
+    if reset:
         # H no longer maps the gradient to a descent direction with a
         # finite slope (a NaN in H, or an H g that overflows): restart
         # the curvature model from scratch.  If -g has no such slope
         # either, the search returns the start of its ray untried.
-        H = np.eye(n)
-        h_fresh = True
         d = -state.g
         dphi0 = float(np.dot(state.g, d))
-        reset = True
 
     outcome = search(problem, state.x, d, state.f, dphi0, config.c1, config.c2)
     alpha = outcome.alpha
@@ -226,14 +222,18 @@ def step(state, problem, config, observer=None):
     if (x_new == state.x).all():
         return outcome, None, None
 
+    if reset:
+        # the identity, written over H only now that x moves
+        H.fill(0.0)
+        np.fill_diagonal(H, 1.0)
+    h_fresh = state.h_fresh or reset
     y = outcome.g_new - state.g
 
     update = propose_update(config.variant, H, s, y, state.g, alpha,
                             rescale=config.h0_scaling == "scaled_identity" and h_fresh)
     skipped = update.skip_reason is not None
     new_state = SolverState(x=x_new, f=outcome.f_new, g=outcome.g_new,
-                            H=update.H, k=state.k + 1,
-                            h_fresh=h_fresh and skipped)
+                            H=H, k=state.k + 1, h_fresh=h_fresh and skipped)
     record = IterationRecord(
         k=new_state.k, f=new_state.f,
         gnorm_inf=norm_inf(new_state.g), gnorm_2=norm_2(new_state.g),

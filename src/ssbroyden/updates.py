@@ -114,14 +114,13 @@ class UpdateResult:
 
     ``skip_reason`` is None for an applied update, else why it was
     skipped: ``"curvature_guard"``, ``"not_spd"``, ``"overflow"`` or
-    ``"singular_phi"``.  ``H`` is the updated matrix, written over the
-    input matrix (or over its scaled copy), or the input matrix unchanged
-    when skipped.  ``theta`` and ``tau`` are the values used (0
-    and 1 when the chain stopped before computing them); ``coeffs`` is
-    None when the chain stopped before the base coefficients.
+    ``"singular_phi"``.  The result holds no matrix: an applied update
+    writes H' over the H it was given, and a skip leaves that H
+    unchanged.  ``theta`` and ``tau`` are the values used (0 and 1 when
+    the chain stopped before computing them); ``coeffs`` is None when
+    the chain stopped before the base coefficients.
     """
 
-    H: np.ndarray
     theta: float = 0.0
     tau: float = 1.0
     skip_reason: Optional[str] = None
@@ -145,9 +144,9 @@ def compute_base_coefficients(H, s, y, ys, g_prev, alpha, scale=1.0):
     ``b`` is computed without forming the direct Hessian approximation:
     because ``s = alpha * d`` with ``d = -H_d g_prev``, the identity
     ``B_d s = -alpha * g_prev`` gives ``s^T B_d s = -alpha * s^T g_prev``.
-    ``H`` may be ``scale * H_d``, the copy :func:`propose_update` makes
-    under ``rescale``; its inverse is ``B_d / scale``, so ``b`` is
-    divided by ``scale``.
+    The coefficients are those of ``scale * H``, formed without building
+    that matrix: ``H y`` is multiplied by ``scale``, and since the inverse
+    of ``scale * H`` is ``B_d / scale``, ``b`` is divided by ``scale``.
 
     ``ys`` is ``float(np.dot(y, s))``, computed once by the caller.
     Requires ``y^T s > 0``, which :func:`curvature_guard` establishes
@@ -155,6 +154,8 @@ def compute_base_coefficients(H, s, y, ys, g_prev, alpha, scale=1.0):
     (also by underflow): ``H`` is no longer positive definite.
     """
     Hy = matvec(H, y)
+    if scale != 1.0:
+        Hy *= scale
     yHy = float(np.dot(y, Hy))
     rho = 1.0 / ys
     h = yHy / ys
@@ -314,29 +315,27 @@ def propose_update(variant, H, s, y, g_prev, alpha, rescale=False):
     ``H`` is the matrix that produced the step ``s = alpha * (-H g_prev)``.
     ``rescale`` applies the update to ``gamma * H``, ``gamma = y^T s /
     y^T y`` (Nocedal & Wright, eq. 6.20) from the guard's ``y^T s``, or
-    to ``H`` when ``y^T y`` underflows to 0.  An applied update consumes
-    ``H``: with ``gamma == 1`` the kernel overwrites ``H`` itself and
-    returns it, otherwise the copy ``gamma * H``, leaving ``H`` as it was.  A pair that fails the guard, a lost positive
-    definiteness, a pair so small that ``rho^2 y^T H y`` overflows
-    (where the guard's bound underflows to 0) or a singular ``phi``
-    yields ``skip_reason`` ``"curvature_guard"``, ``"not_spd"``,
-    ``"overflow"`` or ``"singular_phi"`` with ``H`` returned unchanged
-    (a rescale is discarded with the skip); an unusable ``tau`` falls
-    back to 1 with ``tau_fallback=True``.
+    to ``H`` when ``y^T y`` underflows to 0.  An applied update writes
+    H' over ``H``, the rescale included.  A pair that fails the guard, a
+    lost positive definiteness, a pair so small that ``rho^2 y^T H y``
+    overflows (where the guard's bound underflows to 0) or a singular
+    ``phi`` yields ``skip_reason`` ``"curvature_guard"``, ``"not_spd"``,
+    ``"overflow"`` or ``"singular_phi"`` and leaves ``H`` unchanged (a
+    rescale is discarded with the skip); an unusable ``tau`` falls back
+    to 1 with ``tau_fallback=True``.
     """
     ys = float(np.dot(y, s))
     if not curvature_guard(s, y, ys):
-        return UpdateResult(H=H, skip_reason="curvature_guard")
+        return UpdateResult(skip_reason="curvature_guard")
     scale = 1.0
     if rescale:
         yy = float(np.dot(y, y))
         scale = ys / yy if yy > 0.0 else 1.0
-    H_work = H if scale == 1.0 else H * scale
-    coeffs = compute_base_coefficients(H_work, s, y, ys, g_prev, alpha, scale)
+    coeffs = compute_base_coefficients(H, s, y, ys, g_prev, alpha, scale)
     if coeffs is None:
-        return UpdateResult(H=H, skip_reason="not_spd")
+        return UpdateResult(skip_reason="not_spd")
     if not math.isfinite(coeffs.rho * coeffs.rho * coeffs.yHy):
-        return UpdateResult(H=H, skip_reason="overflow", coeffs=coeffs)
+        return UpdateResult(skip_reason="overflow", coeffs=coeffs)
     theta = compute_theta(variant, coeffs)
     tau = compute_tau(variant, theta, coeffs, s.shape[0])
     tau_fallback = tau is None
@@ -344,7 +343,9 @@ def propose_update(variant, H, s, y, g_prev, alpha, rescale=False):
         tau = 1.0
     phi = compute_phi(theta, coeffs.h, coeffs.b)
     if phi is None:
-        return UpdateResult(H=H, theta=theta, tau=tau, skip_reason="singular_phi",
+        return UpdateResult(theta=theta, tau=tau, skip_reason="singular_phi",
                             tau_fallback=tau_fallback, coeffs=coeffs)
-    return UpdateResult(H=apply_update(H_work, s, coeffs, phi, tau), theta=theta,
-                        tau=tau, tau_fallback=tau_fallback, coeffs=coeffs)
+    if scale != 1.0:
+        H *= scale
+    apply_update(H, s, coeffs, phi, tau)
+    return UpdateResult(theta=theta, tau=tau, tau_fallback=tau_fallback, coeffs=coeffs)

@@ -48,12 +48,14 @@ def quasi_newton_instance(rng, n, g_spectrum=(0.5, 2.5)):
 
 
 def propose(variant, inst):
-    """propose_update on a copy of one instance's H (an applied update
-    overwrites its input); the instances never hit a skip."""
-    result = propose_update(variant, inst["H"].copy(), inst["s"], inst["y"],
-                            inst["g_prev"], inst["alpha"])
+    """propose_update on a copy of one instance's H, which the applied
+    update overwrites; returns that copy.  The instances never hit a
+    skip."""
+    H = inst["H"].copy()
+    result = propose_update(variant, H, inst["s"], inst["y"], inst["g_prev"],
+                            inst["alpha"])
     assert result.skip_reason is None
-    return result
+    return H
 
 
 def base_coefficients(inst):

@@ -90,7 +90,7 @@ def test_criterion_01_secant(instance_suite, capfd):
     for inst in instance_suite:
         limit = 1e-10 * max(1.0, float(np.max(np.abs(inst["s"]))))
         for variant in VARIANT_ORDER:
-            H_new = propose(variant, inst).H
+            H_new = propose(variant, inst)
             resid = float(np.max(np.abs(H_new @ inst["y"] - inst["s"])))
             worst = max(worst, resid / limit)
     elapsed = time.perf_counter() - t0
@@ -128,13 +128,13 @@ def test_criterion_03_spd_preservation(instance_suite, capfd):
     worst = np.inf
     for inst in instance_suite:
         for variant in VARIANT_ORDER:
-            H_new = propose(variant, inst).H
+            H_new = propose(variant, inst)
             worst = min(worst, float(np.min(np.linalg.eigvalsh(H_new))))
     # cross-validate the LAPACK eigenvalues with the rotation-based oracle
     cross = 0.0
     for inst in instance_suite[:10]:
         for variant in VARIANT_ORDER:
-            H_new = propose(variant, inst).H
+            H_new = propose(variant, inst)
             gap = np.max(np.abs(jacobi_eigenvalues(H_new)
                                 - np.linalg.eigvalsh(H_new)))
             cross = max(cross, float(gap))

@@ -378,6 +378,20 @@ def test_main_unwritable_summary_exits_one_before_any_solve(tmp_path, capsys,
     assert blocked.is_dir() and not any(blocked.iterdir())
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_main_summary_write_failing_after_open_exits_one(tmp_path, capsys):
+    # summary.csv opens, but its rows cannot be written out: the run
+    # prints the table, then the one write-failure message, not a traceback
+    blocked = tmp_path / "summary.csv"
+    blocked.symlink_to("/dev/full")
+    code = main(["--solver", "bfgs", "--problem", "quadratic", "--out", str(tmp_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[2].split()[:2] == ["bfgs", "converged"]
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {blocked}: ")
+
+
 def test_cli_module_prints_the_summary_rows(tmp_path):
     # the module entry point, end to end: the table printed to stdout
     # carries each solver's summary.csv row

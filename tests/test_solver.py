@@ -18,7 +18,7 @@ from ssbroyden import (
     make_rosenbrock,
     solve,
 )
-from ssbroyden.solver import step
+from ssbroyden.solver import H0_SCALINGS, step
 from ssbroyden.updates import propose_update
 
 from conftest import CountingObjective, LogBarrier, SteepValley
@@ -224,9 +224,8 @@ def test_update_at_tiny_scales_keeps_h_finite(variant):
 
 @pytest.mark.parametrize("variant", VARIANT_ORDER, ids=lambda v: v.value)
 def test_step_updates_h_in_place(variant):
-    # an applied update from an unscaled H overwrites the state's matrix;
-    # a reset or a rescaled first H0 updates a new matrix and leaves the
-    # state's H as it was
+    # every step that moves x writes the next H over the state's matrix:
+    # an update from an unscaled H, a reset and a rescaled first H0 alike
     quad = make_quadratic(10)
     cfg = SolverConfig(variant=variant)
     state = init_state(quad, quad.default_start(), cfg)
@@ -240,25 +239,29 @@ def test_step_updates_h_in_place(variant):
     state.H = -np.eye(10)
     _, new_state, record = step(state, quad, cfg)
     assert record.reset and not record.skipped
-    assert new_state.H is not state.H
-    assert np.array_equal(state.H, -np.eye(10))
+    assert new_state.H is state.H
+    assert not np.array_equal(state.H, -np.eye(10))
 
     cfg = SolverConfig(variant=variant, h0_scaling="scaled_identity")
     state = init_state(quad, quad.default_start(), cfg)
     _, new_state, record = step(state, quad, cfg)
     assert not record.skipped
-    assert new_state.H is not state.H
-    assert np.array_equal(state.H, np.eye(10))
+    assert new_state.H is state.H
+    assert not np.array_equal(state.H, np.eye(10))
 
 
-@pytest.mark.parametrize("variant", ["bfgs", "dfp", "ssbroyden"])
-def test_solve_holds_one_matrix(variant):
-    # one variant per branch of the kernel (phi == 1, phi == 0, general):
-    # five iterations at n = 300 keep one n x n matrix live, plus the
-    # vectors, never a second H nor any update scratch of matrix size
+@pytest.mark.parametrize("variant, h0_scaling", [
+    pytest.param(variant, scaling,
+                 id=variant if scaling == "identity" else f"{variant}-{scaling}")
+    for scaling in H0_SCALINGS for variant in ("bfgs", "dfp", "ssbroyden")])
+def test_solve_holds_one_matrix(variant, h0_scaling):
+    # one variant per branch of the kernel (phi == 1, phi == 0, general),
+    # under either H0: five iterations at n = 300 keep one n x n matrix
+    # live, plus the vectors, never a second H (a rescaled copy of H0
+    # included) nor any update scratch of matrix size
     rosen = make_rosenbrock(300)
     x0 = rosen.default_start()
-    cfg = SolverConfig(variant=variant, max_iters=5)
+    cfg = SolverConfig(variant=variant, max_iters=5, h0_scaling=h0_scaling)
     tracemalloc.start()
     try:
         trace, state, _ = solve(rosen, x0, cfg)
@@ -268,6 +271,24 @@ def test_solve_holds_one_matrix(variant):
     assert trace.status == "max_iters"
     assert not any(r.skipped or r.reset for r in trace.records)
     assert peak < state.H.nbytes + 64 * 1024
+
+
+def test_reset_step_writes_identity_over_h():
+    # a reset writes the identity over the state's matrix instead of
+    # allocating one: the step holds no second n x n matrix
+    quad = make_quadratic(300)
+    cfg = SolverConfig(variant="bfgs")
+    state = init_state(quad, quad.default_start(), cfg)
+    state.H = -np.eye(300)
+    tracemalloc.start()
+    try:
+        _, new_state, record = step(state, quad, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert record.reset and not record.skipped
+    assert new_state.H is state.H
+    assert peak < 64 * 1024
 
 
 # ------------------------------------------------------------- oracles
@@ -307,6 +328,34 @@ def test_scaled_identity_first_step_matches_scipy_auto_scale(problem):
     ref = scipy_bfgs_update(None, new_state.x - state.x, new_state.g - state.g,
                             init_scale="auto")
     assert np.max(np.abs(new_state.H - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("variant", VARIANT_ORDER, ids=lambda v: v.value)
+@pytest.mark.parametrize("problem", [make_quadratic(10), make_rosenbrock(8)],
+                         ids=["quad10", "rosen8"])
+def test_scaled_identity_updates_match_direct_form_oracle(problem, variant):
+    # under scaled_identity the first step and the step after a reset
+    # update gamma I, gamma = y^T s / y^T y from the step's own pair:
+    # both H' match the inverse of the direct (B) form of that update
+    n = problem.dimension
+    cfg = SolverConfig(variant=variant, h0_scaling="scaled_identity")
+    state = init_state(problem, problem.default_start(), cfg)
+    checked = []
+
+    def check(state, d, outcome, new_state, record):
+        assert not record.skipped
+        s, y = new_state.x - state.x, new_state.g - state.g
+        gamma = float(y @ s) / float(y @ y)
+        ref = direct_broyden_update(gamma * np.eye(n), s, y, record.theta, record.tau)
+        checked.append(np.max(np.abs(new_state.H - ref)) <= 1e-12 * np.max(np.abs(ref)))
+
+    _, state, _ = step(state, problem, cfg, observer=check)
+    _, state, record = step(state, problem, cfg)
+    assert not record.reset
+    state.H = -np.eye(n)
+    _, _, record = step(state, problem, cfg, observer=check)
+    assert record.reset
+    assert checked == [True, True]
 
 
 # ------------------------------------------------------------ reset path
@@ -407,9 +456,9 @@ def test_scaled_identity_rescales_identity_after_reset(variant):
     assert record.reset and not record.skipped
     s = record.alpha * -state.g
     y = new_state.g - state.g
-    expected = propose_update(variant, np.eye(10), s, y, state.g, record.alpha,
-                              rescale=True)
-    assert np.array_equal(new_state.H, expected.H)
+    expected = np.eye(10)
+    propose_update(variant, expected, s, y, state.g, record.alpha, rescale=True)
+    assert np.array_equal(new_state.H, expected)
     assert not new_state.h_fresh
 
 
@@ -441,11 +490,12 @@ def test_scaled_identity_first_step_matches_manual_rescale():
     for variant in VARIANT_ORDER:
         state, new_state, record, gamma, s, y = first_scaled_step(variant)
         assert not record.skipped
-        expected = propose_update(variant, np.eye(10), s, y, state.g,
+        expected_H = np.eye(10)
+        expected = propose_update(variant, expected_H, s, y, state.g,
                                   record.alpha, rescale=True)
         # with the hand-computed gamma, y^T (gamma I) y / y^T s = 1
         assert abs(expected.coeffs.h - 1.0) <= 1e-12
-        assert np.max(np.abs(new_state.H - expected.H)) <= 1e-12
+        assert np.max(np.abs(new_state.H - expected_H)) <= 1e-12
         assert (record.theta, record.tau) == (expected.theta, expected.tau)
 
 
