@@ -7,7 +7,6 @@ wall time appears only in the summary.
 """
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -84,13 +83,18 @@ TRACE_SCHEMA = {
 
 def build_problem(args):
     """The problem named by the parsed ``bench`` arguments; a size not
-    given takes the problem's own default."""
+    given takes the problem's own default, a size flag the problem does
+    not take raises ValueError."""
+    flags = {"--n": args.n, "--m": args.m, "--npoints": args.npoints}
     if args.problem == "pinn1d":
-        make, sizes = make_pinn1d, {"m": args.m, "n_interior": args.npoints}
+        make, keys = make_pinn1d, {"--m": "m", "--npoints": "n_interior"}
     else:
         make = make_quadratic if args.problem == "quadratic" else make_rosenbrock
-        sizes = {"n": args.n}
-    return make(**{key: value for key, value in sizes.items() if value is not None})
+        keys = {"--n": "n"}
+    for flag, value in flags.items():
+        if value is not None and flag not in keys:
+            raise ValueError(f"--problem {args.problem} takes no {flag}")
+    return make(**{keys[flag]: value for flag, value in flags.items() if value is not None})
 
 
 def emit_trace(trace, fmt, path, summary=None):
@@ -141,10 +145,12 @@ SUMMARY_COLUMNS = ("solver", "status", "qn_iters", "ls_steps", "f_evals",
 def run_benchmark(args, solvers):
     """Run each named solver on the problem of the parsed ``bench``
     arguments, one pass each: solve, then write its trace, its
-    ``summary.csv`` row and its printed row; returns the exit code.  An
-    unwritable trace prints ``error: cannot write <path>: ...`` and sets
-    exit 1, as does an ``--out`` or ``summary.csv`` that cannot be
-    made, before any solve."""
+    ``summary.csv`` row and its printed row; returns the exit code.  A
+    write that fails prints ``error: cannot write <path>: ...``.  A
+    trace that cannot be written sets exit 1 and the other solvers
+    still run.  A ``summary.csv`` that cannot be made, opened or
+    written, ``--out`` included, returns 1 at once: before any solve
+    and any printed line if it cannot be opened."""
     try:
         problem = build_problem(args)
         configs = [SolverConfig(variant=name, grad_tol=args.tol,
@@ -156,22 +162,15 @@ def run_benchmark(args, solvers):
 
     out_dir = Path(args.out)
     summary_path = out_dir / "summary.csv"
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        summary_file = summary_path.open("w", newline="")
-    except OSError as exc:
-        print(f"error: cannot write {summary_path}: {exc}", file=sys.stderr)
-        return 1
-
-    print(f"problem: {args.problem}  tol: {args.tol:g}  max_iters: {args.max_iters}")
-    print(f"{'solver':<10} {'status':<20} {'iters':>6} {'ls':>6} "
-          f"{'fevals':>7} {'skips':>6} {'taufb':>6} {'final_f':>13} "
-          f"{'gnorm_inf':>13} {'time_s':>9}")
     exit_code = 0
     try:
-        with summary_file:
-            writer = csv.writer(summary_file, lineterminator="\n")
-            writer.writerow(SUMMARY_COLUMNS)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with summary_path.open("w", newline="") as fh:
+            print(f"problem: {args.problem}  tol: {args.tol:g}  max_iters: {args.max_iters}")
+            print(f"{'solver':<10} {'status':<20} {'iters':>6} {'ls':>6} "
+                  f"{'fevals':>7} {'skips':>6} {'taufb':>6} {'final_f':>13} "
+                  f"{'gnorm_inf':>13} {'time_s':>9}")
+            fh.write(",".join(SUMMARY_COLUMNS) + "\n")
             for name, config in zip(solvers, configs):
                 t0 = time.perf_counter()
                 try:
@@ -195,7 +194,7 @@ def run_benchmark(args, solvers):
                 l2_error = problem.l2_error(state.x) if pinn else ""
                 # the wall time is a measurement, not a double to round-trip
                 row = dict(summary, wall_time_s=f"{wall:.6f}", l2_error=l2_error)
-                writer.writerow([_cell(row[column]) for column in SUMMARY_COLUMNS])
+                fh.write(",".join([_cell(row[column]) for column in SUMMARY_COLUMNS]) + "\n")
                 print(f"{name:<10} {row['status']:<20} {row['qn_iters']:>6} "
                       f"{row['ls_steps']:>6} {row['f_evals']:>7} "
                       f"{row['update_skips']:>6} {row['tau_fallbacks']:>6} "

@@ -29,12 +29,12 @@ _LCG_MOD = 1 << 64
 
 
 class QuadraticProblem(ObjectiveFunction):
-    """f(x) = 1/2 * sum_i diag_i * x_i^2 with positive diagonal curvatures."""
+    """f(x) = 1/2 * sum_i diag_i * x_i^2 with positive, finite diagonal curvatures."""
 
     def __init__(self, diag):
         diag = as_vector(diag)
-        if not np.all(diag > 0.0):
-            raise ValueError("all diagonal curvatures must be positive")
+        if not np.all((diag > 0.0) & (diag < np.inf)):
+            raise ValueError("all diagonal curvatures must be positive and finite")
         self.diag = diag
         self.dimension = diag.size
 

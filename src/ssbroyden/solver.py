@@ -75,8 +75,8 @@ class SolverConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "variant", UpdateVariant(self.variant))
-        if not 0.0 < self.grad_tol < np.inf:
-            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol:g}")
+        if isinstance(self.grad_tol, bool) or not 0.0 < self.grad_tol < np.inf:
+            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
         require_integer("max_iters", self.max_iters)
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")

@@ -313,6 +313,21 @@ def test_main_invalid_numeric_flag_exits_two(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("problem, flag, value", [
+    ("pinn1d", "--n", "50"),
+    ("quadratic", "--m", "3"),
+    ("rosenbrock", "--npoints", "7"),
+])
+def test_main_size_flag_the_problem_does_not_take_exits_two(tmp_path, capsys,
+                                                            problem, flag, value):
+    out = tmp_path / "out"
+    code = main(["--solver", "bfgs", "--problem", problem, flag, value,
+                 "--max-iters", "1", "--out", str(out)])
+    assert code == 2
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_solver_error_keeps_message(tmp_path, capsys, monkeypatch):
     real_solve = cli.solve
 

@@ -53,6 +53,8 @@ def test_quadratic_rejects_bad_diagonal():
         QuadraticProblem(np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         QuadraticProblem(np.array([1.0, -2.0]))
+    with pytest.raises(ValueError, match="positive and finite"):
+        QuadraticProblem([1.0, np.inf])
 
 
 def test_make_quadratic_spectrum():

@@ -54,6 +54,7 @@ def test_config_coerces_variant_strings():
     {"variant": "bfgs", "max_iters": True},
     {"variant": "bfgs", "grad_tol": float("inf")},
     {"variant": "bfgs", "grad_tol": float("nan")},
+    {"variant": "bfgs", "grad_tol": True},
 ])
 def test_config_rejects_invalid_values(kwargs):
     with pytest.raises(ValueError):
