@@ -9,6 +9,7 @@ wall time appears only in the summary.
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, fields
@@ -16,11 +17,15 @@ from operator import attrgetter
 from pathlib import Path
 
 from .core import norm_inf
-from .problems import PinnPoisson1D, make_pinn1d, make_quadratic, make_rosenbrock
+from .problems import make_pinn1d, make_quadratic, make_rosenbrock
 from .solver import Counters, IterationRecord, SolverConfig, solve
 from .updates import VARIANT_ORDER
 
-PROBLEM_NAMES = ("quadratic", "rosenbrock", "pinn1d")
+#: The problems ``bench`` runs: each name's factory, and the size flags
+#: it takes mapped to that factory's keywords.
+PROBLEMS = {"quadratic": (make_quadratic, {"--n": "n"}),
+            "rosenbrock": (make_rosenbrock, {"--n": "n"}),
+            "pinn1d": (make_pinn1d, {"--m": "m", "--npoints": "n_interior"})}
 SOLVER_NAMES = tuple(v.value for v in VARIANT_ORDER)
 
 # The JSON type of a record field's or summary value's Python type.
@@ -82,15 +87,13 @@ TRACE_SCHEMA = {
 
 
 def build_problem(args):
-    """The problem named by the parsed ``bench`` arguments; a size not
-    given takes the problem's own default, a size flag the problem does
-    not take raises ValueError."""
+    """The problem named by the parsed ``bench`` arguments, made by its
+    ``PROBLEMS`` factory from the size flags given, each passed as the
+    keyword ``PROBLEMS`` maps it to; a size not given takes the
+    factory's own default, a size flag the problem does not take raises
+    ValueError."""
+    make, keys = PROBLEMS[args.problem]
     flags = {"--n": args.n, "--m": args.m, "--npoints": args.npoints}
-    if args.problem == "pinn1d":
-        make, keys = make_pinn1d, {"--m": "m", "--npoints": "n_interior"}
-    else:
-        make = make_quadratic if args.problem == "quadratic" else make_rosenbrock
-        keys = {"--n": "n"}
     for flag, value in flags.items():
         if value is not None and flag not in keys:
             raise ValueError(f"--problem {args.problem} takes no {flag}")
@@ -150,7 +153,10 @@ def run_benchmark(args, solvers):
     trace that cannot be written sets exit 1 and the other solvers
     still run.  A ``summary.csv`` that cannot be made, opened or
     written, ``--out`` included, returns 1 at once: before any solve
-    and any printed line if it cannot be opened."""
+    and any printed line if it cannot be opened.  Each printed line is
+    flushed; a stdout that cannot be written is reported as ``stdout``
+    and sets exit 1, the rest of the table goes to ``os.devnull`` and
+    every trace and ``summary.csv`` row is still written."""
     try:
         problem = build_problem(args)
         configs = [SolverConfig(variant=name, grad_tol=args.tol,
@@ -163,13 +169,27 @@ def run_benchmark(args, solvers):
     out_dir = Path(args.out)
     summary_path = out_dir / "summary.csv"
     exit_code = 0
+
+    def show(line):
+        nonlocal exit_code
+        try:
+            print(line, flush=True)
+        except OSError as exc:
+            print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+            exit_code = 1
+            # as the Python docs do for a closed pipe: later lines and the
+            # exit-time flush go to os.devnull, not to the failed stream
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         with summary_path.open("w", newline="") as fh:
-            print(f"problem: {args.problem}  tol: {args.tol:g}  max_iters: {args.max_iters}")
-            print(f"{'solver':<10} {'status':<20} {'iters':>6} {'ls':>6} "
-                  f"{'fevals':>7} {'skips':>6} {'taufb':>6} {'final_f':>13} "
-                  f"{'gnorm_inf':>13} {'time_s':>9}")
+            show(f"problem: {args.problem}  tol: {args.tol:g}  max_iters: {args.max_iters}")
+            show(f"{'solver':<10} {'status':<20} {'iters':>6} {'ls':>6} "
+                 f"{'fevals':>7} {'skips':>6} {'taufb':>6} {'final_f':>13} "
+                 f"{'gnorm_inf':>13} {'time_s':>9}")
             fh.write(",".join(SUMMARY_COLUMNS) + "\n")
             for name, config in zip(solvers, configs):
                 t0 = time.perf_counter()
@@ -190,16 +210,16 @@ def run_benchmark(args, solvers):
                     except OSError as exc:
                         print(f"error: cannot write {trace_path}: {exc}", file=sys.stderr)
                         exit_code = 1
-                pinn = trace is not None and isinstance(problem, PinnPoisson1D)
-                l2_error = problem.l2_error(state.x) if pinn else ""
+                reports_l2 = trace is not None and hasattr(problem, "l2_error")
+                l2_error = problem.l2_error(state.x) if reports_l2 else ""
                 # the wall time is a measurement, not a double to round-trip
                 row = dict(summary, wall_time_s=f"{wall:.6f}", l2_error=l2_error)
                 fh.write(",".join([_cell(row[column]) for column in SUMMARY_COLUMNS]) + "\n")
-                print(f"{name:<10} {row['status']:<20} {row['qn_iters']:>6} "
-                      f"{row['ls_steps']:>6} {row['f_evals']:>7} "
-                      f"{row['update_skips']:>6} {row['tau_fallbacks']:>6} "
-                      f"{row['final_f']:>13.4e} {row['final_gnorm_inf']:>13.4e} "
-                      f"{wall:>9.3f}" + (f"  l2_err={l2_error:.3e}" if pinn else ""))
+                show(f"{name:<10} {row['status']:<20} {row['qn_iters']:>6} "
+                     f"{row['ls_steps']:>6} {row['f_evals']:>7} "
+                     f"{row['update_skips']:>6} {row['tau_fallbacks']:>6} "
+                     f"{row['final_f']:>13.4e} {row['final_gnorm_inf']:>13.4e} "
+                     f"{wall:>9.3f}" + (f"  l2_err={l2_error:.3e}" if reports_l2 else ""))
                 if summary["status"] != "converged":
                     exit_code = 1
     except OSError as exc:
@@ -216,7 +236,7 @@ def build_parser():
     parser.add_argument("--solver", required=True,
                         choices=SOLVER_NAMES + ("all",),
                         help="solver variant to run, or 'all' for every variant")
-    parser.add_argument("--problem", required=True, choices=PROBLEM_NAMES)
+    parser.add_argument("--problem", required=True, choices=PROBLEMS)
     parser.add_argument("--n", type=int, default=None,
                         help="problem dimension (quadratic, rosenbrock)")
     parser.add_argument("--m", type=int, help="hidden width of the pinn1d network")

@@ -29,10 +29,15 @@ _LCG_MOD = 1 << 64
 
 
 class QuadraticProblem(ObjectiveFunction):
-    """f(x) = 1/2 * sum_i diag_i * x_i^2 with positive, finite diagonal curvatures."""
+    """f(x) = 1/2 * sum_i diag_i * x_i^2 with positive, finite diagonal curvatures.
+
+    ``diag`` is a copy of the curvatures given, checked once: a later
+    write to the caller's array changes neither the problem nor what
+    was checked.
+    """
 
     def __init__(self, diag):
-        diag = as_vector(diag)
+        diag = as_vector(diag).copy()
         if not np.all((diag > 0.0) & (diag < np.inf)):
             raise ValueError("all diagonal curvatures must be positive and finite")
         self.diag = diag

@@ -75,7 +75,7 @@ class SolverConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "variant", UpdateVariant(self.variant))
-        if isinstance(self.grad_tol, bool) or not 0.0 < self.grad_tol < np.inf:
+        if isinstance(self.grad_tol, (bool, np.bool_)) or not 0.0 < self.grad_tol < np.inf:
             raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
         require_integer("max_iters", self.max_iters)
         if self.max_iters < 1:

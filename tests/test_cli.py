@@ -407,15 +407,20 @@ def test_main_summary_write_failing_after_open_exits_one(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith(f"error: cannot write {blocked}: ")
 
 
+def _module_env():
+    """The environment a ``python -m ssbroyden.cli`` child imports this
+    package under."""
+    src = str(Path(ssbroyden.__file__).resolve().parent.parent)
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
 def test_cli_module_prints_the_summary_rows(tmp_path):
     # the module entry point, end to end: the table printed to stdout
     # carries each solver's summary.csv row
-    src = str(Path(ssbroyden.__file__).resolve().parent.parent)
-    path = filter(None, [src, os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run([sys.executable, "-m", "ssbroyden.cli", "--solver", "all",
                            "--problem", "quadratic", "--out", str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_module_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     printed = [line.split() for line in proc.stdout.splitlines()[2:]]
     lines = (tmp_path / "summary.csv").read_text().strip().split("\n")
@@ -425,6 +430,27 @@ def test_cli_module_prints_the_summary_rows(tmp_path):
         assert cells[:7] == [row[column] for column in (
             "solver", "status", "qn_iters", "ls_steps", "f_evals",
             "update_skips", "tau_fallbacks")]
+
+
+def test_cli_module_closed_stdout_exits_one_and_writes_every_file(tmp_path):
+    # `bench ... | head -1`: the reader goes after the first line; every
+    # trace and summary.csv row is still written, and stdout is blamed.
+    # At n = 200 the six solves take ~0.2 s, so rows follow the close.
+    proc = subprocess.Popen([sys.executable, "-u", "-m", "ssbroyden.cli",
+                             "--solver", "all", "--problem", "quadratic", "--n", "200",
+                             "--out", str(tmp_path)],
+                            env=_module_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline().startswith("problem: quadratic")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1, err
+    assert "summary.csv" not in err
+    assert err.startswith("error: cannot write stdout: ")
+    for name in SOLVER_NAMES:
+        assert (tmp_path / f"quadratic_{name}.csv").is_file()
+    lines = (tmp_path / "summary.csv").read_text().splitlines()
+    assert len(lines) == 1 + len(SOLVER_NAMES)
 
 
 # --------------------------------------------------------- determinism

@@ -64,6 +64,9 @@ def test_interpolate_degenerate_fit_bisects():
     lo = _Trial(0.0, 1.0, -1.0, None)
     hi = _Trial(1.0, 1.0 - 2.0 / 3.0, -1.0, None)
     assert interpolate_trial(lo, hi) == 0.5
+    # d1 = 1 and a zero radicand give a zero denominator
+    hi = _Trial(1.0, 0.0, -1.0, None)
+    assert interpolate_trial(lo, hi) == 0.5
 
 
 def test_interpolate_clamps_vertex_into_band():

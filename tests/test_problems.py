@@ -57,6 +57,15 @@ def test_quadratic_rejects_bad_diagonal():
         QuadraticProblem([1.0, np.inf])
 
 
+def test_quadratic_keeps_a_copy_of_its_diagonal():
+    # a later write to the caller's array cannot undo the curvature check
+    diag = np.array([1.0, 2.0])
+    quad = QuadraticProblem(diag)
+    diag[0] = -5.0
+    assert np.array_equal(quad.diag, [1.0, 2.0])
+    assert quad.value_and_gradient(np.ones(2))[0] == 1.5
+
+
 def test_make_quadratic_spectrum():
     quad = make_quadratic(10)
     assert np.array_equal(quad.diag, np.arange(1.0, 11.0))

@@ -55,6 +55,7 @@ def test_config_coerces_variant_strings():
     {"variant": "bfgs", "grad_tol": float("inf")},
     {"variant": "bfgs", "grad_tol": float("nan")},
     {"variant": "bfgs", "grad_tol": True},
+    {"variant": "bfgs", "grad_tol": np.True_},
 ])
 def test_config_rejects_invalid_values(kwargs):
     with pytest.raises(ValueError):
