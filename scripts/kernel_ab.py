@@ -13,7 +13,7 @@ Before any timing, each worker applies the update once to every case
 and to the special-value grid of the kernel's flag test (signed zeros
 in H and s, H and the vectors scaled by every pair of 1, 1e-310,
 1e-160, 1e160 and 1e300, at n = 2 to 12 and at every ``--sizes``), and
-reports the bytes of each H' and the warnings the call replays under
+reports a SHA-256 of each H' and the warnings the call replays under
 ``np.errstate(all="warn")``; ``checks`` records whether both sides are
 equal on every one and the first that differs.
 
@@ -161,10 +161,9 @@ def compare(checks):
     """Number of checked calls, whether both sides agree on all, and the
     first one they do not."""
     parent, change = (checks[side] for side in SIDES)
-    differ = [key for key in parent.keys() | change.keys()
-              if parent.get(key) != change.get(key)]
-    first = min(differ, key=list(parent).index) if differ else None
-    return {"calls": len(parent), "equal": not differ, "first_difference": first}
+    differ = [key for key in parent if parent[key] != change.get(key)]
+    return {"calls": len(parent), "equal": not differ,
+            "first_difference": differ[0] if differ else None}
 
 
 def main(argv=None):

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import ab
+import kernel_ab
 from ssbroyden.updates import VARIANT_ORDER
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -308,7 +309,6 @@ def canned_kernel_repo(tmp_path):
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="the kernel A/B driver needs git")
 def test_kernel_ab_driver_checks_both_sides_and_writes_bench_file(tmp_path):
-    import kernel_ab
     repo = canned_kernel_repo(tmp_path)
     args = [str(ROOT / "scripts" / "kernel_ab.py"), "--slug", "smoke", "--rounds", "2",
             "--calls", "3", "--sizes", "3", "4", "--repo", str(repo)]
