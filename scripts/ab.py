@@ -75,9 +75,14 @@ def describe(repo, rev):
     return {"rev": rev, "commit": commit, "src_tree": tree or None}
 
 
-def extract(repo, commit, dest):
-    with tarfile.open(fileobj=io.BytesIO(git(repo, "archive", commit))) as tar:
-        tar.extractall(dest, filter="data")
+def extract(repo, commits, tmp):
+    """Each side's tree, its commit extracted under ``tmp``."""
+    trees = {side: Path(tmp) / side for side in SIDES}
+    for side in SIDES:
+        archive = git(repo, "archive", commits[side]["commit"])
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(trees[side], filter="data")
+    return trees
 
 
 def run_perfbench(tree, workload, seed, seconds):
@@ -172,6 +177,54 @@ def summarize(entry, parent, change):
     }
 
 
+# The header of the columns of ``row``.
+COLUMNS = (f"{'parent':>12}{'change':>12}{'ratio':>8}{'IQR p':>11}{'IQR c':>11}{'wins':>7}"
+           f"{'Q1 c/p':>9}{'med c/p':>9}{'Q3 c/p':>9}{'sign p':>9}  gain   worse")
+
+
+def row(m):
+    """The columns of one metric's summary from :func:`summarize`."""
+    ratio = f"{m['ratio']:.3f}" if m["ratio"] is not None else "-"
+    pair = "".join(f"{m[key]:>9.3f}" if m[key] is not None else f"{'-':>9}"
+                   for key in ("pair_ratio_q1", "pair_ratio_median", "pair_ratio_q3"))
+    return (f"{m['parent_median']:>12.6g}{m['change_median']:>12.6g}{ratio:>8}"
+            f"{m['parent_iqr']:>11.4g}{m['change_iqr']:>11.4g}{m['wins']:>4}/{m['pairs']:<2}"
+            f"{pair}{m['sign_p']:>9.3g}  {m['gain']!s:<6} {m['worse']}")
+
+
+def alternate(label, pairs, run):
+    """``run(side)`` for both sides in each of ``pairs`` pairs, back to
+    back, the parent first in odd pairs and the change first in even
+    ones; prints each result as ``<label> pair <i>/<pairs> <side>: <json>``
+    and returns each side's results in pair order."""
+    results = {side: [] for side in SIDES}
+    for pair in range(pairs):
+        for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+            results[side].append(run(side))
+            print(f"{label} pair {pair + 1}/{pairs} {side}: {json.dumps(results[side][-1])}",
+                  flush=True)
+    return results
+
+
+def blas_core():
+    """The CPU core whose kernels the loaded OpenBLAS picked, as numpy's
+    bundled build's ``scipy_openblas_get_corename64_`` names it, or None."""
+    import ctypes
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            corename = ctypes.CDLL(lib).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
 def environment():
     cpu = "unknown"
     try:
@@ -182,7 +235,7 @@ def environment():
         pass
     import numpy
     return {"python": platform.python_version(), "numpy": numpy.__version__,
-            "platform": platform.platform(), "cpu": cpu,
+            "platform": platform.platform(), "cpu": cpu, "blas_core": blas_core(),
             "nproc": len(os.sched_getaffinity(0))}
 
 
@@ -201,12 +254,10 @@ def main(argv=None):
     if args.pairs < 1 or not args.seconds > 0:
         parser.error("--pairs must be at least 1 and --seconds positive")
 
-    commits = {"parent": describe(args.repo, args.parent),
-               "change": describe(args.repo, args.change)}
+    commits = {side: describe(args.repo, rev)
+               for side, rev in zip(SIDES, (args.parent, args.change))}
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
-        trees = {side: Path(tmp) / side for side in SIDES}
-        for side in SIDES:
-            extract(args.repo, commits[side]["commit"], trees[side])
+        trees = extract(args.repo, commits, tmp)
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         known = [w["name"] for w in spec["workloads"]]
         names = args.workloads or known
@@ -215,22 +266,15 @@ def main(argv=None):
             parser.error(f"unknown workloads: {', '.join(unknown)} "
                          f"(the change's BENCHMARK.json has {', '.join(known)})")
         digests = run_digests(trees, tmp)
-        runs = {name: {side: [] for side in SIDES} for name in names}
-        for name in names:
-            for pair in range(args.pairs):
-                order = SIDES if pair % 2 == 0 else SIDES[::-1]
-                for side in order:
-                    result = run_perfbench(trees[side], name, args.seed, args.seconds)
-                    runs[name][side].append(result)
-                    print(f"{name} pair {pair + 1}/{args.pairs} {side}: "
-                          + json.dumps(result["metrics"]), flush=True)
+        runs = {name: alternate(name, args.pairs, lambda side: run_perfbench(
+                    trees[side], name, args.seed, args.seconds)) for name in names}
 
     status = 0
     report = {}
     for name in names:
         by_side = runs[name]
         failed = {side: [r["failed"] for r in by_side[side]] for side in SIDES}
-        if any(failed[side]) or not all(r["correct"] for s in SIDES for r in by_side[s]):
+        if any(r["failed"] or not r["correct"] for s in SIDES for r in by_side[s]):
             status = 1
         metrics = {}
         for entry in spec["end_to_end"]:
@@ -239,19 +283,10 @@ def main(argv=None):
             metrics[entry["name"]] = summarize(entry, values["parent"], values["change"])
         report[name] = {"failed": failed, "metrics": metrics}
 
-    print(f"\n{'workload':<16}{'metric':<15}{'parent':>12}{'change':>12}"
-          f"{'ratio':>8}{'IQR p':>11}{'IQR c':>11}{'wins':>7}"
-          f"{'Q1 c/p':>9}{'med c/p':>9}{'Q3 c/p':>9}{'sign p':>9}  gain   worse")
+    print(f"\n{'workload':<16}{'metric':<15}{COLUMNS}")
     for name, entry in report.items():
         for metric, m in entry["metrics"].items():
-            ratio = f"{m['ratio']:.3f}" if m["ratio"] is not None else "-"
-            pair = "".join(f"{m[key]:>9.3f}" if m[key] is not None else f"{'-':>9}"
-                           for key in ("pair_ratio_q1", "pair_ratio_median",
-                                       "pair_ratio_q3"))
-            print(f"{name:<16}{metric:<15}{m['parent_median']:>12.6g}"
-                  f"{m['change_median']:>12.6g}{ratio:>8}{m['parent_iqr']:>11.4g}"
-                  f"{m['change_iqr']:>11.4g}{m['wins']:>4}/{m['pairs']:<2}"
-                  f"{pair}{m['sign_p']:>9.3g}  {m['gain']!s:<6} {m['worse']}")
+            print(f"{name:<16}{metric:<15}{row(m)}")
 
     out = args.repo / f"BENCH_{args.slug}.json"
     out.write_text(json.dumps({

@@ -13,15 +13,20 @@
 #include <stddef.h>
 #include <string.h>
 
-/* Returns the IEEE flags raised: 1 divide by zero, 2 overflow, 4 underflow, 8 invalid. */
+/* Forms v = s / ys - hy / yhy in the scratch v where phi is neither 0 nor 1,
+ * then writes H' over H.  Returns the IEEE flags raised by both: 1 divide by
+ * zero, 2 overflow, 4 underflow, 8 invalid. */
 #if defined(__x86_64__) && defined(__GLIBC__)
 __attribute__((target_clones("avx2", "default")))
 #endif
-static int update_loop(double *H, ptrdiff_t n, const double *s, const double *hy,
-                       const double *v, double rho, double yhy, double phi, double tau)
+static int update_loop(double *H, ptrdiff_t n, const double *s, const double *hy, double *v,
+                       double ys, double rho, double yhy, double phi, double tau)
 {
     const int bfgs = phi == 1.0, with_v = phi != 0.0 && !bfgs, scaled = tau != 1.0;
     feclearexcept(FE_ALL_EXCEPT);
+    if (with_v)
+        for (ptrdiff_t i = 0; i < n; i++)
+            v[i] = s[i] / ys - hy[i] / yhy;
     const double weight = bfgs ? rho * rho * yhy : with_v ? phi * yhy : 0.0;
     for (ptrdiff_t i = 0; i < n; i++) {
         double *row = H + i * n;
@@ -67,33 +72,29 @@ static int get_block(PyObject *obj, Py_buffer *view, int flags, int ndim, Py_ssi
     return 0;
 }
 
-/* rank_two_update(H, s, Hy, v or None, rho, yHy, phi, tau) -> flags */
+/* rank_two_update(H, s, Hy, ys, rho, yHy, phi, tau) -> flags */
 static PyObject *rank_two_update(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 8) {
         PyErr_Format(PyExc_TypeError, "rank_two_update takes 8 arguments (%zd given)", nargs);
         return NULL;
     }
-    double scalars[4];
-    for (int j = 0; j < 4; j++) {
-        scalars[j] = PyFloat_AsDouble(args[4 + j]);
+    double scalars[5];
+    for (int j = 0; j < 5; j++) {
+        scalars[j] = PyFloat_AsDouble(args[3 + j]);
         if (scalars[j] == -1.0 && PyErr_Occurred())
             return NULL;
     }
-    const double phi = scalars[2];
-    Py_buffer h, vec[3] = {{0}};
+    Py_buffer h, vec[2];
     Py_ssize_t n = -1;
     int held = 0;
-    /* s fixes n; v is needed only where phi is neither 0 nor 1. */
-    for (; held < 3; held++) {
-        PyObject *obj = args[1 + held];
-        if (held == 2 && obj == Py_None && (phi == 0.0 || phi == 1.0))
-            break;
-        if (get_block(obj, &vec[held], PyBUF_SIMPLE, 1, &n) < 0) {
+    /* s fixes n. */
+    for (; held < 2; held++) {
+        if (get_block(args[1 + held], &vec[held], PyBUF_SIMPLE, 1, &n) < 0) {
             while (held > 0)
                 PyBuffer_Release(&vec[--held]);
             PyErr_SetString(PyExc_ValueError,
-                            "apply_update needs C-contiguous float64 s, Hy and v of one length n");
+                            "apply_update needs C-contiguous float64 s and Hy of one length n");
             return NULL;
         }
     }
@@ -104,21 +105,25 @@ static PyObject *rank_two_update(PyObject *module, PyObject *const *args, Py_ssi
                         "apply_update needs a C-contiguous, writeable float64 (n, n) H");
         return NULL;
     }
-    int raised;
-    Py_BEGIN_ALLOW_THREADS
-    raised = update_loop(h.buf, n, vec[0].buf, vec[1].buf, held == 3 ? vec[2].buf : NULL,
-                         scalars[0], scalars[1], phi, scalars[3]);
-    Py_END_ALLOW_THREADS
+    double *v = PyMem_Malloc(n * sizeof(double));
+    int raised = -1;
+    if (v != NULL) {
+        Py_BEGIN_ALLOW_THREADS
+        raised = update_loop(h.buf, n, vec[0].buf, vec[1].buf, v, scalars[0], scalars[1],
+                             scalars[2], scalars[3], scalars[4]);
+        Py_END_ALLOW_THREADS
+        PyMem_Free(v);
+    }
     PyBuffer_Release(&h);
     while (held > 0)
         PyBuffer_Release(&vec[--held]);
-    return PyLong_FromLong(raised);
+    return raised < 0 ? PyErr_NoMemory() : PyLong_FromLong(raised);
 }
 
 static PyMethodDef methods[] = {
     {"rank_two_update", (PyCFunction)(void (*)(void))rank_two_update, METH_FASTCALL,
-     "rank_two_update(H, s, Hy, v, rho, yHy, phi, tau) -> IEEE flags raised\n\n"
-     "Writes H' over H; v may be None where phi is 0 or 1."},
+     "rank_two_update(H, s, Hy, ys, rho, yHy, phi, tau) -> IEEE flags raised\n\n"
+     "Writes H' over H."},
     {NULL, NULL, 0, NULL},
 };
 

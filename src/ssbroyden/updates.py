@@ -304,18 +304,17 @@ def apply_update(H, s, coeffs, phi, tau):
     Hy]^T`` is algebraically equal but rounds differently, and moves five
     of the six 8-D Rosenbrock golden iteration counts.  Every term is
     symmetric in i and k, so the result is exactly symmetric.  The loop
-    returns the IEEE flags it raised, and one numpy operation raising the
-    same flags replays them under the caller's ``np.errstate``, after
-    ``H`` is fully written.
+    forms ``v`` itself and returns the IEEE flags it raised, which one
+    numpy operation replays under the caller's ``np.errstate`` after ``H``
+    is fully written, for every ``phi``.
 
-    The loop is the extension entry ``rank_two_update``, which takes the
-    arrays through the buffer protocol and checks them there: a call
+    The loop is the extension entry ``rank_two_update``, which takes H, s
+    and Hy through the buffer protocol and checks them there: a call
     costs ~1-2 us at n = 25, where a call through ``ctypes`` took ~15 us.
     Its AVX2 copy, which the dynamic loader picks on an x86-64 CPU with
     AVX2 under glibc, and its baseline copy give the same bits.
     """
-    v = None if phi in (0.0, 1.0) else s / coeffs.ys - coeffs.Hy / coeffs.yHy
-    raised = _rank_two_update(H, s, coeffs.Hy, v, coeffs.rho, coeffs.yHy, phi, tau)
+    raised = _rank_two_update(H, s, coeffs.Hy, coeffs.ys, coeffs.rho, coeffs.yHy, phi, tau)
     if raised:
         np.divide(*_FLAG_OPERANDS[:, [bool(raised & 1 << bit) for bit in range(4)]])
     return H

@@ -152,6 +152,12 @@ CANNED_SPEC = {
 }
 
 
+def git(repo, *args):
+    return subprocess.run(["git", "-C", str(repo), "-c", "user.name=ab",
+                           "-c", "user.email=ab@example.org", *args],
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
 def canned_repo(tmp_path, digest_script):
     """A two-commit repository whose canned benchmark reads iter_us 100 at
     the parent and 80 at the change, and whose ``src/cells.py`` digests
@@ -163,13 +169,8 @@ def canned_repo(tmp_path, digest_script):
     (repo / "perfbench" / "run.py").write_text(CANNED_RUN)
     (repo / "BENCHMARK.json").write_text(json.dumps(CANNED_SPEC))
 
-    def git(*args):
-        return subprocess.run(["git", "-C", str(repo), "-c", "user.name=ab",
-                               "-c", "user.email=ab@example.org", *args],
-                              check=True, capture_output=True, text=True).stdout.strip()
-
     (repo / "src").mkdir()
-    git("init", "-q")
+    git(repo, "init", "-q")
     commits = []
     for value, digests, new in (("100", "bb", ""), ("80", "cc", "NEW = True\n")):
         (repo / "perfbench" / "iter_us.txt").write_text(value)
@@ -178,9 +179,9 @@ def canned_repo(tmp_path, digest_script):
         if value == "80":
             (repo / "scripts").mkdir()
             (repo / "scripts" / "digest.py").write_text(digest_script)
-        git("add", "-A")
-        git("commit", "-q", "-m", f"iter_us {value}")
-        commits.append(git("rev-parse", "HEAD"))
+        git(repo, "add", "-A")
+        git(repo, "commit", "-q", "-m", f"iter_us {value}")
+        commits.append(git(repo, "rev-parse", "HEAD"))
     return repo, commits
 
 
@@ -278,8 +279,11 @@ def test_ab_driver_rejects_an_unknown_workload_before_any_run(tmp_path):
     assert not (repo / "BENCH_smoke.json").exists()
 
 
-CANNED_UPDATES = """from collections import namedtuple
+CANNED_UPDATES = """import os
+from collections import namedtuple
 import numpy as np
+with open(PIDS, "a") as fh:
+    fh.write(f"{os.getpid()}\\n")
 UpdateCoefficients = namedtuple("UpdateCoefficients", "ys rho h b a c Hy yHy")
 def apply_update(H, s, coeffs, phi, tau):
     H += np.outer(s, s) * coeffs.rho
@@ -288,37 +292,39 @@ def apply_update(H, s, coeffs, phi, tau):
 
 def canned_kernel_repo(tmp_path):
     """A two-commit repository whose ``ssbroyden.updates`` adds rho s s^T
-    to H, and at the change also 1 to every element where phi is 0.4."""
+    to H, and at the change also 1 to every element where phi is 0.4.
+    Each import of it appends its process id to ``tmp_path / "pids"``."""
     repo = tmp_path / "repo"
     package = repo / "src" / "ssbroyden"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
-
-    def git(*args):
-        subprocess.run(["git", "-C", str(repo), "-c", "user.name=ab",
-                        "-c", "user.email=ab@example.org", *args],
-                       check=True, capture_output=True)
-
-    git("init", "-q")
+    git(repo, "init", "-q")
     for extra in ("", "    H += 1.0 if phi == 0.4 else 0.0\n"):
-        (package / "updates.py").write_text(CANNED_UPDATES + extra)
-        git("add", "-A")
-        git("commit", "-q", "-m", "updates")
+        (package / "updates.py").write_text(
+            f"PIDS = {str(tmp_path / 'pids')!r}\n" + CANNED_UPDATES + extra)
+        git(repo, "add", "-A")
+        git(repo, "commit", "-q", "-m", "updates")
     return repo
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="the kernel A/B driver needs git")
 def test_kernel_ab_driver_checks_both_sides_and_writes_bench_file(tmp_path):
     repo = canned_kernel_repo(tmp_path)
-    args = [str(ROOT / "scripts" / "kernel_ab.py"), "--slug", "smoke", "--rounds", "2",
+    args = [str(ROOT / "scripts" / "kernel_ab.py"), "--slug", "smoke", "--pairs", "2",
             "--calls", "3", "--sizes", "3", "4", "--repo", str(repo)]
     proc = run([*args[:1], "HEAD~1", "HEAD", *args[1:]], tmp_path)
     assert proc.returncode == 1, proc.stderr  # the phi = 0.4 calls differ
-    assert [line for line in proc.stdout.splitlines() if line.startswith("round")] == [
-        "round 1/2: parent then change", "round 2/2: change then parent"]
+    assert [line.split(":")[0] for line in proc.stdout.splitlines() if " pair " in line] == [
+        "kernel pair 1/2 parent", "kernel pair 1/2 change", "kernel pair 2/2 change",
+        "kernel pair 2/2 parent"]
+    # every run is a fresh interpreter: one check run per side, then one
+    # timed run per side and pair
+    pids = (tmp_path / "pids").read_text().split()
+    assert len(pids) == len(set(pids)) == 2 + 2 * 2
     bench = json.loads((repo / "BENCH_kernel_smoke.json").read_text())
     assert [bench["commits"][side]["rev"] for side in ("parent", "change")] == [
         "HEAD~1", "HEAD"]
+    assert isinstance(bench["environment"]["blas_core"], (str, type(None)))
     # every case at n = 2 to 12, 3 and 4, on its base instance and on the
     # 25 points of the special-value grid
     assert bench["checks"] == {"calls": 11 * 26 * 6, "equal": False,
@@ -335,3 +341,4 @@ def test_kernel_ab_driver_checks_both_sides_and_writes_bench_file(tmp_path):
     assert proc.returncode == 0, proc.stderr
     bench = json.loads((repo / "BENCH_kernel_smoke.json").read_text())
     assert bench["checks"] == {"calls": 11 * 26 * 6, "equal": True, "first_difference": None}
+

@@ -29,6 +29,7 @@ from ssbroyden.updates import (
     propose_update,
 )
 
+import kernel_ab
 from conftest import (base_coefficients, expression_update, family_update, propose,
                       quasi_newton_instance)
 from oracles import (direct_broyden_update, gaussian_solve, jacobi_eigenvalues,
@@ -409,23 +410,10 @@ def test_update_is_exactly_symmetric(variant, instance_suite, interior_theta_sui
 
 
 def special_value_cases(inst):
-    """``(H, s, coeffs)`` from one instance with -0 and +0 entries in H
-    and s, H and the vectors scaled by every pair of 1, subnormal, tiny
-    and huge factors; the scalars of ``coeffs`` follow from the scaled
-    arrays and may be 0, subnormal or infinite."""
-    H0, s0 = inst["H"].copy(), inst["s"].copy()
-    H0[0, 1:] = H0[1:, 0] = -0.0
-    H0[0, 0] = 0.0
-    s0[:2] = (-0.0, 0.0)
-    for h_scale, v_scale in itertools.product((1.0, 1e-310, 1e-160, 1e160, 1e300),
-                                              repeat=2):
-        H, s, y = H0 * h_scale, s0 * v_scale, inst["y"] * v_scale
-        with np.errstate(all="ignore"):
-            Hy = H @ y
-            ys, yHy = np.dot(y, s), np.dot(y, Hy)
-            rho = 1.0 / ys
-        yield H, s, UpdateCoefficients(ys=float(ys), rho=float(rho), h=0.0, b=0.0,
-                                       a=0.0, c=0.0, Hy=Hy, yHy=float(yHy))
+    """``(H, s, coeffs)`` over ``kernel_ab``'s special-value grid of one
+    instance; the scalars of ``coeffs`` may be 0, subnormal or infinite."""
+    for _, H, s, y in kernel_ab.special_values(inst["H"], inst["s"], inst["y"]):
+        yield H, s, kernel_ab.coefficients(updates, H, s, y)
 
 
 @pytest.mark.parametrize("tau", [1.0, 0.7])
@@ -520,8 +508,8 @@ def test_permuting_rows_and_columns_permutes_the_update_bitwise(n):
 @pytest.mark.parametrize("phi", [1.0, 0.0, 0.4])
 def test_kernel_holds_no_matrix_sized_scratch(phi, sized_suite):
     # One call at n = 300 (a 703 KiB matrix) writes the result over its
-    # input and allocates nothing beyond a few 2.4 KiB vectors (v and
-    # its two terms) and the small objects of the foreign call.
+    # input and allocates nothing beyond the kernel's 2.4 KiB v scratch
+    # and the small objects of the call.
     inst = sized_suite[3]  # n = 300
     H, s = inst["H"].copy(), inst["s"]
     n = inst["n"]
@@ -560,28 +548,32 @@ def test_kernel_leaves_numpy_state_as_found(n, sized_suite):
 
 def test_kernel_replays_its_flags_after_writing_h(instance_suite):
     # The loop's IEEE flags reach np.errstate as numpy's own would: a
-    # raised error comes after H is fully written, a flag set to warn
-    # warns, and an ignored one is silent.
+    # raised error comes after H is fully written, also where v divides
+    # by zero, a flag set to warn warns once, and an ignored one is silent.
     inst = instance_suite[5]
     H, s = inst["H"], inst["s"]
     coeffs = dataclasses.replace(base_coefficients(inst), yHy=0.0)
-    with np.errstate(all="ignore"):
-        ref = expression_update(H, s, coeffs, 0.0, 1.0)
-    assert np.isinf(ref).any()
-    work = H.copy()
-    with np.errstate(divide="raise"), pytest.raises(FloatingPointError, match="divide"):
-        apply_update(work, s, coeffs, 0.0, 1.0)
-    nan = np.isnan(ref)
-    assert np.array_equal(np.isnan(work), nan)
-    assert work[~nan].tobytes() == ref[~nan].tobytes()
-    with np.errstate(all="warn"), pytest.warns(RuntimeWarning, match="divide by zero"):
-        apply_update(H.copy(), s, coeffs, 0.0, 1.0)
-    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-        apply_update(H.copy(), s * 1e200, dataclasses.replace(coeffs, yHy=1.0), 0.0, 1.0)
+    for phi in (0.0, 0.4):
+        with np.errstate(all="ignore"):
+            ref = expression_update(H, s, coeffs, phi, 1.0)
+        assert not np.isfinite(ref).any()
+        work = H.copy()
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError, match="divide"):
+            apply_update(work, s, coeffs, phi, 1.0)
+        nan = np.isnan(ref)
+        assert np.array_equal(np.isnan(work), nan), phi
+        assert work[~nan].tobytes() == ref[~nan].tobytes(), phi
+        with np.errstate(all="warn"), pytest.warns(RuntimeWarning) as caught:
+            apply_update(H.copy(), s, coeffs, phi, 1.0)
+        assert ["divide by zero" in str(w.message) for w in caught].count(True) == 1, phi
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            apply_update(H.copy(), s * 1e200, dataclasses.replace(coeffs, yHy=1.0), phi, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                apply_update(H.copy(), s, coeffs, phi, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with np.errstate(all="ignore"):
-            apply_update(H.copy(), s, coeffs, 0.0, 1.0)
         apply_update(H.copy(), s, base_coefficients(inst), 0.4, 0.7)
 
 
@@ -621,27 +613,26 @@ UNREADABLE_VECTOR = {
 
 
 @pytest.mark.parametrize("kind", UNREADABLE_VECTOR)
-@pytest.mark.parametrize("name", ["s", "Hy", "v"])
+@pytest.mark.parametrize("name", ["s", "Hy"])
 def test_kernel_rejects_vectors_it_cannot_read(name, kind, instance_suite):
-    # s, Hy and v must be contiguous float64 vectors of one length n (v
-    # may be None only where phi is 0 or 1); anything else is refused by
-    # the extension entry before H is written, also through apply_update.
+    # s and Hy must be contiguous float64 vectors of one length n;
+    # anything else is refused by the extension entry before H is
+    # written, also through apply_update.
     inst = instance_suite[5]
     H = inst["H"].copy()
     before = H.tobytes()
     coeffs = base_coefficients(inst)
-    vectors = {"s": inst["s"], "Hy": coeffs.Hy,
-               "v": inst["s"] / coeffs.ys - coeffs.Hy / coeffs.yHy}
+    vectors = {"s": inst["s"], "Hy": coeffs.Hy}
     vectors[name] = UNREADABLE_VECTOR[kind](vectors[name])
-    message = "needs C-contiguous float64 s, Hy and v of one length n"
+    message = "needs C-contiguous float64 s and Hy of one length n"
     with pytest.raises(ValueError, match=message):
-        updates._rank_two_update(H, *vectors.values(), coeffs.rho, coeffs.yHy, 0.4, 0.7)
+        updates._rank_two_update(H, *vectors.values(), coeffs.ys, coeffs.rho, coeffs.yHy,
+                                 0.4, 0.7)
     assert H.tobytes() == before
-    if name != "v":
-        bad = dataclasses.replace(coeffs, Hy=vectors["Hy"])
-        with pytest.raises(ValueError, match=message):
-            apply_update(H, vectors["s"], bad, 0.0, 0.7)
-        assert H.tobytes() == before
+    bad = dataclasses.replace(coeffs, Hy=vectors["Hy"])
+    with pytest.raises(ValueError, match=message):
+        apply_update(H, vectors["s"], bad, 0.0, 0.7)
+    assert H.tobytes() == before
 
 
 def test_default_clone_is_the_same_loop(tmp_path, instance_suite, sized_suite):
@@ -659,9 +650,7 @@ def test_default_clone_is_the_same_loop(tmp_path, instance_suite, sized_suite):
     for inst in instance_suite[1:12] + sized_suite[4:5]:
         cases += special_value_cases(inst)
     for (H, s, coeffs), phi, tau in itertools.product(cases, (1.0, 0.0, 0.4), (1.0, 0.7)):
-        with np.errstate(all="ignore"):
-            v = s / coeffs.ys - coeffs.Hy / coeffs.yHy
-        args = (s, coeffs.Hy, v, coeffs.rho, coeffs.yHy, phi, tau)
+        args = (s, coeffs.Hy, coeffs.ys, coeffs.rho, coeffs.yHy, phi, tau)
         package, default = H.copy(), H.copy()
         assert updates._rank_two_update(package, *args) == baseline(default, *args)
         assert default.tobytes() == package.tobytes()
