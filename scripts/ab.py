@@ -26,11 +26,12 @@ the wins (ties dropped), the chance of at least as many wins if either
 side were as likely to win a pair.
 
 Before the pairs, the change's ``scripts/digest.py`` digests the
-trajectories of both sides' ``src`` and compares them with
-``--compare``; ``digests`` records, for each kind of hash the script
-reports (``run``: the trajectory, ``bytes``: the emitted traces),
-whether every cell is equal and the first cell that differs, plus the
-number of cells (None when the change has no digest script).  A side
+trajectories of both sides' ``src``, one run per side, and
+``digest.verdict``, which also forms ``--compare``'s lines, compares
+them; ``digests`` records, for each kind of hash (``run``: the
+trajectory, ``bytes``: the emitted traces), whether every cell is equal
+and the first cell that differs, plus the number of cells (None when
+the change has no digest script).  A side
 the script cannot run (say, it calls a function new in the change)
 leaves ``digests`` as that side's name under ``failed``, its exit code
 and the last line of its stderr, and the pairs run as before.
@@ -56,6 +57,8 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+
+import digest
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
@@ -99,13 +102,13 @@ def run_perfbench(tree, workload, seed, seconds):
     return json.loads(lines[-1])
 
 
-def run_digests(trees, tmp):
-    """The change's digest script run on both sides' ``src``, compared;
-    the first side it fails on, when there is one."""
+def run_digests(trees):
+    """The change's digest script run on both sides' ``src``, compared
+    by :func:`digest.verdict`; the first side it fails on, when there is one."""
     script = trees["change"] / "scripts" / "digest.py"
     if not script.exists():
         return None
-    files = {}
+    outputs = {}
     for side in SIDES:
         path = os.pathsep.join(filter(None, [str(trees[side] / "src"),
                                              os.environ.get("PYTHONPATH")]))
@@ -118,22 +121,13 @@ def run_digests(trees, tmp):
                       "stderr": stderr[-1] if stderr else ""}
             print(f"digests: {side} exited {done.returncode}: {failed['stderr']}", flush=True)
             return failed
-        files[side] = Path(tmp) / f"digests_{side}.txt"
-        files[side].write_text(done.stdout)
-    done = subprocess.run([sys.executable, str(script), "--compare",
-                           str(files["parent"]), str(files["change"])],
-                          capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
-    if done.returncode not in (0, 1):
-        raise RuntimeError(f"digest comparison exited {done.returncode}:\n"
-                           f"{done.stderr[-2000:]}")
+        outputs[side] = digest.read_digests(done.stdout.splitlines())
     digests = {}
-    for line in done.stdout.splitlines():
+    for kind in digest.KINDS:
+        line, differ = digest.verdict(kind, outputs["parent"][kind], outputs["change"][kind])
         print(f"digests: {line}", flush=True)
-        kind, verdict = line.split(": ", 1)
-        equal = verdict.endswith(" cells identical")
-        digests[kind] = {"equal": equal,
-                         "first_difference": None if equal else verdict.split()[2]}
-    digests["cells"] = len(files["change"].read_text().splitlines())
+        digests[kind] = {"equal": not differ, "first_difference": differ[0] if differ else None}
+    digests["cells"] = len(outputs["change"]["run"])
     return digests
 
 
@@ -265,7 +259,7 @@ def main(argv=None):
         if unknown:
             parser.error(f"unknown workloads: {', '.join(unknown)} "
                          f"(the change's BENCHMARK.json has {', '.join(known)})")
-        digests = run_digests(trees, tmp)
+        digests = run_digests(trees)
         runs = {name: alternate(name, args.pairs, lambda side: run_perfbench(
                     trees[side], name, args.seed, args.seconds)) for name in names}
 

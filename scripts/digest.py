@@ -12,8 +12,8 @@ same trajectory to the last bit; the same ``bytes`` hash says they
 also report it in the same bytes, so a deliberate change of the trace
 format moves only the ``bytes`` hashes.  The cells
 are quad10, rosen2, rosen8 and pinn1d (m=8, N=32) x the six variants x
-{identity, scaled_identity}, Rosenbrock n=500 with bfgs, ssbfgs and
-ssbroyden, Rosenbrock n=100 with ssbroyden, two runs with c2=0.4,
+{identity, scaled_identity}, Rosenbrock n=500 with bfgs, ssbfgs, broyden
+and ssbroyden, Rosenbrock n=100 with ssbroyden, two runs with c2=0.4,
 pinn1d (m=4, N=16) with ssdfp for at most 200 iterations, whose run
 skips updates at the curvature guard and ends ``stalled`` when its
 accepted step no longer moves x, pinn1d (m=64, N=512)
@@ -35,16 +35,17 @@ whose f and then g^T g underflow, so the slope of the reset direction
 ssdfp under scaled_identity to grad_tol=1e-300 for at most 120
 iterations, whose step k = 89 resets H and then skips its update at
 the curvature guard, the one cell that writes ``reset = 1``, and which
-ends ``line_search_failure``: 73 cells.  The
+ends ``line_search_failure``: 74 cells.  The
 variants and scalings are the library's own ``VARIANT_ORDER`` and
 ``solver.H0_SCALINGS``.  The log barrier, the coupled quadratic and the
 steep valley are defined here, so that the script runs them on any
 source tree it is pointed at.
 
-Among the large cells, rosen500/ssbfgs is the one run that takes the
-update kernel's phi == 1 branch with tau != 1, and the m=64 cells
-(n=193) run the network workspace at its benchmark size with phi in
-{0, 1, general}.
+The n=500 cells take all six paths of the update kernel: bfgs phi == 1
+with tau == 1, ssbfgs also phi == 1 with tau != 1, broyden phi == 0 and
+general phi with tau == 1, and ssbroyden both with tau != 1.  The m=64
+cells (n=193) run the network workspace at its benchmark size with phi
+in {0, 1, general}.
 
 The bits depend on the numpy/BLAS build, so compare digests of two
 source trees made on one machine; do not keep them as golden values.
@@ -55,11 +56,12 @@ source trees made on one machine; do not keep them as golden values.
 
 Each output line is ``<cell> <run hash> <bytes hash>``.  ``--cells``
 restricts a run to the named cells.  ``--compare`` prints one line per
-hash, ``run: 73 cells identical`` or ``run: first difference: <cell>
+hash, ``run: 74 cells identical`` or ``run: first difference: <cell>
 (<a> vs <b>); <k> of <N> cells differ`` (N counts the cells of both
 files, a cell missing from one of them differs) and the same for
 ``bytes``; it exits 0 when both files list the same cells with the
-same hashes of both kinds, else 1.
+same hashes of both kinds, else 1.  ``ab.py`` and ``kernel_ab.py`` call
+:func:`verdict`, which forms these lines, for their own checks.
 """
 
 import argparse
@@ -148,7 +150,7 @@ def cell_specs():
              for variant in variants for scaling in H0_SCALINGS]
     specs += [(f"rosen500/{variant}/identity",
                lambda: ssbroyden.make_rosenbrock(500), {"variant": variant})
-              for variant in ("bfgs", "ssbfgs", "ssbroyden")]
+              for variant in ("bfgs", "ssbfgs", "broyden", "ssbroyden")]
     specs += [("rosen100/ssbroyden/identity",
                lambda: ssbroyden.make_rosenbrock(100), {"variant": "ssbroyden"}),
               ("rosen2/bfgs/c2=0.4", problems["rosen2"],
@@ -207,34 +209,27 @@ def run_digest(name, make, kwargs, out_dir):
     return run.hexdigest(), emitted.hexdigest()
 
 
-def read_digests(path):
-    """``{kind: {cell: hash}}`` of a digest file."""
+def read_digests(lines):
+    """``{kind: {cell: hash}}`` of the lines of a digest run."""
     digests = {kind: {} for kind in KINDS}
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                name, *hashes = line.split()
-                for kind, value in zip(KINDS, hashes):
-                    digests[kind][name] = value
+    for line in lines:
+        if line.strip():
+            name, *hashes = line.split()
+            for kind, value in zip(KINDS, hashes):
+                digests[kind][name] = value
     return digests
 
 
-def compare(path_a, path_b):
-    a, b = read_digests(path_a), read_digests(path_b)
-    status = 0
-    for kind in KINDS:
-        ka, kb = a[kind], b[kind]
-        names = list(ka) + [n for n in kb if n not in ka]
-        differ = [name for name in names if ka.get(name) != kb.get(name)]
-        if differ:
-            name = differ[0]
-            print(f"{kind}: first difference: {name} "
-                  f"({ka.get(name, 'missing')} vs {kb.get(name, 'missing')}); "
-                  f"{len(differ)} of {len(names)} cells differ")
-            status = 1
-        else:
-            print(f"{kind}: {len(ka)} cells identical")
-    return status
+def verdict(kind, a, b):
+    """``--compare``'s line for one kind of hash of two runs' ``{cell: hash}``,
+    and the cells that differ: those of ``a``, then those only ``b`` has."""
+    names = list(a) + [name for name in b if name not in a]
+    differ = [name for name in names if a.get(name) != b.get(name)]
+    if not differ:
+        return f"{kind}: {len(a)} cells identical", differ
+    name = differ[0]
+    return (f"{kind}: first difference: {name} ({a.get(name, 'missing')} vs "
+            f"{b.get(name, 'missing')}); {len(differ)} of {len(names)} cells differ"), differ
 
 
 def main(argv=None):
@@ -245,7 +240,10 @@ def main(argv=None):
                         help="compare two digest files")
     args = parser.parse_args(argv)
     if args.compare:
-        return compare(*args.compare)
+        a, b = (read_digests(Path(path).read_text().splitlines()) for path in args.compare)
+        verdicts = [verdict(kind, a[kind], b[kind]) for kind in KINDS]
+        print(*(line for line, _ in verdicts), sep="\n")
+        return int(any(differ for _, differ in verdicts))
     specs = cell_specs()
     if args.cells:
         known = {name for name, _, _ in specs}

@@ -17,7 +17,7 @@ grid of the kernel's flag test (see ``special_values``) at n = 2 to 12
 and at every ``--sizes``, and reports a SHA-256 of each H' and the
 warnings the call replays under ``np.errstate(all="warn")``; ``checks``
 records whether both sides are equal on every one and the first that
-differs.
+differs, as ``digest.verdict`` finds them.
 
 A case is one of the six (phi, tau) paths of the kernel, (1, 0, 0.4) x
 (1, 0.7), at one n of ``--sizes``.  In a pair each side's worker times
@@ -49,6 +49,7 @@ import numpy as np
 
 from ab import (COLUMNS, ROOT, RUN_TIMEOUT_S, SIDES, alternate, describe, environment,
                 extract, row, summarize)
+from digest import verdict
 
 HERE = Path(__file__).resolve().parent
 CASES = tuple(itertools.product((1.0, 0.0, 0.4), (1.0, 0.7)))  # (phi, tau)
@@ -162,9 +163,8 @@ def run_worker(tree, cpu, sizes, calls=None):
 def compare(checks):
     """Number of checked calls, whether both sides agree on all, and the
     first one they do not."""
-    parent, change = (checks[side] for side in SIDES)
-    differ = [key for key in parent if parent[key] != change.get(key)]
-    return {"calls": len(parent), "equal": not differ,
+    _, differ = verdict("checks", *(checks[side] for side in SIDES))
+    return {"calls": len(checks["parent"]), "equal": not differ,
             "first_difference": differ[0] if differ else None}
 
 

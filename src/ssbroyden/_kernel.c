@@ -85,39 +85,34 @@ static PyObject *rank_two_update(PyObject *module, PyObject *const *args, Py_ssi
         if (scalars[j] == -1.0 && PyErr_Occurred())
             return NULL;
     }
-    Py_buffer h, vec[2];
+    /* s fixes n.  The views start zeroed: a refused PyObject_GetBuffer leaves
+     * obj NULL, and releasing such a view does nothing, so all paths share one exit. */
+    Py_buffer h = {0}, s = {0}, hy = {0};
     Py_ssize_t n = -1;
-    int held = 0;
-    /* s fixes n. */
-    for (; held < 2; held++) {
-        if (get_block(args[1 + held], &vec[held], PyBUF_SIMPLE, 1, &n) < 0) {
-            while (held > 0)
-                PyBuffer_Release(&vec[--held]);
-            PyErr_SetString(PyExc_ValueError,
-                            "apply_update needs C-contiguous float64 s and Hy of one length n");
-            return NULL;
-        }
-    }
-    if (get_block(args[0], &h, PyBUF_WRITABLE, 2, &n) < 0) {
-        while (held > 0)
-            PyBuffer_Release(&vec[--held]);
+    PyObject *result = NULL;
+    if (get_block(args[1], &s, PyBUF_SIMPLE, 1, &n) < 0
+        || get_block(args[2], &hy, PyBUF_SIMPLE, 1, &n) < 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "apply_update needs C-contiguous float64 s and Hy of one length n");
+    } else if (get_block(args[0], &h, PyBUF_WRITABLE, 2, &n) < 0) {
         PyErr_SetString(PyExc_ValueError,
                         "apply_update needs a C-contiguous, writeable float64 (n, n) H");
-        return NULL;
-    }
-    double *v = PyMem_Malloc(n * sizeof(double));
-    int raised = -1;
-    if (v != NULL) {
-        Py_BEGIN_ALLOW_THREADS
-        raised = update_loop(h.buf, n, vec[0].buf, vec[1].buf, v, scalars[0], scalars[1],
-                             scalars[2], scalars[3], scalars[4]);
-        Py_END_ALLOW_THREADS
-        PyMem_Free(v);
+    } else {
+        double *v = PyMem_Malloc(n * sizeof(double));
+        int raised = -1;
+        if (v != NULL) {
+            Py_BEGIN_ALLOW_THREADS
+            raised = update_loop(h.buf, n, s.buf, hy.buf, v, scalars[0], scalars[1],
+                                 scalars[2], scalars[3], scalars[4]);
+            Py_END_ALLOW_THREADS
+            PyMem_Free(v);
+        }
+        result = raised < 0 ? PyErr_NoMemory() : PyLong_FromLong(raised);
     }
     PyBuffer_Release(&h);
-    while (held > 0)
-        PyBuffer_Release(&vec[--held]);
-    return raised < 0 ? PyErr_NoMemory() : PyLong_FromLong(raised);
+    PyBuffer_Release(&s);
+    PyBuffer_Release(&hy);
+    return result;
 }
 
 static PyMethodDef methods[] = {

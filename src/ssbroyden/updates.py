@@ -48,8 +48,8 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from importlib.util import module_from_spec, spec_from_loader
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
 from typing import Optional
 
@@ -240,9 +240,11 @@ def build_kernel(source=KERNEL_SOURCE):
     of the source bytes, ``KERNEL_CFLAGS`` and the interpreter's extension
     suffix, which names its ABI, and ends in that suffix.  A missing one
     is compiled against the Python headers to a temporary name and moved
-    into place, so no process loads a half written file; a cache
-    directory that cannot be made or a failing compiler (one that finds
-    no ``Python.h`` included) raises RuntimeError naming the command.
+    into place, so no process loads a half written file; just before the
+    move, the builds it supersedes (the others with this suffix there)
+    are removed.  A cache directory that cannot be made or a failing
+    compiler (one that finds no ``Python.h`` included) raises
+    RuntimeError naming the command.
     """
     code = Path(source).read_bytes()
     suffix = EXTENSION_SUFFIXES[0]
@@ -262,6 +264,8 @@ def build_kernel(source=KERNEL_SOURCE):
         path.parent.mkdir(exist_ok=True)
         done = subprocess.run(command, input=code, capture_output=True)
         if done.returncode == 0:
+            for stale in path.parent.glob(f"_kernel-*{suffix}"):
+                stale.unlink(missing_ok=True)
             return tmp.replace(path)
         error = f"exited {done.returncode}:\n{done.stderr.decode(errors='replace')}"
     except OSError as exc:
@@ -273,9 +277,9 @@ def build_kernel(source=KERNEL_SOURCE):
 
 def load_kernel(path):
     """The extension module at ``path``, as built by :func:`build_kernel`."""
-    loader = ExtensionFileLoader("ssbroyden._kernel", str(path))
-    module = module_from_spec(spec_from_loader(loader.name, loader))
-    loader.exec_module(module)
+    spec = spec_from_file_location("ssbroyden._kernel", path)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
     return module
 
 
@@ -310,8 +314,7 @@ def apply_update(H, s, coeffs, phi, tau):
 
     The loop is the extension entry ``rank_two_update``, which takes H, s
     and Hy through the buffer protocol and checks them there: a call
-    costs ~1-2 us at n = 25, where a call through ``ctypes`` took ~15 us.
-    Its AVX2 copy, which the dynamic loader picks on an x86-64 CPU with
+    costs ~1-2 us at n = 25.  Its AVX2 copy, which the dynamic loader picks on an x86-64 CPU with
     AVX2 under glibc, and its baseline copy give the same bits.
     """
     raised = _rank_two_update(H, s, coeffs.Hy, coeffs.ys, coeffs.rho, coeffs.yHy, phi, tau)

@@ -9,6 +9,7 @@ script print canned result lines, and the kernel's A/B driver on one
 whose ``ssbroyden.updates`` is a canned numpy update.
 """
 
+import itertools
 import json
 import os
 import shutil
@@ -19,7 +20,9 @@ from pathlib import Path
 import pytest
 
 import ab
+import digest
 import kernel_ab
+from ssbroyden import SolverConfig, solve, updates
 from ssbroyden.updates import VARIANT_ORDER
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -120,6 +123,23 @@ def test_digest_tridiag_cells_separate_the_six_variants(tmp_path):
     assert len({fields[1] for fields in lines}) == 6
 
 
+def test_digest_rosen500_cells_take_all_six_kernel_paths(monkeypatch):
+    # phi in {1, 0, other} x whether tau is 1, over the updates of the
+    # n = 500 cells: between them they take every path of the kernel.
+    paths, apply = set(), updates.apply_update
+
+    def record(H, s, coeffs, phi, tau):
+        paths.add((phi if phi in (0.0, 1.0) else "other", tau == 1.0))
+        return apply(H, s, coeffs, phi, tau)
+
+    monkeypatch.setattr(updates, "apply_update", record)
+    for name, make, kwargs in digest.cell_specs():
+        if name.startswith("rosen500/"):
+            problem = make()
+            solve(problem, problem.default_start(), SolverConfig(**kwargs))
+    assert paths == set(itertools.product((1.0, 0.0, "other"), (True, False)))
+
+
 CANNED_RUN = """import json, sys
 from pathlib import Path
 value = float((Path(__file__).parent / "iter_us.txt").read_text())
@@ -129,18 +149,7 @@ metrics = {"iter_us": {"value": value, "unit": "us"},
            "peak_rss_mb": {"value": 6000 / value, "unit": "MiB"}}
 print(json.dumps({"correct": True, "attempted": 2, "failed": 0, "metrics": metrics}))
 """
-CANNED_DIGEST = """import sys
-if sys.argv[1:2] == ["--compare"]:
-    a, b = ({line.split()[0]: line.split()[1:] for line in open(path)}
-            for path in sys.argv[2:4])
-    status = 0
-    for i, kind in enumerate(("run", "bytes")):
-        differ = [name for name in a if a[name][i] != b[name][i]]
-        print(f"{kind}: first difference: {differ[0]} (canned)" if differ
-              else f"{kind}: {len(a)} cells identical")
-        status |= bool(differ)
-    sys.exit(status)
-import cells
+CANNED_DIGEST = """import cells
 for name, value in cells.DIGESTS.items():
     print(name, value, "ee")
 """

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -635,6 +636,24 @@ def test_kernel_rejects_vectors_it_cannot_read(name, kind, instance_suite):
     assert H.tobytes() == before
 
 
+def test_kernel_releases_every_view_it_takes(instance_suite):
+    # An accepted call and each refusal of the two tests above leave the
+    # reference counts of H, s and Hy as they were: a view the entry takes
+    # holds a reference until it is released.
+    inst = instance_suite[5]
+    coeffs = base_coefficients(inst)
+    good = (inst["H"].copy(), inst["s"], coeffs.Hy)
+    calls = [good] + [(bad(good[0]), *good[1:]) for bad in UNWRITABLE_H.values()]
+    calls += [(*good[:i], bad(good[i]), *good[i + 1:])
+              for i, bad in itertools.product((1, 2), UNREADABLE_VECTOR.values())]
+    for arrays in calls:
+        counted = [a for a in arrays if a is not None]
+        before = [sys.getrefcount(a) for a in counted]
+        with pytest.raises(ValueError) if arrays is not good else contextlib.nullcontext():
+            updates._rank_two_update(*arrays, coeffs.ys, coeffs.rho, coeffs.yHy, 0.4, 0.7)
+        assert [sys.getrefcount(a) for a in counted] == before
+
+
 def test_default_clone_is_the_same_loop(tmp_path, instance_suite, sized_suite):
     # On x86-64 with glibc the loader picks the AVX2 copy of the loop on
     # a CPU that has AVX2.  A module built without the target_clones line
@@ -678,7 +697,9 @@ def test_kernel_build_reuses_the_cached_library(tmp_path, monkeypatch):
 
 def test_kernel_cache_name_follows_the_source_bytes(tmp_path, monkeypatch):
     # Each source gets its own file, written under a temporary name and
-    # moved into place; a stub compiler copies the source to its output.
+    # moved into place, where it replaces the build it supersedes, so a
+    # return to an earlier source compiles it again; a stub compiler
+    # copies the source to its output.
     commands = []
 
     def fake_compiler(command, input, capture_output):
@@ -694,13 +715,12 @@ def test_kernel_cache_name_follows_the_source_bytes(tmp_path, monkeypatch):
         source.write_bytes(text)
         paths.append(updates.build_kernel(source))
     assert paths[0] == paths[2] != paths[1]
-    assert len(commands) == 2
+    assert len(commands) == 3
     assert all(command[-1] == "-" and ".tmp" in command[command.index("-o") + 1]
                and all(flag in command for flag in updates.KERNEL_CFLAGS)
                for command in commands)
-    assert sorted(p.name for p in (tmp_path / "__pycache__").iterdir()) == sorted(
-        p.name for p in set(paths))
-    assert paths[1].read_bytes() == code + b"\n"
+    assert list((tmp_path / "__pycache__").iterdir()) == [paths[2]]
+    assert paths[2].read_bytes() == code
 
 
 def test_kernel_build_names_the_command_that_failed(tmp_path, monkeypatch):
