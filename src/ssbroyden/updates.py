@@ -314,8 +314,9 @@ def apply_update(H, s, coeffs, phi, tau):
 
     The loop is the extension entry ``rank_two_update``, which takes H, s
     and Hy through the buffer protocol and checks them there: a call
-    costs ~1-2 us at n = 25.  Its AVX2 copy, which the dynamic loader picks on an x86-64 CPU with
-    AVX2 under glibc, and its baseline copy give the same bits.
+    costs ~1-2 us at n = 25.  Its AVX2 copy, which the dynamic loader
+    picks on an x86-64 CPU with AVX2 under glibc, and its baseline copy
+    give the same bits.
     """
     raised = _rank_two_update(H, s, coeffs.Hy, coeffs.ys, coeffs.rho, coeffs.yHy, phi, tau)
     if raised:
