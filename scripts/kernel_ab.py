@@ -20,7 +20,10 @@ records whether both sides are equal on every one and the first that
 differs, as ``digest.verdict`` finds them.
 
 A case is one of the six (phi, tau) paths of the kernel, (1, 0, 0.4) x
-(1, 0.7), at one n of ``--sizes``.  In a pair each side's worker times
+(1, 0.7), at one n of ``--sizes``: by default 25 (the paper's PINN), 193
+(``pinn-wide``), 500 (the ``dense-*`` workloads) and 1000, where H (8 MB)
+outgrows a 2 MiB L2, so every change is timed and checked where the
+matrix streams from memory too.  In a pair each side's worker times
 every case, one after the other, as an ``ab.py`` pair runs a whole
 workload.  A timed call starts from H reset to a fixed SPD matrix,
 outside the timed region; a worker's value for a case is the median of
@@ -176,7 +179,7 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=20)
     parser.add_argument("--calls", type=int, default=101,
                         help="timed calls per case and worker")
-    parser.add_argument("--sizes", type=int, nargs="+", default=[25, 193, 500])
+    parser.add_argument("--sizes", type=int, nargs="+", default=[25, 193, 500, 1000])
     parser.add_argument("--repo", type=Path, default=ROOT)
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.calls < 1 or min(args.sizes) < 2:

@@ -1,17 +1,62 @@
-/* ssbroyden.updates.apply_update as one pass over H, each operation in the
+/* ssbroyden.updates.apply_update: H' written over H, each operation in the
  * order its docstring fixes and rounded once (no contraction, no fast-math).
- * The phi and tau cases are loop-invariant flags; -O3 unswitches the loop
- * on them, and a weight is formed only on the path that uses it.
+ * The phi and tau cases are loop-invariant flags; a weight is formed only on
+ * the path that uses it, and ELEMENT, the one statement of an element, is
+ * written once for a double or a vec4 of four k.
  *
- * On x86-64 with glibc the loop is built twice, for AVX2 and for baseline
- * x86-64, and the loader's ifunc picks the copy the CPU runs.  The loop
- * makes no reduction, so both give every element the same IEEE operations
- * in the same order: the same bits. */
+ * Two traversals, picked by those flags alone.  Where tau != 1 and phi != 1
+ * every element divides twice, by y'Hy and by tau, and the divider, not
+ * memory, sets the cost: at n = 500 a call took 104 / 170 / 337 us with
+ * 0 / 1 / 2 divisions per element (AVX2 copy).  There the loop walks the
+ * upper triangle in 4 x 4 tiles of vec4 rows, inside 32 x 32 blocks that
+ * keep the mirrored rows in L1; it writes each row over H[i, k] and its
+ * lanes, transposed, over H[k, i], so every off-diagonal pair is formed
+ * once, as BLAS dsyr2 does, and the lower triangle is never read (H is
+ * symmetric, so H[k, i] == H[i, k]).  Diagonal tiles and the n % 4 strip
+ * are formed element by element.  Multiplication commutes exactly, so the
+ * mirror holds the bits the lower element's own operations give: half the
+ * divides, same result.  Every other path keeps one row sweep, which -O3
+ * unswitches on the flags: there the pairs measured slower (x1.1-2.0 with
+ * one division at n = 1000, x1.3-2.9 with none), as the transposed stores
+ * cost more than the divides they save.
+ *
+ * On x86-64 with glibc the function is built twice, for AVX2 and for
+ * baseline x86-64, and the loader's ifunc picks the copy the CPU runs.  The
+ * loops make no reduction, so both give every element the same IEEE
+ * operations in the same order: the same bits. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <fenv.h>
 #include <stddef.h>
 #include <string.h>
+
+typedef double vec4 __attribute__((vector_size(4 * sizeof(double))));
+
+enum { BLOCK = 32 };  /* rows and columns of a cache block; a multiple of 4 */
+
+/* o = H[i, k] becomes H'[i, k], from the i and k entries of s, Hy and v; the
+ * k operands may be vec4 lanes.  v is read only where phi is neither 0 nor 1. */
+#define ELEMENT(o, si, sk, hyi, hyk, vi, vk)                                   \
+    do {                                                                       \
+        if (bfgs) {                                                            \
+            o = o - ((si) * (hyk) + (hyi) * (sk)) * rho + ((si) * (sk)) * weight; \
+        } else {                                                               \
+            o = o - ((hyi) * (hyk)) / yhy;                                     \
+            if (with_v)                                                        \
+                o = o + ((vi) * (vk)) * weight;                                \
+        }                                                                      \
+        if (scaled)                                                            \
+            o = o / tau;                                                       \
+        o = o + ((si) * (sk)) * rho;                                           \
+    } while (0)
+
+/* H'[i, k] written over H[i, k] and H[k, i]. */
+#define PAIR(i, k)                                                             \
+    do {                                                                       \
+        double o = H[(i) * n + (k)];                                           \
+        ELEMENT(o, s[i], s[k], hy[i], hy[k], v[i], v[k]);                      \
+        H[(i) * n + (k)] = H[(k) * n + (i)] = o;                               \
+    } while (0)
 
 /* Forms v = s / ys - hy / yhy in the scratch v where phi is neither 0 nor 1,
  * then writes H' over H.  Returns the IEEE flags raised by both: 1 divide by
@@ -28,21 +73,49 @@ static int update_loop(double *H, ptrdiff_t n, const double *s, const double *hy
         for (ptrdiff_t i = 0; i < n; i++)
             v[i] = s[i] / ys - hy[i] / yhy;
     const double weight = bfgs ? rho * rho * yhy : with_v ? phi * yhy : 0.0;
-    for (ptrdiff_t i = 0; i < n; i++) {
-        double *row = H + i * n;
-        const double si = s[i], hyi = hy[i], vi = with_v ? v[i] : 0.0;
-        for (ptrdiff_t k = 0; k < n; k++) {
-            double o;
-            if (bfgs) {
-                o = row[k] - (si * hy[k] + hyi * s[k]) * rho + (si * s[k]) * weight;
-            } else {
-                o = row[k] - (hyi * hy[k]) / yhy;
-                if (with_v)
-                    o = o + (vi * v[k]) * weight;
+    if (scaled && !bfgs) {
+        const int bfgs = 0, scaled = 1;  /* lets ELEMENT drop their branches */
+        const ptrdiff_t m = n - n % 4;
+        for (ptrdiff_t ib = 0; ib < m; ib += BLOCK)
+            for (ptrdiff_t kb = ib; kb < m; kb += BLOCK)
+                for (ptrdiff_t i0 = ib; i0 < ib + BLOCK && i0 < m; i0 += 4)
+                    for (ptrdiff_t k0 = kb == ib ? i0 : kb; k0 < kb + BLOCK && k0 < m; k0 += 4) {
+                        if (k0 == i0) {
+                            for (ptrdiff_t i = i0; i < i0 + 4; i++)
+                                for (ptrdiff_t k = i; k < i0 + 4; k++)
+                                    PAIR(i, k);
+                            continue;
+                        }
+                        vec4 sk, hyk, vk = {0}, o[4];
+                        memcpy(&sk, s + k0, sizeof sk);
+                        memcpy(&hyk, hy + k0, sizeof hyk);
+                        if (with_v)
+                            memcpy(&vk, v + k0, sizeof vk);
+#pragma GCC unroll 4
+                        for (int r = 0; r < 4; r++) {
+                            const ptrdiff_t i = i0 + r;
+                            memcpy(&o[r], H + i * n + k0, sizeof o[r]);
+                            ELEMENT(o[r], s[i], sk, hy[i], hyk, v[i], vk);
+                            memcpy(H + i * n + k0, &o[r], sizeof o[r]);
+                        }
+#pragma GCC unroll 4
+                        for (int l = 0; l < 4; l++) {
+                            const vec4 column = {o[0][l], o[1][l], o[2][l], o[3][l]};
+                            memcpy(H + (k0 + l) * n + i0, &column, sizeof column);
+                        }
+                    }
+        for (ptrdiff_t k = m; k < n; k++)
+            for (ptrdiff_t i = 0; i <= k; i++)
+                PAIR(i, k);
+    } else {
+        for (ptrdiff_t i = 0; i < n; i++) {
+            double *row = H + i * n;
+            const double si = s[i], hyi = hy[i], vi = with_v ? v[i] : 0.0;
+            for (ptrdiff_t k = 0; k < n; k++) {
+                double o = row[k];
+                ELEMENT(o, si, s[k], hyi, hy[k], vi, v[k]);
+                row[k] = o;
             }
-            if (scaled)
-                o = o / tau;
-            row[k] = o + (si * s[k]) * rho;
         }
     }
     const int raised = fetestexcept(FE_ALL_EXCEPT);

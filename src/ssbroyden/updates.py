@@ -27,19 +27,28 @@ for what leaves ``solve``: ``DimensionMismatchError`` from an
 evaluation, ``EvaluationError`` from a non-finite start point and
 ``ValueError`` from ``SolverConfig``.
 
-The kernel is one compiled loop nest, ``_kernel.c``, that writes H' over
-H in a single pass with no matrix-sized scratch, so a solve holds one
-n x n matrix.  Whether ``phi`` is 1, 0 or neither and whether ``tau`` is
-1 are loop-invariant flags, on which ``-O3`` splits the loop into one
-copy per case.  It rounds every element as the variants' floating-point
-expressions do (see :func:`apply_update`).  It is a CPython extension
+The kernel is one compiled function, ``_kernel.c``, that writes H' over
+H with no matrix-sized scratch, so a solve holds one n x n matrix.
+Whether ``phi`` is 1, 0 or neither and whether ``tau`` is 1 are
+loop-invariant flags, and they alone pick one of two traversals.  Where
+``tau != 1`` and ``phi != 1`` (the self-scaled DFP and Broyden paths)
+every element divides twice, by ``y^T H y`` and by ``tau``, and the
+divider sets the cost: at n = 500 a call took about 104 / 170 / 337 us
+with 0 / 1 / 2 divisions per element.  There the kernel walks the upper
+triangle in 4 x 4 tiles of 4-lane vectors and writes each element to
+both triangles, as BLAS ``dsyr2`` does: half the divides.  The other
+four cases keep one row sweep over all of H, which ``-O3`` splits into
+one copy per case; with fewer divides to save, the transposed stores of
+the tiles cost more there than they saved.  Both traversals round every
+element as the variants' floating-point expressions do (see
+:func:`apply_update`).  It is a CPython extension
 module, compiled on first import, with sysconfig's ``CC`` (else ``cc``),
 ``KERNEL_CFLAGS`` and the Python headers, to the package's
 ``__pycache__``; a C compiler, the Python headers and the modules that
 run the compiler are needed only while no module for the source and the
 interpreter's ABI is cached.  On x86-64 with glibc the loop is built for
 AVX2 and for baseline x86-64, and the dynamic loader picks the copy the
-CPU can run; the loop makes no reduction, so both copies give the same
+CPU can run; the loops make no reduction, so both copies give the same
 bits.
 """
 
@@ -293,10 +302,11 @@ def apply_update(H, s, coeffs, phi, tau):
     """Overwrite ``H`` with H' for the family member with weight ``phi``
     and scale ``tau``; returns ``H``.
 
-    ``H`` must be a C-contiguous, writeable float64 n x n array and ``s``
-    and ``coeffs.Hy`` C-contiguous float64 vectors of length n, else
-    ValueError, and nothing is written; the vectors are only read.  Each
-    element ``o = H[i, k]`` gets, in this order, each step rounded once:
+    ``H`` must be a symmetric, C-contiguous, writeable float64 n x n
+    array and ``s`` and ``coeffs.Hy`` C-contiguous float64 vectors of
+    length n, else ValueError (symmetry is not checked), and nothing is
+    written; the vectors are only read.  Each element ``o = H[i, k]``
+    gets, in this order, each step rounded once:
 
     * ``phi == 1`` (the expanded BFGS product):
       ``o -= (s_i Hy_k + Hy_i s_k) rho``, ``o += (s_i s_k) (rho^2 y^T H y)``;
@@ -306,14 +316,20 @@ def apply_update(H, s, coeffs, phi, tau):
 
     That order is the contract: a compact form ``H/tau + [s, Hy] M [s,
     Hy]^T`` is algebraically equal but rounds differently, and moves five
-    of the six 8-D Rosenbrock golden iteration counts.  Every term is
-    symmetric in i and k, so the result is exactly symmetric.  The loop
-    forms ``v`` itself and returns the IEEE flags it raised, which one
-    numpy operation replays under the caller's ``np.errstate`` after ``H``
-    is fully written, for every ``phi``.
+    of the six 8-D Rosenbrock golden iteration counts.  Where
+    ``tau != 1`` and ``phi != 1`` only the upper triangle of ``H`` is
+    read: each ``H'[i, k]``, ``i <= k``, is formed once and also written
+    to ``H'[k, i]``.  Elsewhere every element is formed from its own
+    ``H[i, k]`` in one row sweep.  Every term is symmetric in i and k
+    and multiplication commutes exactly, so both give each element the
+    bits its own operations give, and the result is exactly symmetric.
+    The kernel forms ``v`` itself and returns the IEEE flags it raised
+    (the mirrored elements' operations raise the same ones), which one
+    numpy operation replays under the caller's ``np.errstate`` after
+    ``H`` is fully written, for every ``phi``.
 
-    The loop is the extension entry ``rank_two_update``, which takes H, s
-    and Hy through the buffer protocol and checks them there: a call
+    The kernel is the extension entry ``rank_two_update``, which takes H,
+    s and Hy through the buffer protocol and checks them there: a call
     costs ~1-2 us at n = 25.  Its AVX2 copy, which the dynamic loader
     picks on an x86-64 CPU with AVX2 under glibc, and its baseline copy
     give the same bits.

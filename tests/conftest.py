@@ -162,9 +162,11 @@ def interior_theta_suite():
 @pytest.fixture(scope="session")
 def sized_suite():
     """Update instances outside ``instance_suite``'s sizes (2 to 12): two
-    each at n = 160 and n = 300, then n = 193, n = 1 and n = 500."""
+    each at n = 160 and n = 300, then n = 193, n = 1 and n = 500, then
+    n = 33 and n = 67, which end one and three past a multiple of 4 and
+    cross an edge of the kernel's 32-row blocks."""
     rng = np.random.default_rng(20261018)
-    return [quasi_newton_instance(rng, n) for n in (160, 160, 300, 300, 193, 1, 500)]
+    return [quasi_newton_instance(rng, n) for n in (160, 160, 300, 300, 193, 1, 500, 33, 67)]
 
 
 class CountingObjective(ObjectiveFunction):

@@ -448,6 +448,7 @@ def test_kernel_matches_expression_form_bitwise(phi, tau, instance_suite, sized_
             nan = np.isnan(ref)
             assert np.array_equal(np.isnan(got), nan), f"case {cases}: NaN moved"
             assert got[~nan].tobytes() == ref[~nan].tobytes(), f"case {cases}"
+            assert got.tobytes() == got.T.copy().tobytes(), f"case {cases}: not symmetric"
             cases += 1
     assert cases == 12 * 25
 
@@ -489,7 +490,7 @@ def test_kernel_forms_only_the_weights_its_path_uses(tau, instance_suite):
         assert numpy_flags(apply_update, inst["H"].copy(), s, coeffs, phi, tau) == flags
 
 
-@pytest.mark.parametrize("n", [1, 2, 25, 128, 129, 160, 193, 300, 500])
+@pytest.mark.parametrize("n", [1, 2, 25, 31, 33, 67, 128, 129, 160, 193, 300, 500])
 def test_permuting_rows_and_columns_permutes_the_update_bitwise(n):
     # Every element of H gets the same operations wherever it falls:
     # permuting the rows and columns of H and the entries of s and Hy
