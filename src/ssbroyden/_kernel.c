@@ -6,8 +6,8 @@
  *
  * Two traversals, picked by those flags alone.  Where tau != 1 and phi != 1
  * every element divides twice, by y'Hy and by tau, and the divider, not
- * memory, sets the cost: at n = 500 a call took 104 / 170 / 337 us with
- * 0 / 1 / 2 divisions per element (AVX2 copy).  There the loop walks the
+ * memory, sets the cost: at n = 500 a row sweep took 119 / 182 / 361 us
+ * with 0 / 1 / 2 divisions per element (AVX2 copy).  There the loop walks the
  * upper triangle in 4 x 4 tiles of vec4 rows, inside 32 x 32 blocks that
  * keep the mirrored rows in L1; it writes each row over H[i, k] and its
  * lanes, transposed, over H[k, i], so every off-diagonal pair is formed
@@ -86,6 +86,10 @@ static int update_loop(double *H, ptrdiff_t n, const double *s, const double *hy
                                     PAIR(i, k);
                             continue;
                         }
+                        /* Rows i0..i0+3 over H[i, k0..k0+3], then each lane l of
+                         * them over H[k0 + l, i0..i0+3].  Unrolled, o stays in
+                         * registers; rolled, it went through the stack and the
+                         * tiles took x1.8 the row sweep's time. */
                         vec4 sk, hyk, vk = {0}, o[4];
                         memcpy(&sk, s + k0, sizeof sk);
                         memcpy(&hyk, hy + k0, sizeof hyk);

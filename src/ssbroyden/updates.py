@@ -33,7 +33,7 @@ Whether ``phi`` is 1, 0 or neither and whether ``tau`` is 1 are
 loop-invariant flags, and they alone pick one of two traversals.  Where
 ``tau != 1`` and ``phi != 1`` (the self-scaled DFP and Broyden paths)
 every element divides twice, by ``y^T H y`` and by ``tau``, and the
-divider sets the cost: at n = 500 a call took about 104 / 170 / 337 us
+divider sets the cost: at n = 500 a row sweep took 119 / 182 / 361 us
 with 0 / 1 / 2 divisions per element.  There the kernel walks the upper
 triangle in 4 x 4 tiles of 4-lane vectors and writes each element to
 both triangles, as BLAS ``dsyr2`` does: half the divides.  The other
