@@ -16,9 +16,9 @@
  * are formed element by element.  Multiplication commutes exactly, so the
  * mirror holds the bits the lower element's own operations give: half the
  * divides, same result.  Every other path keeps one row sweep, which -O3
- * unswitches on the flags: there the pairs measured slower (x1.1-2.0 with
- * one division at n = 1000, x1.3-2.9 with none), as the transposed stores
- * cost more than the divides they save.
+ * unswitches on the flags: there the pairs measured slower, x1.2-1.3 at
+ * n = 500 and x2.1-3.3 at n = 1000 with one division and x1.3-3.9 with
+ * none, the transposed stores costing more than the divides they save.
  *
  * On x86-64 with glibc the function is built twice, for AVX2 and for
  * baseline x86-64, and the loader's ifunc picks the copy the CPU runs.  The
