@@ -32,8 +32,6 @@
 
 typedef double vec4 __attribute__((vector_size(4 * sizeof(double))));
 
-enum { BLOCK = 32 };  /* rows and columns of a cache block; a multiple of 4 */
-
 /* o = H[i, k] becomes H'[i, k], from the i and k entries of s, Hy and v; the
  * k operands may be vec4 lanes.  v is read only where phi is neither 0 nor 1. */
 #define ELEMENT(o, si, sk, hyi, hyk, vi, vk)                                   \
@@ -48,14 +46,6 @@ enum { BLOCK = 32 };  /* rows and columns of a cache block; a multiple of 4 */
         if (scaled)                                                            \
             o = o / tau;                                                       \
         o = o + ((si) * (sk)) * rho;                                           \
-    } while (0)
-
-/* H'[i, k] written over H[i, k] and H[k, i]. */
-#define PAIR(i, k)                                                             \
-    do {                                                                       \
-        double o = H[(i) * n + (k)];                                           \
-        ELEMENT(o, s[i], s[k], hy[i], hy[k], v[i], v[k]);                      \
-        H[(i) * n + (k)] = H[(k) * n + (i)] = o;                               \
     } while (0)
 
 /* Forms v = s / ys - hy / yhy in the scratch v where phi is neither 0 nor 1,
@@ -76,41 +66,36 @@ static int update_loop(double *H, ptrdiff_t n, const double *s, const double *hy
     if (scaled && !bfgs) {
         const int bfgs = 0, scaled = 1;  /* lets ELEMENT drop their branches */
         const ptrdiff_t m = n - n % 4;
-        for (ptrdiff_t ib = 0; ib < m; ib += BLOCK)
-            for (ptrdiff_t kb = ib; kb < m; kb += BLOCK)
-                for (ptrdiff_t i0 = ib; i0 < ib + BLOCK && i0 < m; i0 += 4)
-                    for (ptrdiff_t k0 = kb == ib ? i0 : kb; k0 < kb + BLOCK && k0 < m; k0 += 4) {
-                        if (k0 == i0) {
-                            for (ptrdiff_t i = i0; i < i0 + 4; i++)
-                                for (ptrdiff_t k = i; k < i0 + 4; k++)
-                                    PAIR(i, k);
-                            continue;
-                        }
-                        /* Rows i0..i0+3 over H[i, k0..k0+3], then each lane l of
-                         * them over H[k0 + l, i0..i0+3].  Unrolled, o stays in
-                         * registers; rolled, it went through the stack and the
-                         * tiles took x1.8 the row sweep's time. */
-                        vec4 sk, hyk, vk = {0}, o[4];
-                        memcpy(&sk, s + k0, sizeof sk);
-                        memcpy(&hyk, hy + k0, sizeof hyk);
-                        if (with_v)
-                            memcpy(&vk, v + k0, sizeof vk);
+        for (ptrdiff_t i0 = 0; i0 < m; i0 += 4)
+            for (ptrdiff_t k0 = i0; k0 < m; k0 += 4) {
+                /* Rows i0..i0+3 over H[i, k0..k0+3], then each lane l of them
+                 * over H[k0 + l, i0..i0+3].  Unrolled, o stays in registers;
+                 * rolled, it went through the stack and the tiles took x1.8
+                 * the row sweep's time. */
+                vec4 sk, hyk, vk = {0}, o[4];
+                memcpy(&sk, s + k0, sizeof sk);
+                memcpy(&hyk, hy + k0, sizeof hyk);
+                if (with_v)
+                    memcpy(&vk, v + k0, sizeof vk);
 #pragma GCC unroll 4
-                        for (int r = 0; r < 4; r++) {
-                            const ptrdiff_t i = i0 + r;
-                            memcpy(&o[r], H + i * n + k0, sizeof o[r]);
-                            ELEMENT(o[r], s[i], sk, hy[i], hyk, v[i], vk);
-                            memcpy(H + i * n + k0, &o[r], sizeof o[r]);
-                        }
+                for (int r = 0; r < 4; r++) {
+                    const ptrdiff_t i = i0 + r;
+                    memcpy(&o[r], H + i * n + k0, sizeof o[r]);
+                    ELEMENT(o[r], s[i], sk, hy[i], hyk, v[i], vk);
+                    memcpy(H + i * n + k0, &o[r], sizeof o[r]);
+                }
 #pragma GCC unroll 4
-                        for (int l = 0; l < 4; l++) {
-                            const vec4 column = {o[0][l], o[1][l], o[2][l], o[3][l]};
-                            memcpy(H + (k0 + l) * n + i0, &column, sizeof column);
-                        }
-                    }
+                for (int l = 0; l < 4; l++) {
+                    const vec4 column = {o[0][l], o[1][l], o[2][l], o[3][l]};
+                    memcpy(H + (k0 + l) * n + i0, &column, sizeof column);
+                }
+            }
         for (ptrdiff_t k = m; k < n; k++)
-            for (ptrdiff_t i = 0; i <= k; i++)
-                PAIR(i, k);
+            for (ptrdiff_t i = 0; i <= k; i++) {
+                double o = H[i * n + k];
+                ELEMENT(o, s[i], s[k], hy[i], hy[k], v[i], v[k]);
+                H[i * n + k] = H[k * n + i] = o;
+            }
     } else {
         for (ptrdiff_t i = 0; i < n; i++) {
             double *row = H + i * n;

@@ -163,10 +163,11 @@ def interior_theta_suite():
 def sized_suite():
     """Update instances outside ``instance_suite``'s sizes (2 to 12): two
     each at n = 160 and n = 300, then n = 193, n = 1 and n = 500, then
-    n = 33 and n = 67, which end one and three past a multiple of 4 and
-    cross an edge of the kernel's 32-row blocks."""
+    n = 33, n = 67 and n = 1001, which end one, three and one past a
+    multiple of 4, the last with an H (8 MB) past a 2 MiB L2."""
     rng = np.random.default_rng(20261018)
-    return [quasi_newton_instance(rng, n) for n in (160, 160, 300, 300, 193, 1, 500, 33, 67)]
+    return [quasi_newton_instance(rng, n)
+            for n in (160, 160, 300, 300, 193, 1, 500, 33, 67, 1001)]
 
 
 class CountingObjective(ObjectiveFunction):

@@ -507,6 +507,23 @@ def test_permuting_rows_and_columns_permutes_the_update_bitwise(n):
         assert got_moved.tobytes() == got[np.ix_(p, p)].tobytes(), (phi, tau)
 
 
+@pytest.mark.parametrize("n", [4, 33, 67, 500])
+def test_two_division_paths_read_no_lower_entry_outside_the_diagonal_blocks(n):
+    # Where tau != 1 and phi != 1 the kernel reads H's upper triangle and
+    # its 4 x 4 diagonal blocks only: NaN in every other entry below the
+    # diagonal leaves H' bitwise the H' of the symmetric H.
+    inst = quasi_newton_instance(np.random.default_rng(n), n)
+    H, s = inst["H"], inst["s"]
+    coeffs = base_coefficients(inst)
+    block = np.arange(n) // 4
+    for phi in (0.0, 0.4):
+        poisoned = H.copy()
+        poisoned[block[:, None] > block] = np.nan
+        ref = apply_update(H.copy(), s, coeffs, phi, 0.7)
+        got = apply_update(poisoned, s, coeffs, phi, 0.7)
+        assert got.tobytes() == ref.tobytes(), phi
+
+
 @pytest.mark.parametrize("phi", [1.0, 0.0, 0.4])
 def test_kernel_holds_no_matrix_sized_scratch(phi, sized_suite):
     # One call at n = 300 (a 703 KiB matrix) writes the result over its
