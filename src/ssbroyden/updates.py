@@ -28,23 +28,15 @@ evaluation, ``EvaluationError`` from a non-finite start point and
 ``ValueError`` from ``SolverConfig``.
 
 The kernel is one compiled function, ``_kernel.c``, that writes H' over
-H with no matrix-sized scratch, so a solve holds one n x n matrix.
-Whether ``phi`` is 1, 0 or neither and whether ``tau`` is 1 are
-loop-invariant flags, and they alone pick one of two traversals.  Where
-``tau != 1`` and ``phi != 1`` (the self-scaled DFP and Broyden paths)
-every element divides twice, by ``y^T H y`` and by ``tau``, and the
-divider sets the cost: at n = 500 a row sweep took 119 / 182 / 361 us
-with 0 / 1 / 2 divisions per element.  There the kernel walks the upper
-triangle in 4 x 4 tiles of 4-lane vectors and writes each element to
-both triangles, as BLAS ``dsyr2`` does: half the divides.  The other
-four cases keep one row sweep over all of H, which ``-O3`` splits into
-one copy per case; with fewer divides to save, the transposed stores of
-the tiles cost more there than they saved.  Both traversals round every
-element as the variants' floating-point expressions do (see
-:func:`apply_update`).  It is a CPython extension
-module, compiled on first import, with sysconfig's ``CC`` (else ``cc``),
-``KERNEL_CFLAGS`` and the Python headers, to the package's
-``__pycache__``; a C compiler, the Python headers and the modules that
+H with no matrix-sized scratch, so a solve holds one n x n matrix.  It
+rounds every element as the variants' floating-point expressions do,
+bit for bit (see :func:`apply_update`), and needs a symmetric H: where
+``tau != 1`` and ``phi != 1`` it reads only the upper triangle of H and
+its 4 x 4 diagonal blocks.  The header of ``_kernel.c`` describes its two
+traversals and why each path takes the one it does.  It is a CPython
+extension module, compiled on first import, with sysconfig's ``CC``
+(else ``cc``), ``KERNEL_CFLAGS`` and the Python headers, to the
+package's ``__pycache__``; a C compiler, the Python headers and the modules that
 run the compiler are needed only while no module for the source and the
 interpreter's ABI is cached.  On x86-64 with glibc the loop is built for
 AVX2 and for baseline x86-64, and the dynamic loader picks the copy the
@@ -317,12 +309,12 @@ def apply_update(H, s, coeffs, phi, tau):
     That order is the contract: a compact form ``H/tau + [s, Hy] M [s,
     Hy]^T`` is algebraically equal but rounds differently, and moves five
     of the six 8-D Rosenbrock golden iteration counts.  Where
-    ``tau != 1`` and ``phi != 1`` only the upper triangle of ``H`` is
-    read: each ``H'[i, k]``, ``i <= k``, is formed once and also written
-    to ``H'[k, i]``.  Elsewhere every element is formed from its own
-    ``H[i, k]`` in one row sweep.  Every term is symmetric in i and k
-    and multiplication commutes exactly, so both give each element the
-    bits its own operations give, and the result is exactly symmetric.
+    ``tau != 1`` and ``phi != 1`` only the upper triangle of ``H`` and
+    its 4 x 4 diagonal blocks are read, and each ``H'[i, k]``, ``i < k``,
+    is also written to ``H'[k, i]``: since ``H`` is symmetric and every
+    term commutes exactly, each element still gets the bits its own
+    operations give, and the result is exactly symmetric.  The header of
+    ``_kernel.c`` describes the traversals.
     The kernel forms ``v`` itself and returns the IEEE flags it raised
     (the mirrored elements' operations raise the same ones), which one
     numpy operation replays under the caller's ``np.errstate`` after
