@@ -8,23 +8,23 @@
  * every element divides twice, by y'Hy and by tau, and the divider, not
  * memory, sets the cost: at n = 500 a row sweep took 119 / 182 / 361 us
  * with 0 / 1 / 2 divisions per element (AVX2 copy).  There one flat loop
- * walks the 4 x 4 tiles of vec4 rows on and above the diagonal, row by row,
- * and writes each tile's rows over H[i, k] and its lanes, transposed, over
- * H[k, i], so every off-diagonal pair is formed once, as BLAS dsyr2 does;
- * the n % 4 strip goes element by element.  It reads the upper triangle and
- * the 4 x 4 diagonal blocks: a diagonal tile reads its entries below the
- * diagonal before any store reaches them, and H is symmetric, so they equal
- * their mirrors.  Every term of ELEMENT is symmetric in i and k and
- * multiplication commutes exactly, so each mirror holds the bits the
+ * walks the 4 x 4 tiles of vec4 rows on and above the diagonal, row by
+ * row, and writes each tile's rows over H[i, k] and its lanes, transposed,
+ * over H[k, i], so every off-diagonal pair is formed once, as BLAS dsyr2
+ * does; the n % 4 strip goes element by element.  It reads the upper
+ * triangle and the 4 x 4 diagonal blocks: a diagonal tile reads its entries
+ * below the diagonal before any store reaches them, and H is symmetric, so
+ * they equal their mirrors.  Every term of ELEMENT is symmetric in i and k
+ * and multiplication commutes exactly, so each mirror holds the bits the
  * element's own operations give: half the divides, same result.  Cache
  * blocks of 32 x 32 around the tiles, and a per-element case for diagonal
- * tiles, gave the same bits at x1.05-1.3 the flat loop's time per call
- * (n = 25 to 1000, a Xeon with 2 MiB L2 per core; BENCH_kernel_flat_tiles
- * .json).  Every other path keeps
- * one row sweep, which -O3 unswitches on the flags: there the pairs
- * measured slower, x1.2-1.3 at n = 500 and x2.1-3.3 at n = 1000 with one
- * division and x1.3-3.9 with none, the transposed stores costing more than
- * the divides they save.
+ * tiles, gave the same bits at x1.04-1.3 the flat loop's time per call
+ * (n = 25 to 1000, a Xeon with 2 MiB L2 per core;
+ * BENCH_kernel_flat_tiles.json).  Every other path keeps one row sweep,
+ * which -O3 unswitches on the flags: there the pairs measured slower,
+ * x1.2-1.3 at n = 500 and x2.1-3.3 at n = 1000 with one division and
+ * x1.3-3.9 with none, the transposed stores costing more than the divides
+ * they save.
  *
  * On x86-64 with glibc the function is built twice, for AVX2 and for
  * baseline x86-64, and the loader's ifunc picks the copy the CPU runs.  The

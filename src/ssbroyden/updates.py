@@ -36,12 +36,12 @@ its 4 x 4 diagonal blocks.  The header of ``_kernel.c`` describes its two
 traversals and why each path takes the one it does.  It is a CPython
 extension module, compiled on first import, with sysconfig's ``CC``
 (else ``cc``), ``KERNEL_CFLAGS`` and the Python headers, to the
-package's ``__pycache__``; a C compiler, the Python headers and the modules that
-run the compiler are needed only while no module for the source and the
-interpreter's ABI is cached.  On x86-64 with glibc the loop is built for
-AVX2 and for baseline x86-64, and the dynamic loader picks the copy the
-CPU can run; the loops make no reduction, so both copies give the same
-bits.
+package's ``__pycache__``; a C compiler, the Python headers and the
+modules that run the compiler are needed only while no module for the
+source and the interpreter's ABI is cached.  On x86-64 with glibc the
+loop is built for AVX2 and for baseline x86-64, and the dynamic loader
+picks the copy the CPU can run; the loops make no reduction, so both
+copies give the same bits.
 """
 
 import enum
