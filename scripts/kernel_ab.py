@@ -91,12 +91,13 @@ def coefficients(updates, H, s, y):
 
 def special_values(H, s, y):
     """``(label, H, s, y)`` over the special-value grid of one instance:
-    signed zeros in H and s, then H and the vectors scaled by every pair
-    of 1, subnormal, tiny and huge factors."""
+    signed zeros in H and s (as many of s's -0, +0 as it has entries),
+    then H and the vectors scaled by every pair of 1, subnormal, tiny and
+    huge factors."""
     H0, s0 = H.copy(), s.copy()
     H0[0, 1:] = H0[1:, 0] = -0.0
     H0[0, 0] = 0.0
-    s0[:2] = (-0.0, 0.0)
+    s0[:2] = (-0.0, 0.0)[:s0.size]
     for h_scale, v_scale in itertools.product(GRID_SCALES, repeat=2):
         yield f" H*{h_scale:g} v*{v_scale:g}", H0 * h_scale, s0 * v_scale, y * v_scale
 

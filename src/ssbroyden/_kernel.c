@@ -1,8 +1,23 @@
-/* ssbroyden.updates.apply_update: H' written over H, each operation in the
- * order its docstring fixes and rounded once (no contraction, no fast-math).
- * The phi and tau cases are loop-invariant flags; a weight is formed only on
- * the path that uses it, and ELEMENT, the one statement of an element, is
- * written once for a double or a vec4 of four k.
+/* The package's compiled module, built and loaded once, by ssbroyden.updates.
+ * Every entry rounds each operation once, in the order the Python code it
+ * serves fixes (no contraction, no fast-math), and returns the IEEE flags it
+ * raised, which updates.replay_flags raises again through numpy.
+ *
+ * pinn_z and pinn_derivatives: the two elementwise passes of
+ * PinnPoisson1D.value_and_gradient over its (4, rows, m) workspace, on either
+ * side of its np.tanh.  Each element gets the multiplies, adds and subtracts
+ * of the whole-array expressions, operands in their order, so the bits are
+ * numpy's; tanh (numpy's SIMD loops and libm's differ in bits) and the
+ * reductions stay numpy's.  At m = 64, N = 512 an evaluation took 216 -> 152
+ * us on one core of an Intel Xeon with AVX-512.  These loops carry no
+ * target_clones: there an AVX2 copy took 147-162 us against 142-143 us
+ * without.
+ *
+ * rank_two_update, for ssbroyden.updates.apply_update: H' written over H, in
+ * the order its docstring fixes.  The phi and tau cases are loop-invariant
+ * flags; a weight is formed only on the path that uses it, and ELEMENT, the
+ * one statement of an element, is written once for a double or a vec4 of
+ * four k.
  *
  * Two traversals, picked by those flags alone.  Where tau != 1 and phi != 1
  * every element divides twice, by y'Hy and by tau, and the divider, not
@@ -26,7 +41,7 @@
  * x1.3-3.9 with none, the transposed stores costing more than the divides
  * they save.
  *
- * On x86-64 with glibc the function is built twice, for AVX2 and for
+ * On x86-64 with glibc update_loop is built twice, for AVX2 and for
  * baseline x86-64, and the loader's ifunc picks the copy the CPU runs.  The
  * loops make no reduction, so both give every element the same IEEE
  * operations in the same order: the same bits. */
@@ -54,9 +69,17 @@ typedef double vec4 __attribute__((vector_size(4 * sizeof(double))));
         o = o + ((si) * (sk)) * rho;                                           \
     } while (0)
 
+/* The IEEE flags raised since the last feclearexcept: 1 divide by zero,
+ * 2 overflow, 4 underflow, 8 invalid. */
+static int raised_flags(void)
+{
+    const int raised = fetestexcept(FE_ALL_EXCEPT);
+    return !!(raised & FE_DIVBYZERO) | !!(raised & FE_OVERFLOW) << 1
+           | !!(raised & FE_UNDERFLOW) << 2 | !!(raised & FE_INVALID) << 3;
+}
+
 /* Forms v = s / ys - hy / yhy in the scratch v where phi is neither 0 nor 1,
- * then writes H' over H.  Returns the IEEE flags raised by both: 1 divide by
- * zero, 2 overflow, 4 underflow, 8 invalid. */
+ * then writes H' over H.  Returns the IEEE flags raised by both. */
 #if defined(__x86_64__) && defined(__GLIBC__)
 __attribute__((target_clones("avx2", "default")))
 #endif
@@ -113,15 +136,41 @@ static int update_loop(double *H, ptrdiff_t n, const double *s, const double *hy
             }
         }
     }
-    const int raised = fetestexcept(FE_ALL_EXCEPT);
-    return !!(raised & FE_DIVBYZERO) | !!(raised & FE_OVERFLOW) << 1
-           | !!(raised & FE_UNDERFLOW) << 2 | !!(raised & FE_INVALID) << 3;
+    return raised_flags();
 }
 
-/* Takes a view of obj, a C-contiguous float64 block of ndim dimensions,
- * each of length n (n < 0: any, and sets n).  Returns 0, or -1 with no view
- * held and the error cleared, so the caller raises one ValueError. */
-static int get_block(PyObject *obj, Py_buffer *view, int flags, int ndim, Py_ssize_t *n)
+/* z = w1 x + b1 of PinnPoisson1D.value_and_gradient over its (rows, m) t:
+ * t[i, j] = w1[j] * grid[i], then + b1[j], each rounded once, as numpy's
+ * np.outer(x, w1) + b1 rounds them. */
+static void z_loop(double *t, const double *grid, ptrdiff_t rows, const double *w1,
+                   const double *b1, ptrdiff_t m)
+{
+    for (ptrdiff_t i = 0; i < rows; i++)
+        for (ptrdiff_t j = 0; j < m; j++)
+            t[i * m + j] = w1[j] * grid[i] + b1[j];
+}
+
+/* t1, t2 and t3 of the same evaluation from t = tanh(z), each of size
+ * elements, element by element in the order and with the operands of
+ * numpy's passes: t1 = 1 - t t, m2 = -2 t1, t3 = (1 - (3 t) t) m2,
+ * t2 = m2 t. */
+static void derivative_loop(double *work, ptrdiff_t size)
+{
+    const double *restrict t = work;
+    double *restrict t1 = work + size, *restrict t2 = t1 + size, *restrict t3 = t2 + size;
+    for (ptrdiff_t e = 0; e < size; e++) {
+        const double te = t[e], d1 = 1.0 - te * te, m2 = -2.0 * d1;
+        t1[e] = d1;
+        t3[e] = (1.0 - (3.0 * te) * te) * m2;
+        t2[e] = m2 * te;
+    }
+}
+
+/* Takes a view of obj, a C-contiguous float64 block of ndim dimensions, the
+ * d-th of length shape[d] (shape[d] < 0: any, and sets it).  Returns 0, or
+ * -1 with no view held and the error cleared, so the caller raises one
+ * ValueError. */
+static int get_block(PyObject *obj, Py_buffer *view, int flags, int ndim, Py_ssize_t *shape)
 {
     if (PyObject_GetBuffer(obj, view, flags | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0) {
         PyErr_Clear();
@@ -129,10 +178,11 @@ static int get_block(PyObject *obj, Py_buffer *view, int flags, int ndim, Py_ssi
     }
     int ok = view->ndim == ndim && view->itemsize == sizeof(double)
              && view->format != NULL && strcmp(view->format, "d") == 0;
-    if (ok && *n < 0)
-        *n = view->shape[0];
-    for (int d = 0; ok && d < ndim; d++)
-        ok = view->shape[d] == *n;
+    for (int d = 0; ok && d < ndim; d++) {
+        if (shape[d] < 0)
+            shape[d] = view->shape[d];
+        ok = view->shape[d] == shape[d];
+    }
     if (!ok) {
         PyBuffer_Release(view);
         return -1;
@@ -140,13 +190,19 @@ static int get_block(PyObject *obj, Py_buffer *view, int flags, int ndim, Py_ssi
     return 0;
 }
 
+static int takes(const char *name, Py_ssize_t expected, Py_ssize_t nargs)
+{
+    if (nargs == expected)
+        return 1;
+    PyErr_Format(PyExc_TypeError, "%s takes %zd arguments (%zd given)", name, expected, nargs);
+    return 0;
+}
+
 /* rank_two_update(H, s, Hy, ys, rho, yHy, phi, tau) -> flags */
 static PyObject *rank_two_update(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 8) {
-        PyErr_Format(PyExc_TypeError, "rank_two_update takes 8 arguments (%zd given)", nargs);
+    if (!takes("rank_two_update", 8, nargs))
         return NULL;
-    }
     double scalars[5];
     for (int j = 0; j < 5; j++) {
         scalars[j] = PyFloat_AsDouble(args[3 + j]);
@@ -162,7 +218,7 @@ static PyObject *rank_two_update(PyObject *module, PyObject *const *args, Py_ssi
         || get_block(args[2], &hy, PyBUF_SIMPLE, 1, &n) < 0) {
         PyErr_SetString(PyExc_ValueError,
                         "apply_update needs C-contiguous float64 s and Hy of one length n");
-    } else if (get_block(args[0], &h, PyBUF_WRITABLE, 2, &n) < 0) {
+    } else if (get_block(args[0], &h, PyBUF_WRITABLE, 2, (Py_ssize_t[]){n, n}) < 0) {
         PyErr_SetString(PyExc_ValueError,
                         "apply_update needs a C-contiguous, writeable float64 (n, n) H");
     } else {
@@ -183,10 +239,63 @@ static PyObject *rank_two_update(PyObject *module, PyObject *const *args, Py_ssi
     return result;
 }
 
+/* pinn_z(work, grid, w1, b1) -> flags: z over work[0], which is t. */
+static PyObject *pinn_z(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (!takes("pinn_z", 4, nargs))
+        return NULL;
+    Py_buffer work = {0}, grid = {0}, w1 = {0}, b1 = {0};
+    Py_ssize_t shape[3] = {4, -1, -1};
+    PyObject *result = NULL;
+    if (get_block(args[1], &grid, PyBUF_SIMPLE, 1, &shape[1]) < 0
+        || get_block(args[2], &w1, PyBUF_SIMPLE, 1, &shape[2]) < 0
+        || get_block(args[3], &b1, PyBUF_SIMPLE, 1, &shape[2]) < 0) {
+        PyErr_SetString(PyExc_ValueError, "pinn_z needs a C-contiguous float64 grid, "
+                        "and C-contiguous float64 w1 and b1 of one length m");
+    } else if (get_block(args[0], &work, PyBUF_WRITABLE, 3, shape) < 0) {
+        PyErr_SetString(PyExc_ValueError, "pinn_z needs a C-contiguous, writeable float64 "
+                        "(4, len(grid), m) work");
+    } else {
+        feclearexcept(FE_ALL_EXCEPT);
+        z_loop(work.buf, grid.buf, shape[1], w1.buf, b1.buf, shape[2]);
+        result = PyLong_FromLong(raised_flags());
+    }
+    PyBuffer_Release(&work);
+    PyBuffer_Release(&grid);
+    PyBuffer_Release(&w1);
+    PyBuffer_Release(&b1);
+    return result;
+}
+
+/* pinn_derivatives(work) -> flags: t1, t2 and t3 over work[1:] from work[0]. */
+static PyObject *pinn_derivatives(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (!takes("pinn_derivatives", 1, nargs))
+        return NULL;
+    Py_buffer work;
+    Py_ssize_t shape[3] = {4, -1, -1};
+    if (get_block(args[0], &work, PyBUF_WRITABLE, 3, shape) < 0) {
+        PyErr_SetString(PyExc_ValueError, "pinn_derivatives needs a C-contiguous, writeable "
+                        "float64 (4, rows, m) work");
+        return NULL;
+    }
+    feclearexcept(FE_ALL_EXCEPT);
+    derivative_loop(work.buf, shape[1] * shape[2]);
+    PyBuffer_Release(&work);
+    return PyLong_FromLong(raised_flags());
+}
+
 static PyMethodDef methods[] = {
     {"rank_two_update", (PyCFunction)(void (*)(void))rank_two_update, METH_FASTCALL,
      "rank_two_update(H, s, Hy, ys, rho, yHy, phi, tau) -> IEEE flags raised\n\n"
      "Writes H' over H."},
+    {"pinn_z", (PyCFunction)(void (*)(void))pinn_z, METH_FASTCALL,
+     "pinn_z(work, grid, w1, b1) -> IEEE flags raised\n\n"
+     "Writes work[0][i, j] = w1[j] * grid[i] + b1[j]."},
+    {"pinn_derivatives", (PyCFunction)(void (*)(void))pinn_derivatives, METH_FASTCALL,
+     "pinn_derivatives(work) -> IEEE flags raised\n\n"
+     "Writes 1 - t t, (-2 (1 - t t)) t and (1 - (3 t) t) (-2 (1 - t t)) over\n"
+     "work[1], work[2] and work[3] from t = work[0]."},
     {NULL, NULL, 0, NULL},
 };
 

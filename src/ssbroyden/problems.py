@@ -19,6 +19,7 @@ tanh'' = -2 t (1 - t^2), tanh''' = -2 (1 - t^2)(1 - 3 t^2).
 import numpy as np
 
 from .core import ObjectiveFunction, as_vector, require_integer
+from .updates import kernel, replay_flags
 
 # 64-bit linear congruential generator constants for the deterministic
 # network initializer (reproducible without a platform RNG).
@@ -93,19 +94,22 @@ class PinnPoisson1D(ObjectiveFunction):
 
     ``value_and_gradient`` forms tanh and its three derivatives in a
     ``(4, n_interior + 2, m)`` workspace allocated once, here: the rows
-    are the interior grid followed by the two boundary points, so one
-    pass over the grid serves both terms of the loss.  z = w1 x + b1 is
-    formed against a ``(n_interior + 2, m)`` tile of those grid points,
-    made here too and read-only: w1 and b1 are copied into every row of
-    a workspace array and the tile is multiplied in, so no arithmetic
-    pass has a broadcasting operand, which numpy runs more slowly than
-    a same-shape one; w1 x rounds exactly as x w1.  The
-    interior and boundary parts of the w1, b1 and w2 gradient are built
-    in a ``(2, 3, m)`` scratch, also allocated here, and added into the
-    returned gradient, so an evaluation allocates no ``(n_interior, m)``
-    array.  What it returns is freshly allocated and never aliases the
-    tile or either buffer.  Because of the shared buffers, one instance
-    must not be evaluated from two threads at once.
+    are the interior grid followed by the two boundary points, a
+    read-only vector made here too, so one pass over the grid serves
+    both terms of the loss.  Two passes of the compiled module in
+    ``updates`` (see ``_kernel.c``) fill the workspace on either side of
+    numpy's ``tanh``: z = w1 x + b1, and then, from t = tanh(z), the
+    three derivative rows.  Each element gets the IEEE operations the
+    whole-array expressions give it, in their order, so the bits are
+    numpy's; the flags they raise are replayed through one numpy
+    operation under the caller's ``np.errstate``.  ``tanh`` and the
+    reductions stay numpy's.  The interior and boundary parts of the
+    w1, b1 and w2 gradient are built in a ``(2, 3, m)`` scratch, also
+    allocated here, and added into the returned gradient, so an
+    evaluation allocates no ``(n_interior, m)`` array.  What it returns
+    is freshly allocated and never aliases the grid or either buffer.
+    Because of the shared buffers, one instance must not be evaluated
+    from two threads at once.
     """
 
     def __init__(self, m=8, n_interior=32):
@@ -120,11 +124,9 @@ class PinnPoisson1D(ObjectiveFunction):
         self.forcing = np.pi ** 2 * np.sin(np.pi * self.xs)
         self.x_boundary = np.array([0.0, 1.0])
         n_int, m = self.n_interior, self.m
-        # The workspace rows: the interior points, then the boundary
-        # points, each repeated across the m columns.
-        grid = np.concatenate([self.xs, self.x_boundary])
-        self._x_tile = np.repeat(grid[:, None], m, axis=1)
-        self._x_tile.flags.writeable = False
+        # The workspace rows: the interior points, then the boundary points.
+        self._grid = np.concatenate([self.xs, self.x_boundary])
+        self._grid.flags.writeable = False
         # t, t1, t2 and t3 of value_and_gradient.
         self._work = np.empty((4, n_int + 2, m))
         # The interior and boundary parts of [g_w1, g_b1, g_w2].
@@ -132,8 +134,7 @@ class PinnPoisson1D(ObjectiveFunction):
         # Views into both, made once: at the paper's size, unpacking or
         # slicing an array on every call costs as much as the arithmetic.
         t, t1, t2, t3 = self._work
-        self._work_views = (t, t1, t2, t3,
-                            t2[:n_int], t3[:n_int], t[n_int:], t1[n_int:])
+        self._work_views = (t, t2[:n_int], t3[:n_int], t[n_int:], t1[n_int:])
         self._part_views = (*self._parts.reshape(2, 3 * m),
                             *self._parts.reshape(6, m))
 
@@ -143,29 +144,21 @@ class PinnPoisson1D(ObjectiveFunction):
         return x[0:m], x[m:2 * m], x[2 * m:3 * m], x[3 * m]
 
     def value_and_gradient(self, x):
-        x = self._validated(x)
+        # The compiled passes read w1 and b1 as contiguous vectors.
+        x = np.ascontiguousarray(self._validated(x))
         w1, b1, w2, b2 = self.split(x)
         n_int = self.n_interior
-        t, t1, t2, t3, t2_int, t3_int, tb, tb1 = self._work_views
+        t, t2_int, t3_int, tb, tb1 = self._work_views
         (interior, boundary,
          g_w1, g_b1, g_w2, gb_w1, gb_b1, gb_w2) = self._part_views
 
         # tanh and its derivatives on every row, built in place in the
         # workspace.
-        np.copyto(t, w1)                        # z = w1 x + b1
-        t *= self._x_tile
-        np.copyto(t1, b1)
-        t += t1
+        replay_flags(kernel.pinn_z(self._work, self._grid, w1, b1))  # t = w1 x + b1
         np.tanh(t, out=t)                       # t = tanh(z)
-        np.square(t, out=t1)
-        np.subtract(1.0, t1, out=t1)            # t1 = 1 - t t
-        np.multiply(-2.0, t1, out=t2)
-        np.multiply(3.0, t, out=t3)
-        t3 *= t
-        np.subtract(1.0, t3, out=t3)
-        t3 *= t2                                # t3 = (-2 t1)(1 - (3 t) t)
-        # Doubling is exact, so t (-2 t1) rounds as (-2 t) t1.
-        t2 *= t                                 # t2 = (-2 t) t1
+        # t1 = 1 - t t, t2 = (-2 t1) t and t3 = (1 - (3 t) t)(-2 t1);
+        # doubling is exact, so (-2 t1) t rounds as (-2 t) t1.
+        replay_flags(kernel.pinn_derivatives(self._work))
 
         # Interior: second-derivative residuals on the interior rows.
         w1sq = w1 * w1

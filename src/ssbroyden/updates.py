@@ -27,19 +27,22 @@ for what leaves ``solve``: ``DimensionMismatchError`` from an
 evaluation, ``EvaluationError`` from a non-finite start point and
 ``ValueError`` from ``SolverConfig``.
 
-The kernel is one compiled function, ``_kernel.c``, that writes H' over
+The kernel is one compiled function of ``_kernel.c`` that writes H' over
 H with no matrix-sized scratch, so a solve holds one n x n matrix.  It
 rounds every element as the variants' floating-point expressions do,
 bit for bit (see :func:`apply_update`), and needs a symmetric H: where
 ``tau != 1`` and ``phi != 1`` it reads only the upper triangle of H and
 its 4 x 4 diagonal blocks.  The header of ``_kernel.c`` describes its two
-traversals and why each path takes the one it does.  It is a CPython
-extension module, compiled on first import, with sysconfig's ``CC``
+traversals and why each path takes the one it does.  The file is one
+CPython extension module, :data:`kernel`, which also holds the two
+elementwise passes of ``problems.PinnPoisson1D``; it is built and loaded
+once, here, and :func:`replay_flags` raises the IEEE flags every entry
+returns.  It is compiled on first import, with sysconfig's ``CC``
 (else ``cc``), ``KERNEL_CFLAGS`` and the Python headers, to the
 package's ``__pycache__``; a C compiler, the Python headers and the
 modules that run the compiler are needed only while no module for the
 source and the interpreter's ABI is cached.  On x86-64 with glibc the
-loop is built for AVX2 and for baseline x86-64, and the dynamic loader
+update loop is built for AVX2 and for baseline x86-64, and the dynamic loader
 picks the copy the CPU can run; the loops make no reduction, so both
 copies give the same bits.
 """
@@ -284,10 +287,22 @@ def load_kernel(path):
     return module
 
 
-_rank_two_update = load_kernel(build_kernel()).rank_two_update
+#: The compiled module: the update kernel here and the PINN grid's two
+#: elementwise passes, which ``problems`` takes from here.
+kernel = load_kernel(build_kernel())
+_rank_two_update = kernel.rank_two_update
 # np.divide operands that raise divide by zero, overflow, underflow and
-# invalid: the kernel's flag bits 1, 2, 4 and 8, in the order numpy reports them.
+# invalid: the entries' flag bits 1, 2, 4 and 8, in the order numpy reports them.
 _FLAG_OPERANDS = np.array([[1.0, 1e308, 1e-308, 0.0], [0.0, 1e-10, 1e10, 0.0]])
+
+
+def replay_flags(raised):
+    """Raise again, through one numpy operation and so under the caller's
+    ``np.errstate``, the IEEE flags an entry of :data:`kernel` returned:
+    bits 1 divide by zero, 2 overflow, 4 underflow and 8 invalid.  numpy
+    names that operation, ``divide``, in its warnings and errors."""
+    if raised:
+        np.divide(*_FLAG_OPERANDS[:, [bool(raised & 1 << bit) for bit in range(4)]])
 
 
 def apply_update(H, s, coeffs, phi, tau):
@@ -326,9 +341,7 @@ def apply_update(H, s, coeffs, phi, tau):
     picks on an x86-64 CPU with AVX2 under glibc, and its baseline copy
     give the same bits.
     """
-    raised = _rank_two_update(H, s, coeffs.Hy, coeffs.ys, coeffs.rho, coeffs.yHy, phi, tau)
-    if raised:
-        np.divide(*_FLAG_OPERANDS[:, [bool(raised & 1 << bit) for bit in range(4)]])
+    replay_flags(_rank_two_update(H, s, coeffs.Hy, coeffs.ys, coeffs.rho, coeffs.yHy, phi, tau))
     return H
 
 

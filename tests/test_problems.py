@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,9 @@ from ssbroyden import (
     make_quadratic,
     make_rosenbrock,
 )
+from ssbroyden import problems, updates
 from ssbroyden.core import evaluate
+from ssbroyden.updates import kernel
 from ssbroyden.problems import (
     LCG_INCREMENT,
     LCG_MULTIPLIER,
@@ -296,19 +299,112 @@ def test_pinn_evaluation_allocates_less_than_one_grid_array():
     assert peak < 512 * 64 * 8
 
 
-def test_pinn_grid_tile_is_read_only():
+def test_pinn_grid_is_read_only_and_never_shared():
     pinn = PinnPoisson1D(m=8, n_interior=32)
-    tile = pinn._x_tile
-    assert tile.shape == (34, 8)
-    assert np.array_equal(tile, np.repeat(
-        np.concatenate([pinn.xs, pinn.x_boundary])[:, None], 8, axis=1))
+    grid = pinn._grid
+    assert grid.shape == (34,)
+    assert np.array_equal(grid, np.concatenate([pinn.xs, pinn.x_boundary]))
     with pytest.raises(ValueError):
-        tile[0, 0] = 2.0
+        grid[0] = 2.0
     with pytest.raises(ValueError):
-        tile *= 2.0
+        grid *= 2.0
     _, g = pinn.value_and_gradient(pinn.default_start())
-    assert not np.shares_memory(g, tile)
-    assert not np.shares_memory(tile, pinn._work)
+    assert not np.shares_memory(g, grid)
+    assert not np.shares_memory(grid, pinn._work)
+
+
+def test_pinn_strided_point_matches_its_contiguous_copy():
+    # The compiled passes read w1 and b1 as contiguous vectors; a strided
+    # point is evaluated as its copy is.
+    pinn = PinnPoisson1D(m=3, n_interior=7)
+    strided = np.random.default_rng(5).uniform(-1.0, 1.0, 2 * pinn.dimension)[::2]
+    f, g = pinn.value_and_gradient(strided)
+    f_ref, g_ref = pinn.value_and_gradient(strided.copy())
+    assert float.hex(f) == float.hex(f_ref)
+    assert g.tobytes() == g_ref.tobytes()
+
+
+def pinn_flag_points(pinn, rng):
+    """Points whose evaluation raises IEEE flags: z overflows in one unit
+    (w1 = b1 = 1e308), and inf or NaN entries in each block in turn."""
+    m = pinn.m
+    points = []
+    for unit in (0, m - 1):
+        x = rng.uniform(-1.5, 1.5, pinn.dimension)
+        x[unit] = x[m + unit] = 1e308
+        points.append(x)
+    for value in (np.inf, -np.inf, np.nan):
+        for block in range(4):
+            x = rng.uniform(-1.5, 1.5, pinn.dimension)
+            x[block * m + rng.integers(m if block < 3 else 1)] = value
+            points.append(x)
+    return points
+
+
+def reported_flags(function, *args):
+    """Names of the IEEE flags numpy reports while ``function(*args)`` runs."""
+    seen = set()
+    with np.errstate(all="call", call=lambda kind, flag: seen.add(kind)):
+        function(*args)
+    return seen
+
+
+@pytest.mark.parametrize("m, n_int", [(3, 7), (8, 32)])
+def test_pinn_reports_the_expression_forms_flags(m, n_int):
+    # The compiled passes' flags are replayed through numpy: an evaluation
+    # reports the kinds the whole-array expressions report, and a kind set
+    # to raise raises.
+    pinn = PinnPoisson1D(m=m, n_interior=n_int)
+    points = pinn_flag_points(pinn, np.random.default_rng(m + n_int))
+    kinds = set()
+    for i, x in enumerate(points):
+        got = reported_flags(pinn.value_and_gradient, x)
+        assert got == reported_flags(expression_pinn_evaluation, pinn, x), i
+        kinds |= got
+    assert kinds == {"overflow", "invalid value"}
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        pinn.value_and_gradient(points[0])
+
+
+def test_pinn_passes_come_from_the_one_loaded_module():
+    # problems builds and loads nothing: it takes the module updates loaded.
+    assert problems.kernel is updates.kernel
+    assert problems.replay_flags is updates.replay_flags
+
+
+def test_pinn_passes_refuse_buffers_they_cannot_use():
+    # A workspace of the wrong shape, strided or read-only, a grid of the
+    # wrong length and a float32 or short w1 are refused before anything
+    # is written, and every view taken is released.
+    pinn = PinnPoisson1D(m=4, n_interior=7)
+    x = pinn.default_start()
+    pinn.value_and_gradient(x)
+    before = pinn._work.tobytes()
+    good = {"pinn_z": (pinn._work, pinn._grid, x[:4], x[4:8]),
+            "pinn_derivatives": (pinn._work,)}
+    read_only = pinn._work.copy()
+    read_only.flags.writeable = False
+    bad_works = [np.zeros((3, 9, 4)), np.zeros((4, 9, 8))[:, :, ::2],
+                 np.zeros((4, 9, 4), dtype=np.float32), read_only]
+    calls = [(name, (work, *args[1:])) for name, args in good.items() for work in bad_works]
+    z_args = good["pinn_z"]
+    calls += [("pinn_z", (np.zeros((4, 10, 4)), *z_args[1:])),
+              ("pinn_z", (z_args[0], z_args[1][:-1], *z_args[2:])),
+              ("pinn_z", (*z_args[:2], z_args[2].astype(np.float32), z_args[3])),
+              ("pinn_z", (*z_args[:2], z_args[2][:-1], z_args[3])),
+              ("pinn_z", (*z_args[:3], None))]
+    for name, args in calls:
+        arrays = [a for a in args if a is not None]
+        kept = [(a.tobytes(), sys.getrefcount(a)) for a in arrays]
+        with pytest.raises(ValueError, match=f"^{name} needs"):
+            getattr(kernel, name)(*args)
+        assert [(a.tobytes(), sys.getrefcount(a)) for a in arrays] == kept, name
+    assert pinn._work.tobytes() == before
+    # The same calls with good buffers, around tanh, fill it as before.
+    assert kernel.pinn_z(*good["pinn_z"]) == 0
+    np.tanh(pinn._work[0], out=pinn._work[0])
+    assert kernel.pinn_derivatives(*good["pinn_derivatives"]) == 0
+    assert pinn._work.tobytes() == before
 
 
 # -------------------------------------------------------- start vectors

@@ -17,6 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ab
@@ -286,6 +287,18 @@ def test_ab_driver_rejects_an_unknown_workload_before_any_run(tmp_path):
     assert "unknown workloads: nosuch" in proc.stderr and "w1" in proc.stderr
     assert proc.stdout == ""  # no digest line and no pair line
     assert not (repo / "BENCH_smoke.json").exists()
+
+
+def test_kernel_ab_special_values_fit_every_size():
+    # The signed zeros go where they fit: at n = 1, s keeps only the -0.
+    for n in (1, 2, 3):
+        grid = list(kernel_ab.special_values(np.eye(n), np.ones(n), np.ones(n)))
+        assert len(grid) == len(kernel_ab.GRID_SCALES) ** 2
+        _, H, s, y = grid[0]
+        assert H[0, 0] == 0.0 and not np.signbit(H[0, 0])
+        assert np.signbit(H[0, 1:]).all() and np.signbit(H[1:, 0]).all()
+        assert np.signbit(s[:2]).tolist() == [True, False][:n]
+        assert (s[2:] == 1.0).all() and (y == 1.0).all()
 
 
 CANNED_UPDATES = """import os
