@@ -135,6 +135,14 @@ def expression_pinn_evaluation(pinn, x):
     return loss, np.concatenate([g_w1, g_b1, g_w2, [g_b2]])
 
 
+def numpy_flags(function, *args):
+    """Names of the IEEE flags numpy reports while ``function(*args)`` runs."""
+    seen = set()
+    with np.errstate(all="call", call=lambda kind, flag: seen.add(kind)):
+        function(*args)
+    return seen
+
+
 @pytest.fixture(scope="session")
 def instance_suite():
     """200 deterministic update instances with N cycling through 2..12."""

@@ -25,7 +25,7 @@ from ssbroyden.problems import (
     default_start,
 )
 
-from conftest import expression_pinn_evaluation
+from conftest import expression_pinn_evaluation, numpy_flags
 from oracles import finite_difference_gradient
 
 # frozen reproducible start for the width-4 network (13 parameters)
@@ -341,14 +341,6 @@ def pinn_flag_points(pinn, rng):
     return points
 
 
-def reported_flags(function, *args):
-    """Names of the IEEE flags numpy reports while ``function(*args)`` runs."""
-    seen = set()
-    with np.errstate(all="call", call=lambda kind, flag: seen.add(kind)):
-        function(*args)
-    return seen
-
-
 @pytest.mark.parametrize("m, n_int", [(3, 7), (8, 32)])
 def test_pinn_reports_the_expression_forms_flags(m, n_int):
     # The compiled passes' flags are replayed through numpy: an evaluation
@@ -358,8 +350,8 @@ def test_pinn_reports_the_expression_forms_flags(m, n_int):
     points = pinn_flag_points(pinn, np.random.default_rng(m + n_int))
     kinds = set()
     for i, x in enumerate(points):
-        got = reported_flags(pinn.value_and_gradient, x)
-        assert got == reported_flags(expression_pinn_evaluation, pinn, x), i
+        got = numpy_flags(pinn.value_and_gradient, x)
+        assert got == numpy_flags(expression_pinn_evaluation, pinn, x), i
         kinds |= got
     assert kinds == {"overflow", "invalid value"}
     with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):

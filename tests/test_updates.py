@@ -31,7 +31,7 @@ from ssbroyden.updates import (
 )
 
 import kernel_ab
-from conftest import (base_coefficients, expression_update, family_update, propose,
+from conftest import (base_coefficients, expression_update, family_update, numpy_flags, propose,
                       quasi_newton_instance)
 from oracles import (direct_broyden_update, gaussian_solve, jacobi_eigenvalues,
                      scipy_bfgs_update, sigma_from_determinants, theta_bounds)
@@ -451,14 +451,6 @@ def test_kernel_matches_expression_form_bitwise(phi, tau, instance_suite, sized_
             assert got.tobytes() == got.T.copy().tobytes(), f"case {cases}: not symmetric"
             cases += 1
     assert cases == 12 * 25
-
-
-def numpy_flags(function, *args):
-    """Names of the IEEE flags numpy reports while ``function(*args)`` runs."""
-    seen = set()
-    with np.errstate(all="call", call=lambda kind, flag: seen.add(kind)):
-        function(*args)
-    return seen
 
 
 @pytest.mark.parametrize("tau", [1.0, 0.7])
