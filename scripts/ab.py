@@ -1,4 +1,4 @@
-"""Alternating A/B benchmark pairs of two commits: medians, IQRs, wins.
+"""Alternating A/B benchmark pairs of two commits: paired ratios and verdicts.
 
 Extracts ``git archive <rev>`` of a parent and a change commit into two
 temporary directories, then runs ``perfbench/run.py --trace 0`` in each,
@@ -9,21 +9,27 @@ drift of the host's speed falls on both sides alike.
     python3 scripts/ab.py HEAD~1 HEAD --slug my_change --pairs 10 --seconds 20
 
 For every gated end-to-end metric of the change's ``BENCHMARK.json`` it
-prints, per workload, the median of each side, the ratio of the
-medians, the interquartile ranges (``statistics.quantiles(values, n=4)``)
-and the number of pairs the change won.  ``gain`` is True when the
-change won at least nine pairs in ten and its median beats the parent's
-by more than the parent's IQR.  ``worse`` is True when the change's
+prints, per workload, the median of each side and the ratio of the
+medians, then the paired statistics, which compare each change run with
+the parent run of its own pair and so are blind to a drift of the host
+between pairs: the pairs the change won, the median and quartiles
+(``statistics.quantiles(values, n=4)``) of the per-pair ratios
+change/parent, and the one-sided sign-test p-value of the wins (ties
+dropped), the chance of at least as many wins if either side were as
+likely to win a pair.
+
+``judge`` forms both verdicts, here and in ``kernel_ab.py``.  It reads
+the per-pair ratio quartiles against those of the same workload and
+metric in the committed A/A run ``BENCH_null.json`` (``NULL``), read
+from the change's tree.  The two A/A quartiles are printed, and
+recorded with the metric under ``null`` with the A/A's file name;
+``null`` is None when the A/A has no such entry, and then no ``gain``
+is read.  ``gain``: the change won at least nine pairs in ten and its
+per-pair ratio Q3 lies below the A/A's Q1.  ``worse``: the change's
 median is worse than the parent's by more than the metric's ``bound``
 in ``BENCHMARK.json``, a fraction of the parent's median: the
-regression the benchmark rejects.
-
-Next to them it prints the paired statistics, which compare each
-change run with the parent run of its own pair and so are blind to a
-drift of the host between pairs: the median and quartiles of the
-per-pair ratios change/parent, and the one-sided sign-test p-value of
-the wins (ties dropped), the chance of at least as many wins if either
-side were as likely to win a pair.
+regression the benchmark rejects.  A higher-is-better metric is the
+mirror.
 
 Before the pairs, the change's ``scripts/digest.py`` digests the
 trajectories of both sides' ``src``, one run per side, and
@@ -63,6 +69,9 @@ import digest
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 RUN_TIMEOUT_S = 900
+# The committed A/A run, read from the change's tree, that judge reads
+# each workload's metrics against.
+NULL = "BENCH_null.json"
 
 
 def git(repo, *args):
@@ -146,43 +155,84 @@ def sign_test_p(wins, losses):
     return sum(math.comb(flips, k) for k in range(wins, flips + 1)) / 2 ** flips
 
 
-def summarize(entry, parent, change):
-    """Medians, IQRs, wins, paired statistics and verdicts of one metric
-    over paired runs."""
+def null_quartiles(path, *keys):
+    """The per-pair ratio Q1 and Q3 of the entry at ``keys`` of the A/A
+    BENCH file ``path``, with the file's name: what :func:`judge` reads
+    a run against.  None when the file or the entry is missing."""
+    try:
+        entry = json.loads(path.read_text())
+        for key in keys:
+            entry = entry[key]
+        return {"file": path.name, "pair_ratio_q1": entry["pair_ratio_q1"],
+                "pair_ratio_q3": entry["pair_ratio_q3"]}
+    except (OSError, KeyError):
+        return None
+
+
+def judge(m, bound):
+    """``gain`` and ``worse`` of one metric's summary ``m`` (see
+    :func:`summarize`), read against ``m["null"]``, the same metric's
+    per-pair ratio quartiles in the committed A/A (:func:`null_quartiles`).
+
+    For a lower-is-better value, ``gain`` needs nine wins in ten of the
+    pairs run and a per-pair ratio Q3 below the A/A's Q1.  ``worse`` with
+    a ``bound`` is the benchmark's own gate: a change median worse than
+    the parent's by more than ``bound`` times the parent's.  Without a
+    bound it needs nine losses in ten and a per-pair ratio Q1 above the
+    A/A's Q3.  A higher-is-better value is the mirror.  Without an A/A
+    (``m["null"]`` None) only the bounded ``worse`` can be True."""
+    gain = worse = False
+    null = m["null"]
+    if null is not None and m["pair_ratio_q1"] is not None:
+        q1, q3 = m["pair_ratio_q1"], m["pair_ratio_q3"]
+        n1, n3 = null["pair_ratio_q1"], null["pair_ratio_q3"]
+        if m["better"] == "higher":  # the mirror: negated ratios are lower-is-better
+            q1, q3, n1, n3 = -q3, -q1, -n3, -n1
+        gain = m["wins"] >= 0.9 * m["pairs"] and q3 < n1
+        worse = m["losses"] >= 0.9 * m["pairs"] and q1 > n3
+    if bound is not None:
+        sign = 1.0 if m["better"] == "lower" else -1.0
+        worse = sign * (m["change_median"] - m["parent_median"]) > bound * abs(m["parent_median"])
+    return gain, worse
+
+
+def summarize(entry, parent, change, null):
+    """Medians, wins, paired statistics and :func:`judge`'s verdicts of
+    one metric over paired runs, with the A/A quartiles ``null`` they
+    were read against."""
     sign = 1.0 if entry["better"] == "lower" else -1.0
-    p_q1, p_med, p_q3 = quartiles(parent)
-    c_q1, c_med, c_q3 = quartiles(change)
-    p_iqr = p_q3 - p_q1
+    p_med, c_med = statistics.median(parent), statistics.median(change)
     wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     losses = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     ratios = [c / p for p, c in zip(parent, change) if p]
     q1, r_med, q3 = quartiles(ratios)
-    return {
+    m = {
         "unit": entry["unit"], "better": entry["better"],
         "parent": parent, "change": change,
         "parent_median": p_med, "change_median": c_med,
         "ratio": c_med / p_med if p_med else None,
-        "parent_iqr": p_iqr, "change_iqr": c_q3 - c_q1,
         "wins": wins, "losses": losses, "pairs": len(parent),
         "pair_ratios": ratios, "pair_ratio_q1": q1, "pair_ratio_median": r_med,
-        "pair_ratio_q3": q3, "sign_p": sign_test_p(wins, losses),
-        "gain": wins >= 0.9 * len(parent) and sign * (p_med - c_med) > p_iqr,
-        "worse": sign * (c_med - p_med) > entry["bound"] * abs(p_med),
+        "pair_ratio_q3": q3, "sign_p": sign_test_p(wins, losses), "null": null,
     }
+    m["gain"], m["worse"] = judge(m, entry.get("bound"))
+    return m
 
 
 # The header of the columns of ``row``.
-COLUMNS = (f"{'parent':>12}{'change':>12}{'ratio':>8}{'IQR p':>11}{'IQR c':>11}{'wins':>7}"
+COLUMNS = (f"{'parent':>12}{'change':>12}{'ratio':>8}{'A/A Q1':>11}{'A/A Q3':>11}{'wins':>7}"
            f"{'Q1 c/p':>9}{'med c/p':>9}{'Q3 c/p':>9}{'sign p':>9}  gain   worse")
 
 
 def row(m):
     """The columns of one metric's summary from :func:`summarize`."""
     ratio = f"{m['ratio']:.3f}" if m["ratio"] is not None else "-"
+    null = "".join(f"{m['null'][key]:>11.3f}" if m["null"] else f"{'-':>11}"
+                   for key in ("pair_ratio_q1", "pair_ratio_q3"))
     pair = "".join(f"{m[key]:>9.3f}" if m[key] is not None else f"{'-':>9}"
                    for key in ("pair_ratio_q1", "pair_ratio_median", "pair_ratio_q3"))
     return (f"{m['parent_median']:>12.6g}{m['change_median']:>12.6g}{ratio:>8}"
-            f"{m['parent_iqr']:>11.4g}{m['change_iqr']:>11.4g}{m['wins']:>4}/{m['pairs']:<2}"
+            f"{null}{m['wins']:>4}/{m['pairs']:<2}"
             f"{pair}{m['sign_p']:>9.3g}  {m['gain']!s:<6} {m['worse']}")
 
 
@@ -262,6 +312,9 @@ def main(argv=None):
         digests = run_digests(trees)
         runs = {name: alternate(name, args.pairs, lambda side: run_perfbench(
                     trees[side], name, args.seed, args.seconds)) for name in names}
+        nulls = {(name, entry["name"]): null_quartiles(trees["change"] / NULL, "workloads", name,
+                                                       "metrics", entry["name"])
+                 for name in names for entry in spec["end_to_end"]}
 
     status = 0
     report = {}
@@ -274,7 +327,8 @@ def main(argv=None):
         for entry in spec["end_to_end"]:
             values = {side: [r["metrics"][entry["name"]]["value"] for r in by_side[side]]
                       for side in SIDES}
-            metrics[entry["name"]] = summarize(entry, values["parent"], values["change"])
+            metrics[entry["name"]] = summarize(entry, values["parent"], values["change"],
+                                               nulls[name, entry["name"]])
         report[name] = {"failed": failed, "metrics": metrics}
 
     print(f"\n{'workload':<16}{'metric':<15}{COLUMNS}")

@@ -28,11 +28,16 @@ every case, one after the other, as an ``ab.py`` pair runs a whole
 workload.  A timed call starts from H reset to a fixed SPD matrix,
 outside the timed region; a worker's value for a case is the median of
 ``--calls`` timed calls, in microseconds.  Per case the pairs are
-summarised as ``ab.py`` summarises a metric's pairs: medians, IQRs,
-per-pair ratios change/parent with their quartiles, wins, the sign
-test, ``gain`` and ``worse``, the latter against ``BOUND``.  Everything
-goes to ``BENCH_kernel_<slug>.json`` at the root of the repository.
-Exits 1 when the checks differ; the timings are recorded either way.
+summarised as ``ab.py`` summarises a metric's pairs: medians, per-pair
+ratios change/parent with their quartiles, wins and the sign test, and
+``ab.judge``'s verdicts against the same case in the committed A/A run
+``BENCH_kernel_null_sizes.json`` (``NULL``), read from the change's
+tree.  A case has no bound, so it is ``worse`` when the change lost at
+least nine pairs in ten and its per-pair ratio Q1 lies above the A/A's
+Q3; a case the A/A lacks (a new ``--sizes`` value) gets no verdict.
+Everything goes to ``BENCH_kernel_<slug>.json`` at the root of the
+repository.  Exits 1 when the checks differ; the timings are recorded
+either way.
 """
 
 import argparse
@@ -51,16 +56,16 @@ from pathlib import Path
 import numpy as np
 
 from ab import (COLUMNS, ROOT, RUN_TIMEOUT_S, SIDES, alternate, describe, environment,
-                extract, row, summarize)
+                extract, null_quartiles, row, summarize)
 from digest import verdict
 
 HERE = Path(__file__).resolve().parent
 CASES = tuple(itertools.product((1.0, 0.0, 0.4), (1.0, 0.7)))  # (phi, tau)
 GRID_SIZES = tuple(range(2, 13))
 GRID_SCALES = (1.0, 1e-310, 1e-160, 1e160, 1e300)
-# A case's change median worse than the parent's by more than this
-# fraction is ``worse``; BENCH_kernel_null.json holds the A/A spread.
-BOUND = 0.05
+# The committed A/A run at the default sizes, read from the change's
+# tree, that judge reads each case against.
+NULL = "BENCH_kernel_null_sizes.json"
 
 
 def case_key(n, phi, tau):
@@ -195,13 +200,15 @@ def main(argv=None):
         print(f"checks: {checks}", flush=True)
         runs = alternate("kernel", args.pairs, lambda side: run_worker(
             trees[side], cpu, args.sizes, args.calls))
+        nulls = {key: null_quartiles(trees["change"] / NULL, "cases", key)
+                 for key in runs["parent"][0]}
 
-    entry = {"unit": "us", "better": "lower", "bound": BOUND}
+    entry = {"unit": "us", "better": "lower"}
     cases = {}
     print(f"\n{'case':<26}{COLUMNS}")
     for key in runs["parent"][0]:
         parent, change = ([run[key] for run in runs[side]] for side in SIDES)
-        cases[key] = summarize(entry, parent, change)
+        cases[key] = summarize(entry, parent, change, nulls[key])
         print(f"{key:<26}{row(cases[key])}")
 
     out = args.repo / f"BENCH_kernel_{args.slug}.json"

@@ -6,7 +6,9 @@ change that breaks any of them fail the test suite instead of the
 benchmark run or the bitwise check.  The
 A/B driver runs on a two-commit repository whose benchmark and digest
 script print canned result lines, and the kernel's A/B driver on one
-whose ``ssbroyden.updates`` is a canned numpy update.
+whose ``ssbroyden.updates`` is a canned numpy update; both commit a
+canned A/A run.  The committed A/A runs are judged again from their
+stored values.
 """
 
 import itertools
@@ -160,6 +162,9 @@ CANNED_SPEC = {
                    {"name": "f_evals", "unit": "count", "better": "lower", "bound": 0.25},
                    {"name": "peak_rss_mb", "unit": "MiB", "better": "lower", "bound": 0.1}],
 }
+# The per-pair ratio quartiles of a canned A/A run, as ``ab.null_quartiles``
+# returns them from a BENCH file.
+NULL = {"pair_ratio_q1": 0.95, "pair_ratio_q3": 1.05}
 
 
 def git(repo, *args):
@@ -170,14 +175,18 @@ def git(repo, *args):
 
 def canned_repo(tmp_path, digest_script):
     """A two-commit repository whose canned benchmark reads iter_us 100 at
-    the parent and 80 at the change, and whose ``src/cells.py`` digests
-    differ in cell c2.  Only the change has ``digest_script`` (the driver
-    runs the change's script on both sides' src) and only its cells
-    define ``NEW``.  Returns the repository and both commits."""
+    the parent and 80 at the change, whose canned A/A has quartiles for
+    w1's iter_us and peak_rss_mb but not f_evals, and whose
+    ``src/cells.py`` digests differ in cell c2.  Only the change has
+    ``digest_script`` (the driver runs the change's script on both sides'
+    src) and only its cells define ``NEW``.  Returns the repository and
+    both commits."""
     repo = tmp_path / "repo"
     (repo / "perfbench").mkdir(parents=True)
     (repo / "perfbench" / "run.py").write_text(CANNED_RUN)
     (repo / "BENCHMARK.json").write_text(json.dumps(CANNED_SPEC))
+    null = {"w1": {"metrics": {"iter_us": NULL, "peak_rss_mb": NULL}}}
+    (repo / ab.NULL).write_text(json.dumps({"workloads": null}))
 
     (repo / "src").mkdir()
     git(repo, "init", "-q")
@@ -213,11 +222,14 @@ def test_ab_driver_alternates_pairs_and_writes_bench_file(tmp_path):
     assert [bench["commits"][side]["commit"] for side in ("parent", "change")] == commits
     iter_us = bench["workloads"]["w1"]["metrics"]["iter_us"]
     assert (iter_us["parent"], iter_us["change"]) == ([100.0, 100.0], [80.0, 80.0])
+    # 2/2 wins and a per-pair Q3 of 0.8, below the canned A/A's Q1
     assert (iter_us["ratio"], iter_us["wins"], iter_us["gain"], iter_us["worse"]) == (
         0.8, 2, True, False)
-    # a flat metric is neither a gain nor a regression
+    assert iter_us["null"] == {"file": ab.NULL, **NULL}
+    # a flat metric with no A/A entry is neither a gain nor a regression
     f_evals = bench["workloads"]["w1"]["metrics"]["f_evals"]
-    assert (f_evals["wins"], f_evals["gain"], f_evals["worse"]) == (0, False, False)
+    assert (f_evals["wins"], f_evals["gain"], f_evals["worse"], f_evals["null"]) == (
+        0, False, False, None)
     # 60 -> 75 MiB is worse than the parent by 25%, beyond the 10% bound
     peak = bench["workloads"]["w1"]["metrics"]["peak_rss_mb"]
     assert (peak["parent_median"], peak["change_median"]) == (60.0, 75.0)
@@ -227,6 +239,7 @@ def test_ab_driver_alternates_pairs_and_writes_bench_file(tmp_path):
     assert [(row[1], row[-2], row[-1]) for row in table] == [
         ("iter_us", "True", "False"), ("f_evals", "False", "False"),
         ("peak_rss_mb", "False", "True")]
+    assert [row[5:7] for row in table] == [["0.950", "1.050"], ["-", "-"], ["0.950", "1.050"]]
     # the paired statistics: per-pair ratios change/parent, their quartiles
     # and the one-sided sign-test p-value of the wins (ties dropped)
     assert [(m["pair_ratios"], m["pair_ratio_q1"], m["pair_ratio_median"],
@@ -244,21 +257,99 @@ def test_ab_driver_alternates_pairs_and_writes_bench_file(tmp_path):
     # canned pairs beyond what two runs can show: nine wins and one loss,
     # ties, a better-is-higher metric, a single pair and a zero parent
     lower = {"unit": "us", "better": "lower", "bound": 0.25}
-    m = ab.summarize(lower, [10.0] * 10, [9.0] * 9 + [11.0])
+    m = ab.summarize(lower, [10.0] * 10, [9.0] * 9 + [11.0], NULL)
     assert (m["wins"], m["losses"], m["gain"], m["worse"]) == (9, 1, True, False)
     assert (m["pair_ratio_q1"], m["pair_ratio_median"], m["pair_ratio_q3"]) == (0.9, 0.9, 0.9)
     assert m["sign_p"] == 11 / 1024
-    m = ab.summarize(lower, [10.0] * 4, [10.0, 9.0, 11.0, 10.0])
+    m = ab.summarize(lower, [10.0] * 4, [10.0, 9.0, 11.0, 10.0], NULL)
     assert (m["wins"], m["losses"], m["sign_p"]) == (1, 1, 0.75)
     higher = dict(lower, better="higher")
-    m = ab.summarize(higher, [1.0, 2.0, 4.0], [2.0, 3.0, 6.0])
+    m = ab.summarize(higher, [1.0, 2.0, 4.0], [2.0, 3.0, 6.0], NULL)
     assert (m["wins"], m["losses"], m["sign_p"]) == (3, 0, 0.125)
     assert (m["pair_ratio_q1"], m["pair_ratio_median"], m["pair_ratio_q3"]) == (1.5, 1.5, 2.0)
-    m = ab.summarize(lower, [5.0], [4.0])
+    m = ab.summarize(lower, [5.0], [4.0], NULL)
     assert (m["pair_ratio_q1"], m["pair_ratio_median"], m["pair_ratio_q3"], m["sign_p"]) == (
         0.8, 0.8, 0.8, 0.5)
-    m = ab.summarize(lower, [0.0], [1.0])
+    # no ratio to read against the A/A: only the bound can judge
+    m = ab.summarize(lower, [0.0], [1.0], NULL)
     assert (m["pair_ratios"], m["pair_ratio_median"], m["losses"]) == ([], None, 1)
+    assert (m["gain"], m["worse"]) == (False, True)
+
+
+def test_judge_reads_paired_runs_against_the_a_a(tmp_path):
+    lower = {"unit": "us", "better": "lower", "bound": 0.25}
+    unbounded = {"unit": "us", "better": "lower"}
+
+    def verdicts(entry, parent, change, null=NULL):
+        m = ab.summarize(entry, parent, change, null)
+        return m["gain"], m["worse"]
+
+    # an A/A-like run: per-pair ratios inside the A/A's quartiles
+    spread = [0.97, 1.02, 0.99, 1.03, 1.0, 0.98, 1.01, 1.04, 0.96, 1.0]
+    for entry in (lower, unbounded):
+        assert verdicts(entry, [100.0] * 10, [100.0 * r for r in spread]) == (False, False)
+    # 10/10 pairs at x0.85: Q3 0.85 is below the A/A's Q1
+    assert verdicts(lower, [100.0] * 10, [85.0] * 10) == (True, False)
+    # x0.96 in every pair is inside the A/A's spread
+    assert verdicts(lower, [100.0] * 10, [96.0] * 10) == (False, False)
+    # 8/10 wins at x0.85 is too few
+    assert verdicts(lower, [100.0] * 10, [85.0] * 8 + [101.0] * 2) == (False, False)
+    # a case without a bound: 18/20 losses at x1.1 put Q1 above the A/A's Q3
+    assert verdicts(unbounded, [10.0] * 20, [11.0] * 18 + [9.0] * 2) == (False, True)
+    assert verdicts(unbounded, [10.0] * 20, [11.0] * 17 + [9.0] * 3) == (False, False)
+    # a metric with a bound keeps the benchmark's gate: a median x1.3 is
+    # worse on 6/10 losses, which the paired rule alone would not flag
+    parent, change = [10.0] * 10, [13.0] * 6 + [9.0] * 4
+    assert verdicts(lower, parent, change) == (False, True)
+    assert verdicts(unbounded, parent, change) == (False, False)
+    # and only that gate: losses at x1.1 stay inside its 25%
+    assert verdicts(lower, [10.0] * 20, [11.0] * 18 + [9.0] * 2) == (False, False)
+    # a higher-is-better value is the mirror
+    higher = dict(unbounded, better="higher")
+    assert verdicts(higher, [1.0] * 10, [1.2] * 10) == (True, False)
+    assert verdicts(higher, [1.0] * 10, [0.8] * 10) == (False, True)
+    assert verdicts(higher, [1.0] * 10, [1.0 / r for r in spread]) == (False, False)
+    # a key missing from the A/A, or a missing file: no verdict, null recorded
+    null = tmp_path / ab.NULL
+    null.write_text(json.dumps({"workloads": {"w1": {"metrics": {"iter_us": NULL}}}}))
+    assert ab.null_quartiles(null, "workloads", "w1", "metrics", "iter_us") == {
+        "file": ab.NULL, **NULL}
+    assert ab.null_quartiles(null, "workloads", "w2", "metrics", "iter_us") is None
+    assert ab.null_quartiles(tmp_path / "nosuch.json", "workloads") is None
+    for entry in (lower, unbounded):
+        m = ab.summarize(entry, [10.0] * 20, [11.0] * 18 + [9.0] * 2, None)
+        assert (m["gain"], m["worse"], m["null"]) == (False, False, None)
+        m = ab.summarize(entry, [10.0] * 10, [8.5] * 10, None)
+        assert (m["gain"], m["worse"], m["null"]) == (False, False, None)
+
+
+def rejudge(name, null_file):
+    """Every metric or case of the committed BENCH file ``name`` judged
+    again from its stored runs against the committed A/A ``null_file``,
+    the bounds taken from BENCHMARK.json."""
+    bench = json.loads((ROOT / name).read_text())
+    if "cases" in bench:
+        return {key: ab.summarize({"unit": "us", "better": "lower"}, m["parent"], m["change"],
+                                  ab.null_quartiles(ROOT / null_file, "cases", key))
+                for key, m in bench["cases"].items()}
+    spec = {e["name"]: e for e in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    return {(workload, metric): ab.summarize(spec[metric], m["parent"], m["change"],
+                                             ab.null_quartiles(ROOT / null_file, "workloads",
+                                                               workload, "metrics", metric))
+            for workload, entry in bench["workloads"].items()
+            for metric, m in entry["metrics"].items()}
+
+
+@pytest.mark.parametrize("name, null_file", [
+    ("BENCH_kernel_null.json", kernel_ab.NULL), (kernel_ab.NULL, kernel_ab.NULL),
+    (ab.NULL, ab.NULL), ("BENCH_null_34.json", ab.NULL)])
+def test_committed_a_a_runs_read_no_verdict(name, null_file):
+    # Both sides of an A/A run one tree.  BENCH_kernel_null.json's three
+    # n = 25 cases that an unpaired 5% bound on the medians read as worse
+    # (ratios of the medians 1.054-1.154) read neither verdict here.
+    summaries = rejudge(name, null_file)
+    assert all(m["null"] is not None for m in summaries.values())
+    assert [key for key, m in summaries.items() if m["gain"] or m["worse"]] == []
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="the A/B driver needs git")
@@ -314,12 +405,15 @@ def apply_update(H, s, coeffs, phi, tau):
 
 def canned_kernel_repo(tmp_path):
     """A two-commit repository whose ``ssbroyden.updates`` adds rho s s^T
-    to H, and at the change also 1 to every element where phi is 0.4.
+    to H, and at the change also 1 to every element where phi is 0.4,
+    and whose canned A/A has quartiles for the n = 3 cases alone.
     Each import of it appends its process id to ``tmp_path / "pids"``."""
     repo = tmp_path / "repo"
     package = repo / "src" / "ssbroyden"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
+    null = {kernel_ab.case_key(3, phi, tau): NULL for phi, tau in kernel_ab.CASES}
+    (repo / kernel_ab.NULL).write_text(json.dumps({"cases": null}))
     git(repo, "init", "-q")
     for extra in ("", "    H += 1.0 if phi == 0.4 else 0.0\n"):
         (package / "updates.py").write_text(
@@ -354,10 +448,16 @@ def test_kernel_ab_driver_checks_both_sides_and_writes_bench_file(tmp_path):
     assert bench["protocol"]["grid"]["sizes"] == list(range(2, 13))
     keys = [kernel_ab.case_key(n, phi, tau) for n in (3, 4) for phi, tau in kernel_ab.CASES]
     assert list(bench["cases"]) == keys
-    for m in bench["cases"].values():
+    for key, m in bench["cases"].items():
         assert (m["unit"], m["pairs"], len(m["parent"]), len(m["change"])) == ("us", 2, 2, 2)
         assert all(value > 0 for value in m["parent"] + m["change"])
         assert m["pair_ratio_q1"] <= m["pair_ratio_median"] <= m["pair_ratio_q3"]
+        # read against the canned A/A where it has the case; without one
+        # a case has no verdict
+        if key.startswith("n=3 "):
+            assert m["null"] == {"file": kernel_ab.NULL, **NULL}
+        else:
+            assert (m["null"], m["gain"], m["worse"]) == (None, False, False)
     # the same commit on both sides agrees everywhere and exits 0
     proc = run([*args[:1], "HEAD", "HEAD", *args[1:]], tmp_path)
     assert proc.returncode == 0, proc.stderr
